@@ -1,0 +1,113 @@
+"""Golden diff of the CLI's JSON output on fixed profiles.
+
+Each case runs `cli.main` in-process on files under tests/golden/ and
+compares the printed JSON with the stored expectation.  Keys (and their
+order), strings, ints, booleans, None and list lengths must match
+exactly, which pins the classification, the vertices, the verdict and
+the violation indices.  Floats must agree to rtol 1e-9 plus an atol of
+1e-12 times the field's largest magnitude, a field being a key path with
+list positions dropped (`chords[].width`) and its magnitude taken over
+every expected file, so a value that is rounding noise in one case (the
+circle's widths) is judged against what the field holds elsewhere.
+
+Regenerate the expectations, after a deliberate change of output, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from spiralbounds.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# name: (CLI arguments, files relative to GOLDEN; expected exit code)
+CASES = {
+    "circle": (["analyze", "circle.json"], 0),
+    "spiral-inc": (["analyze", "spiral-inc.json"], 0),
+    "spiral-inc-simple": (["analyze", "spiral-inc.json", "--grade",
+                           "simple"], 0),
+    "spiral-dec": (["analyze", "spiral-dec.json"], 0),
+    "oval": (["analyze", "oval.json"], 0),
+    "overrides": (["analyze", "overrides.json"], 0),
+    "check-pass": (["check", "spiral-inc.json", "spiral-inc.pass.txt"], 0),
+    "check-fail": (["check", "spiral-inc.json", "spiral-inc.fail.txt"], 1),
+}
+
+
+def _run(args):
+    argv = [str(GOLDEN / a) if a.endswith((".json", ".txt")) else a
+            for a in args]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def _expected(name):
+    return json.loads((GOLDEN / (name + ".expected.json")).read_text())
+
+
+def _magnitudes(doc, field, out):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _magnitudes(value, field + "." + key, out)
+    elif isinstance(doc, list):
+        for value in doc:
+            _magnitudes(value, field + "[]", out)
+    elif isinstance(doc, float) and math.isfinite(doc):
+        out[field] = max(out.get(field, 0.0), abs(doc))
+    return out
+
+
+@pytest.fixture(scope="module")
+def scale():
+    out = {}
+    for name in CASES:
+        _magnitudes(_expected(name), "", out)
+    return out
+
+
+def _compare(got, want, field, where, scale):
+    assert type(got) is type(want), "%s: %r != %r" % (where, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), "%s: keys differ" % where
+        for key in want:
+            _compare(got[key], want[key], field + "." + key,
+                     "%s.%s" % (where, key), scale)
+    elif isinstance(want, list):
+        assert len(got) == len(want), "%s: length differs" % where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, field + "[]", "%s[%d]" % (where, i), scale)
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), "%s: %r is not nan" % (where, got)
+    elif isinstance(want, float):
+        atol = 1e-12 * scale.get(field, 0.0)
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=atol), (
+            "%s: %r != %r" % (where, got, want))
+    else:
+        assert got == want, "%s: %r != %r" % (where, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, scale):
+    args, exit_code = CASES[name]
+    code, doc = _run(args)
+    assert code == exit_code
+    _compare(doc, _expected(name), "", name, scale)
+
+
+if __name__ == "__main__":
+    for name, (args, exit_code) in CASES.items():
+        code, doc = _run(args)
+        if code != exit_code:
+            sys.exit("%s: exit %d, expected %d" % (name, code, exit_code))
+        (GOLDEN / (name + ".expected.json")).write_text(
+            json.dumps(doc, indent=2, allow_nan=True) + "\n")

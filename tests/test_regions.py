@@ -11,9 +11,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spiralbounds.analysis import SplineInput, analyze, real_chords
-from spiralbounds.errors import ClassificationError, OverrideError
+from spiralbounds.errors import ClassificationError, DataError, OverrideError
 from spiralbounds.geometry import Arc, Biarc, curve_eval
 from spiralbounds.logspiral import LogSpiral, spiral_dataset
 from spiralbounds.regions import (
@@ -444,3 +446,47 @@ def test_sparse_dataset_is_spiral_with_wide_early_lenses():
     reg = build_region(an)
     assert reg.grade == "narrowed"
     assert reg.width > 0.01  # genuinely wide: ill-set data
+
+
+# ---------------------------------------------------------------------------
+# Rotating the start of closed data
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(10, 40), axes=st.tuples(st.floats(0.5, 3.0),
+                                             st.floats(0.5, 3.0)),
+       warp=st.floats(0.0, 0.3), phase=st.floats(0.0, 2 * math.pi),
+       shift=st.integers(1, 39))
+def test_rolling_closed_data_rolls_every_result(n, axes, warp, phase, shift):
+    # node i of the rolled data is node i + k of the original, so every
+    # per-node and per-chord quantity rolls by k and the vertex set moves
+    # with it; a wrap rule off by one breaks this
+    k = shift % n
+    s = np.linspace(0.0, 2 * math.pi, n + 1)[:-1]
+    t = s + warp * np.sin(s + phase)
+    pts = np.column_stack([axes[0] * np.cos(t), axes[1] * np.sin(t)])
+    try:
+        base = analyze(SplineInput(pts, closed=True))
+        reg = build_region(base)
+    except DataError:
+        assume(False)
+    rolled = analyze(SplineInput(np.roll(pts, -k, axis=0), closed=True))
+    rreg = build_region(rolled)
+
+    def q(an):
+        return np.array([nd.curvature for nd in an.nodes])
+
+    npt.assert_allclose(q(rolled), np.roll(q(base), -k), rtol=1e-12)
+    for name in ("xi", "eta"):
+        npt.assert_allclose([getattr(a, name) for a in rolled.angles],
+                            np.roll([getattr(a, name) for a in base.angles],
+                                    -k), rtol=1e-12, atol=1e-15)
+    npt.assert_allclose([ch.width for ch in rreg.chords],
+                        np.roll([ch.width for ch in reg.chords], -k),
+                        rtol=1e-12, atol=1e-15)
+    bcls, rcls = base.classification, rolled.classification
+    assert (rcls.kind, rcls.direction, rreg.grade) == (
+        bcls.kind, bcls.direction, reg.grade)
+    assert set(rcls.vertices) == {((v - 1 - k) % n + 1, kind)
+                                  for v, kind in bcls.vertices}
