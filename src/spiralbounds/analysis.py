@@ -44,7 +44,8 @@ class SplineInput:
     """Interpolation data: points plus boundary tangents (open) or closed flag.
 
     Tangents are angles in radians; unit-vector input is converted at the
-    file-parsing layer.
+    file-parsing layer.  Non-finite points and tangents are rejected here,
+    since numpy comparisons against NaN quietly come out False later on.
     """
 
     points: np.ndarray
@@ -56,6 +57,13 @@ class SplineInput:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InputError("points must form an (n, 2) array")
+        bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
+        if bad.size:
+            raise InputError("point %d is not finite: %s"
+                             % (bad[0] + 1, pts[bad[0]].tolist()))
+        for name, tau in (("start", self.tau_start), ("end", self.tau_end)):
+            if tau is not None and not math.isfinite(tau):
+                raise InputError("%s tangent is not finite: %r" % (name, tau))
         object.__setattr__(self, "points", pts)
 
 

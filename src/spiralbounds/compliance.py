@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySamplesError
+from .errors import EmptySamplesError, InputError
 from .geometry import curve_eval
 from .regions import Region
 
@@ -39,6 +39,10 @@ def _check_pts(polyline) -> np.ndarray:
         raise EmptySamplesError("no curve samples to test")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise EmptySamplesError("curve samples must form an (n, 2) array")
+    bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
+    if bad.size:
+        raise InputError("sample %d is not finite: %s"
+                         % (bad[0], pts[bad[0]].tolist()))
     return pts
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import Analysis, SplineInput, real_chords
 from .compliance import ComplianceReport
-from .errors import EmptySamplesError, ParseError
+from .errors import EmptySamplesError, InputError, ParseError
 from .geometry import Arc, Biarc
 from .regions import Region
 
@@ -43,6 +43,9 @@ def _angle(value, degrees: bool, what: str) -> float:
     if (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in value)):
+        if not all(math.isfinite(v) for v in value):
+            raise ParseError("%s tangent vector is not finite: %r"
+                             % (what, value))
         if value[0] == 0 and value[1] == 0:
             raise ParseError("%s tangent vector is zero" % what)
         return math.atan2(float(value[1]), float(value[0]))
@@ -71,8 +74,6 @@ def parse_profile(obj, degrees: bool = False):
         points = np.asarray(raw_pts, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError("non-numeric point coordinates: %s" % exc) from exc
-    if not np.all(np.isfinite(points)):
-        raise ParseError("point coordinates must be finite")
 
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
@@ -115,8 +116,11 @@ def parse_profile(obj, degrees: bool = False):
         if entry:
             overrides[node] = entry
 
-    data = SplineInput(points=points, tau_start=tau_start, tau_end=tau_end,
-                       closed=closed)
+    try:
+        data = SplineInput(points=points, tau_start=tau_start,
+                           tau_end=tau_end, closed=closed)
+    except InputError as exc:   # non-finite points or tangents
+        raise ParseError(str(exc)) from exc
     return data, overrides
 
 

@@ -100,6 +100,23 @@ def test_open_data_requires_both_tangents():
         build_chords(SplineInput(pts, tau_start=0.0))
 
 
+@pytest.mark.parametrize("bad, named", [
+    ({"points": [[0, 0], [1, 0], [2, math.nan], [3, 1]]}, r"\bpoint 3\b"),
+    ({"points": [[0, 0], [1, 0], [2, 0.5], [math.inf, 1]]}, r"\bpoint 4\b"),
+    ({"tau_start": math.nan}, r"\bstart tangent\b"),
+    ({"tau_end": -math.inf}, r"\bend tangent\b"),
+])
+def test_non_finite_input_rejected_and_named(bad, named):
+    # numpy comparisons against NaN are quietly False, so a NaN would
+    # otherwise travel far and fail (or pass) somewhere unrelated
+    kw = {"points": [[0, 0], [1, 0], [2, 0.5], [3, 1.5]],
+          "tau_start": 0.0, "tau_end": 1.0}
+    kw.update(bad)
+    pts = np.array(kw.pop("points"), dtype=float)
+    with pytest.raises(InputError, match=named):
+        analyze(SplineInput(pts, **kw))
+
+
 def test_closed_data_forbids_tangents():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
     with pytest.raises(InputError):

@@ -13,7 +13,7 @@ import pytest
 
 from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.compliance import assign_samples, check_containment
-from spiralbounds.errors import EmptySamplesError
+from spiralbounds.errors import EmptySamplesError, InputError
 from spiralbounds.geometry import curve_eval
 from spiralbounds.logspiral import spiral_dataset
 from spiralbounds.regions import build_region, simple_region
@@ -60,6 +60,14 @@ def test_empty_samples_rejected(circle_analysis):
         assign_samples(reg, np.zeros((0, 2)))
     with pytest.raises(EmptySamplesError):
         check_containment(reg, [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sample_rejected_and_named(circle_analysis, bad):
+    reg = simple_region(circle_analysis)
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, bad], [2.0, 0.2]])
+    with pytest.raises(InputError, match=r"\bsample 2\b"):
+        check_containment(reg, pts)
 
 
 def test_malformed_samples_rejected(circle_analysis):

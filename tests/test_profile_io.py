@@ -93,6 +93,19 @@ def test_parse_rejects_malformed(mutate):
         parse_profile(prof)
 
 
+@pytest.mark.parametrize("side, value", [
+    ("start", math.nan),
+    ("end", math.inf),
+    ("end", [1.0, math.nan]),
+    ("start", [math.inf, 1.0]),
+])
+def test_parse_rejects_non_finite_tangent(side, value):
+    prof = json.loads(json.dumps(VALID))
+    prof["tangents"][side] = value
+    with pytest.raises(ParseError, match=r"\b%s tangent\b" % side):
+        parse_profile(prof)
+
+
 def test_parse_rejects_closed_with_tangents():
     prof = {"version": 1, "closed": True,
             "points": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
