@@ -25,8 +25,11 @@ swaps their roles.  Reversing the point order would not do: reversal
 negates the curvature sequence AND walks it backwards, so it preserves
 the direction of monotonicity.
 
-Widths: the simple region has the closed form c|tan(xi/2) + tan(eta/2)|
-per chord; vertex and narrowed widths are defined by dense sampling.
+Widths: the simple and vertex regions bound each chord by two arcs, whose
+gap peaks at mid-chord, where A(0; c, phi) = c tan(phi/2); so their width
+is the closed form c|tan(phi_hi/2) - tan(phi_lo/2)| (for the simple lens
+c|tan(xi/2) + tan(eta/2)|).  Narrowed (biarc) widths are the maximum gap
+over WIDTH_SAMPLES abscissae per chord.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (ClassificationError, DomainError,
 from .geometry import (Arc, Biarc, ChordFrame, biarc_from_a, biarc_from_b,
                        biarc_from_p, curve_eval, mirror_curve)
 
-WIDTH_SAMPLES = 1000  # abscissae per chord for sampled widths
+WIDTH_SAMPLES = 1000  # abscissae per chord for sampled biarc widths
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,11 @@ def _ordered_arcs(c: float, phi_one: float, phi_two: float):
     return Arc(c, lo), Arc(c, hi)
 
 
+def _arc_width(c: float, phi_lo: float, phi_hi: float) -> float:
+    """Width of the lens between two arcs: their gap at mid-chord."""
+    return c * abs(math.tan(0.5 * phi_hi) - math.tan(0.5 * phi_lo))
+
+
 def _sampled_width(lower, upper, c: float) -> float:
     xs = np.linspace(-c, c, WIDTH_SAMPLES)
     return float(np.max(curve_eval(upper, xs) - curve_eval(lower, xs)))
@@ -157,9 +165,9 @@ def simple_region(analysis: Analysis) -> Region:
     pairs = []
     widths = []
     for ch, ang in zip(chords, analysis.angles):
-        pairs.append(_ordered_arcs(ch.half_length, -ang.eta, ang.xi))
-        widths.append(ch.half_length
-                      * abs(math.tan(0.5 * ang.xi) + math.tan(0.5 * ang.eta)))
+        lower, upper = _ordered_arcs(ch.half_length, -ang.eta, ang.xi)
+        pairs.append((lower, upper))
+        widths.append(_arc_width(ch.half_length, lower.phi, upper.phi))
     return _finish("simple", analysis, pairs, widths)
 
 
@@ -184,6 +192,7 @@ def vertex_region(analysis: Analysis) -> Region:
     rho = [n.turning for n in analysis.nodes]
 
     pairs = []
+    widths = []
     for k, ch in enumerate(chords):
         start = k + 1                                  # 1-based node index
         end = (k + 1) % m + 1 if closed else k + 2
@@ -199,12 +208,14 @@ def vertex_region(analysis: Analysis) -> Region:
                 phi_pair = (eta[(k + 1) % m] - rho[(k + 1) % len(rho)], xi[k])
             else:
                 phi_pair = (-eta[k], xi[k])
-            pairs.append(_ordered_arcs(ch.half_length, *phi_pair))
+            lower, upper = _ordered_arcs(ch.half_length, *phi_pair)
         except DomainError as exc:
             raise DomainError(
                 "chord %d: %s (data too coarse around the vertex)"
                 % (ch.index, exc)) from exc
-    return _finish("vertex", analysis, pairs)
+        pairs.append((lower, upper))
+        widths.append(_arc_width(ch.half_length, lower.phi, upper.phi))
+    return _finish("vertex", analysis, pairs, widths)
 
 
 def _mirrored_overrides(overrides):

@@ -189,6 +189,19 @@ def test_vertex_region_mirror_symmetry():
     assert reg2.width == pytest.approx(reg.width, rel=1e-9)
 
 
+def test_vertex_widths_bound_the_dense_gap():
+    # a width is an upper bound of the gap, not a sampled lower bound:
+    # no abscissa of a fine grid may find the boundaries further apart
+    # than the reported width, beyond rounding
+    for an in (oval_analysis(), oval_analysis(n=23)):
+        for ch in vertex_region(an).chords:
+            c = ch.frame.half_length
+            xs = np.linspace(-c, c, 200_001)
+            dense = np.max(curve_eval(ch.upper, xs) - curve_eval(ch.lower, xs))
+            assert ch.width >= dense * (1.0 - 1e-13), (ch.index, ch.width,
+                                                        dense)
+
+
 # ---------------------------------------------------------------------------
 # Narrowed region
 # ---------------------------------------------------------------------------
