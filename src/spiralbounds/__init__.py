@@ -6,11 +6,10 @@ curve matching the data, measures the region width as a fairness metric,
 and tests sampled candidate curves for containment.
 """
 
-from .analysis import (Analysis, ChordAngles, ChordData, Classification,
-                       Lim180Violation, NodeData, SplineInput, analyze,
-                       build_chords, check_lim180, classify,
-                       discrete_curvature_plot, node_data, xi_eta)
-from .compliance import ComplianceReport, assign_samples, check_containment
+from .analysis import (Analysis, Classification, Lim180Violation,
+                       SplineInput, analyze, build_chords, check_lim180,
+                       classify, discrete_curvature_plot, node_data, xi_eta)
+from .compliance import ComplianceReport, check_containment
 from .errors import (AdjacentVerticesError, ClassificationError, DataError,
                      DegenerateNodeError, DomainError, DuplicatePointsError,
                      EmptySamplesError, InfeasibleCurvatureError, InputError,
@@ -24,18 +23,16 @@ from .geometry import (Arc, Biarc, ChordFrame, arc_curvature, arc_eval,
                        wrap_angle)
 from .regions import (CurvatureRanges, NarrowedAngles, Region, RegionChord,
                       build_region, curvature_ranges, narrowed_angle_ranges,
-                      narrowed_region, region_width, simple_region,
-                      vertex_region)
+                      narrowed_region, simple_region, vertex_region)
 from .splinefit import cubic_spline_fixture
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis", "ChordAngles", "ChordData", "Classification",
-    "Lim180Violation", "NodeData", "SplineInput", "analyze", "build_chords",
-    "check_lim180", "classify", "discrete_curvature_plot", "node_data",
-    "xi_eta",
-    "ComplianceReport", "assign_samples", "check_containment",
+    "Analysis", "Classification", "Lim180Violation", "SplineInput",
+    "analyze", "build_chords", "check_lim180", "classify",
+    "discrete_curvature_plot", "node_data", "xi_eta",
+    "ComplianceReport", "check_containment",
     "AdjacentVerticesError", "ClassificationError", "DataError",
     "DegenerateNodeError", "DomainError", "DuplicatePointsError",
     "EmptySamplesError", "InfeasibleCurvatureError", "InputError",
@@ -48,7 +45,7 @@ __all__ = [
     "mirror_curve", "tangency_residual", "wrap_angle",
     "CurvatureRanges", "NarrowedAngles", "Region", "RegionChord",
     "build_region", "curvature_ranges", "narrowed_angle_ranges",
-    "narrowed_region", "region_width", "simple_region", "vertex_region",
+    "narrowed_region", "simple_region", "vertex_region",
     "cubic_spline_fixture",
     "__version__",
 ]

@@ -22,6 +22,9 @@ builds the chord quantities the bounding constructions run on:
     piecewise-spiral with vertex nodes at its strict local extrema.
 
 Closed data wraps around: P_{N+1} = P_1, no boundary tangents, N chords.
+Every quantity is stored as a column (a numpy array indexed by chord or
+by node) and computed by array expressions; `padded` is the one place
+that knows which chords and nodes neighbour each other.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import (AdjacentVerticesError, DegenerateNodeError,
                      DuplicatePointsError, InputError, MissingTangentsError)
-from .geometry import ChordFrame, wrap_angle
+from .geometry import wrap_angle
 
 # Relative tolerance for "equal" discrete curvatures in classification.
 Q_TIE_TOL = 1e-12
@@ -68,42 +71,6 @@ class SplineInput:
 
 
 @dataclass(frozen=True)
-class ChordData:
-    """One chord: paper-style 1-based index, half-length, direction.
-
-    Pseudo-chords (index 0 and N of open data) have zero length, carry the
-    boundary tangent as direction and no frame.
-    """
-
-    index: int
-    half_length: float
-    direction: float
-    frame: ChordFrame | None
-    pseudo: bool = False
-
-
-@dataclass(frozen=True)
-class NodeData:
-    index: int
-    turning: float        # rho_j
-    half_diagonal: float  # d_j
-    curvature: float      # q_j
-
-
-@dataclass(frozen=True)
-class ChordAngles:
-    """Tangent angles of the neighbouring three-point circles at a chord."""
-
-    index: int
-    xi: float
-    eta: float
-    sin_xi: float
-    cos_xi: float
-    sin_eta: float
-    cos_eta: float
-
-
-@dataclass(frozen=True)
 class Lim180Violation:
     node: int
     side: int    # 1: c_{j-1} + c_j cos(rho_j) < 0;  2: the mirrored sum
@@ -123,12 +90,69 @@ class Classification:
     kind: str
     direction: str | None
     vertices: tuple
-    q: tuple
     violations: tuple
 
 
-def build_chords(data: SplineInput) -> list[ChordData]:
-    """Chords of the data polygon, with pseudo-chords for open data."""
+@dataclass(frozen=True, eq=False)
+class Chords:
+    """The real chords as columns: half-lengths c, directions mu, midpoints.
+
+    The zero-length pseudo-chords of open data are not stored; `padded`
+    supplies them, with the boundary tangents as their directions.
+    """
+
+    c: np.ndarray
+    mu: np.ndarray
+    mid: np.ndarray                        # (m, 2)
+    closed: bool
+    tangents: tuple[float, float] | None   # (tau_start, tau_end), open data
+
+    def __len__(self):
+        return len(self.c)
+
+
+@dataclass(frozen=True, eq=False)
+class Nodes:
+    """Per node: turning angle rho, half-diagonal d, discrete curvature q."""
+
+    rho: np.ndarray
+    d: np.ndarray
+    q: np.ndarray
+
+    def __len__(self):
+        return len(self.q)
+
+
+@dataclass(frozen=True, eq=False)
+class Angles:
+    """Per chord: tangent angles xi, eta of the neighbouring three-point
+    circles at its start and end."""
+
+    xi: np.ndarray
+    eta: np.ndarray
+
+    def __len__(self):
+        return len(self.xi)
+
+
+def padded(col, closed: bool, ends=(0.0, 0.0)) -> np.ndarray:
+    """The neighbour rule of the data: `col` with one slot added at each end.
+
+    Chord k (0-based) runs from node k to node k + 1, taken mod N for
+    closed data.  For a per-chord column, slots i and i + 1 of the result
+    hold the chords before and after node i, so slots k and k + 2 hold
+    the chords before and after chord k; closed data wraps around, open
+    data puts `ends` (the pseudo-chords) in the added slots.  For a
+    per-node column, slot k + 2 holds the value at the end node of chord k.
+    """
+    col = np.asarray(col)
+    if closed:
+        return np.concatenate([col[-1:], col, col[:1]])
+    return np.concatenate([[ends[0]], col, [ends[1]]])
+
+
+def build_chords(data: SplineInput) -> Chords:
+    """Chords of the data polygon (N - 1 for open data, N for closed)."""
     pts = data.points
     n = len(pts)
     if n < 3:
@@ -136,127 +160,65 @@ def build_chords(data: SplineInput) -> list[ChordData]:
     if data.closed:
         if data.tau_start is not None or data.tau_end is not None:
             raise InputError("closed data must not carry boundary tangents")
-        seg = np.roll(pts, -1, axis=0) - pts          # P_{j+1} - P_j, wraps
-    else:
-        if data.tau_start is None or data.tau_end is None:
-            raise MissingTangentsError(
-                "open data needs both boundary tangents")
-        seg = pts[1:] - pts[:-1]
+    elif data.tau_start is None or data.tau_end is None:
+        raise MissingTangentsError("open data needs both boundary tangents")
+    m = n if data.closed else n - 1
+    seg = padded(pts, data.closed, pts[[0, -1]])[2:m + 2] - pts[:m]
     lengths = np.hypot(seg[:, 0], seg[:, 1])
     diag = math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
     short = np.nonzero(lengths <= 1e-12 * max(diag, 1e-300))[0]
     if short.size:
         raise DuplicatePointsError(
             "points %d and %d coincide" % (short[0] + 1, short[0] + 2))
-
-    chords: list[ChordData] = []
-    if not data.closed:
-        chords.append(ChordData(index=0, half_length=0.0,
-                                direction=wrap_angle(data.tau_start),
-                                frame=None, pseudo=True))
-    for j, (p, d, ln) in enumerate(zip(pts, seg, lengths), start=1):
-        mid = p + 0.5 * d
-        mu = math.atan2(d[1], d[0])
-        chords.append(ChordData(
-            index=j, half_length=0.5 * float(ln), direction=mu,
-            frame=ChordFrame(origin=(float(mid[0]), float(mid[1])),
-                             direction=mu, half_length=0.5 * float(ln))))
-    if not data.closed:
-        chords.append(ChordData(index=n, half_length=0.0,
-                                direction=wrap_angle(data.tau_end),
-                                frame=None, pseudo=True))
-    return chords
+    return Chords(c=0.5 * lengths, mu=np.arctan2(seg[:, 1], seg[:, 0]),
+                  mid=pts[:m] + 0.5 * seg, closed=data.closed,
+                  tangents=None if data.closed
+                  else (data.tau_start, data.tau_end))
 
 
-def real_chords(chords: list[ChordData]) -> list[ChordData]:
-    return [ch for ch in chords if not ch.pseudo]
-
-
-def _chord_arrays(chords):
-    """(c_ext, mu_ext, m, closed): arrays padded so node j uses slots j-1, j."""
-    if not chords:
-        raise InputError("no chords")
-    closed = not chords[0].pseudo
-    real = real_chords(chords)
-    c = [ch.half_length for ch in real]
-    mu = [ch.direction for ch in real]
-    if closed:
-        c_ext = np.array([c[-1]] + c + [c[0]])
-        mu_ext = np.array([mu[-1]] + mu + [mu[0]])
-    else:
-        c_ext = np.array([0.0] + c + [0.0])
-        mu_ext = np.array([chords[0].direction] + mu + [chords[-1].direction])
-    return c_ext, mu_ext, len(real), closed
-
-
-def node_data(chords: list[ChordData]) -> list[NodeData]:
+def node_data(chords: Chords) -> Nodes:
     """Turning angle, half-diagonal and discrete curvature at every node."""
-    c, mu, m, closed = _chord_arrays(chords)
-    n_nodes = m if closed else m + 1
-    nodes = []
-    for j in range(1, n_nodes + 1):
-        rho = wrap_angle(mu[j] - mu[j - 1])
-        rad = (c[j - 1] ** 2 + 2.0 * c[j - 1] * c[j] * math.cos(rho)
-               + c[j] ** 2)
-        d = math.sqrt(max(rad, 0.0))
-        if d < 1e-12 * (c[j - 1] + c[j]):
-            raise DegenerateNodeError(
-                "node %d folds back onto itself (half-diagonal ~ 0)" % j)
-        nodes.append(NodeData(index=j, turning=rho, half_diagonal=d,
-                              curvature=math.sin(rho) / d))
-    return nodes
+    n = len(chords) + (not chords.closed)
+    c = padded(chords.c, chords.closed)
+    mu = padded(chords.mu, chords.closed, chords.tangents)
+    c0, c1 = c[:n], c[1:n + 1]
+    rho = wrap_angle(mu[1:n + 1] - mu[:n])
+    d = np.sqrt(np.maximum(c0 ** 2 + 2.0 * c0 * c1 * np.cos(rho) + c1 ** 2,
+                           0.0))
+    folded = np.nonzero(d < 1e-12 * (c0 + c1))[0]
+    if folded.size:
+        raise DegenerateNodeError(
+            "node %d folds back onto itself (half-diagonal ~ 0)"
+            % (folded[0] + 1))
+    return Nodes(rho=rho, d=d, q=np.sin(rho) / d)
 
 
-def xi_eta(chords: list[ChordData], nodes: list[NodeData]) -> list[ChordAngles]:
-    """Neighbour-circle tangent angles at both ends of every real chord."""
-    c, _, m, closed = _chord_arrays(chords)
-    out = []
-    for j in range(1, m + 1):
-        node_j = nodes[j - 1]
-        node_j1 = nodes[j % len(nodes)]
-        cj = c[j]
-        sin_xi = -cj * node_j.curvature
-        cos_xi = (c[j - 1] + cj * math.cos(node_j.turning)) / node_j.half_diagonal
-        sin_eta = cj * node_j1.curvature
-        cos_eta = ((c[j + 1] + cj * math.cos(node_j1.turning))
-                   / node_j1.half_diagonal)
-        out.append(ChordAngles(
-            index=j,
-            xi=math.atan2(sin_xi, cos_xi), eta=math.atan2(sin_eta, cos_eta),
-            sin_xi=sin_xi, cos_xi=cos_xi, sin_eta=sin_eta, cos_eta=cos_eta))
-    return out
+def xi_eta(chords: Chords, nodes: Nodes) -> Angles:
+    """Neighbour-circle tangent angles at both ends of every chord."""
+    m = len(chords)
+    c = chords.c
+    c_prev, c_next = padded(c, chords.closed)[:m], padded(c, chords.closed)[2:]
+    rho_end, d_end, q_end = (padded(col, chords.closed)[2:m + 2]
+                             for col in (nodes.rho, nodes.d, nodes.q))
+    xi = np.arctan2(-c * nodes.q[:m],
+                    (c_prev + c * np.cos(nodes.rho[:m])) / nodes.d[:m])
+    eta = np.arctan2(c * q_end, (c_next + c * np.cos(rho_end)) / d_end)
+    return Angles(xi=xi, eta=eta)
 
 
-def check_lim180(chords: list[ChordData],
-                 nodes: list[NodeData]) -> list[Lim180Violation]:
+def check_lim180(chords: Chords, nodes: Nodes) -> list[Lim180Violation]:
     """Half-turn admissibility: both mixed sums non-negative at each node."""
-    c, _, _, _ = _chord_arrays(chords)
-    bad = []
-    for node in nodes:
-        j = node.index
-        co = math.cos(node.turning)
-        tol = 1e-12 * (c[j - 1] + c[j])
-        v1 = c[j - 1] + c[j] * co
-        v2 = c[j] + c[j - 1] * co
-        if v1 < -tol:
-            bad.append(Lim180Violation(node=j, side=1, value=float(v1)))
-        if v2 < -tol:
-            bad.append(Lim180Violation(node=j, side=2, value=float(v2)))
-    return bad
+    n = len(nodes)
+    c = padded(chords.c, chords.closed)
+    c0, c1 = c[:n], c[1:n + 1]
+    co = np.cos(nodes.rho)
+    sums = np.column_stack([c0 + c1 * co, c1 + c0 * co])
+    node, side = np.nonzero(sums < -1e-12 * (c0 + c1)[:, None])
+    return [Lim180Violation(node=j + 1, side=s + 1, value=float(sums[j, s]))
+            for j, s in zip(node.tolist(), side.tolist())]
 
 
-def _runs(q, tol):
-    """Group indices of q into plateaus of consecutive near-equal values."""
-    runs = [[0, 0]]
-    for i in range(1, len(q)):
-        if abs(q[i] - q[i - 1]) <= tol:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
-    return runs
-
-
-def classify(nodes: list[NodeData], violations: list[Lim180Violation],
+def classify(nodes: Nodes, violations: list[Lim180Violation],
              *, closed: bool = False) -> Classification:
     """Spiral vs piecewise-spiral split of the q sequence.
 
@@ -265,63 +227,56 @@ def classify(nodes: list[NodeData], violations: list[Lim180Violation],
     Raises AdjacentVerticesError when two vertices have no node between
     them, which no construction here supports.
     """
-    q = tuple(n.curvature for n in nodes)
     if violations:
         return Classification(kind="inadmissible", direction=None,
-                              vertices=(), q=q, violations=tuple(violations))
-    tol = Q_TIE_TOL * max(max(abs(v) for v in q), 1e-300)
-    runs = _runs(q, tol)
-    values = [q[r[0]] for r in runs]
-
-    if closed and len(runs) > 1 and abs(values[-1] - values[0]) <= tol:
+                              vertices=(), violations=tuple(violations))
+    q = nodes.q
+    n = len(q)
+    tol = Q_TIE_TOL * max(float(np.max(np.abs(q))), 1e-300)
+    # Plateaus of consecutive near-equal q, by their first node.
+    starts = np.concatenate([[0], np.nonzero(np.abs(np.diff(q)) > tol)[0] + 1])
+    values = q[starts]
+    if closed and len(starts) > 1 and abs(values[-1] - values[0]) <= tol:
         # One plateau wraps the seam; its first node in cyclic order is
         # the start of the tail part.
-        runs[0][0] = runs[-1][0] - len(q)
-        runs.pop()
-        values.pop()
+        starts = np.concatenate([[starts[-1] - n], starts[1:-1]])
+        values = values[:-1]
 
-    if len(runs) == 1:
+    if len(starts) == 1:
         return Classification(kind="spiral", direction="constant",
-                              vertices=(), q=q, violations=())
-    trends = [1 if values[i + 1] > values[i] else -1
-              for i in range(len(values) - 1)]
-    if closed:
-        trends.append(1 if values[0] > values[-1] else -1)
-
-    if all(t > 0 for t in trends):
+                              vertices=(), violations=())
+    # trends[i] joins plateau i to plateau i + 1, like a chord joins two
+    # nodes, so `padded` finds the plateau it ends at.
+    t = len(values) - (not closed)
+    trends = np.where(padded(values, closed)[2:t + 2] > values[:t], 1, -1)
+    if np.all(trends > 0):
         return Classification(kind="spiral", direction="increasing",
-                              vertices=(), q=q, violations=())
-    if all(t < 0 for t in trends):
+                              vertices=(), violations=())
+    if np.all(trends < 0):
         return Classification(kind="spiral", direction="decreasing",
-                              vertices=(), q=q, violations=())
+                              vertices=(), violations=())
 
-    # trends[i] joins run i to run i+1 (cyclically for closed data), so a
-    # run is an extremum exactly when the trends on its two sides disagree.
-    vertices = []
-    n_runs = len(runs)
-    for i in range(n_runs):
-        if not closed and (i == 0 or i == n_runs - 1):
-            continue  # boundary runs of open data are not extrema
-        before = trends[(i - 1) % n_runs]
-        after = trends[i]
-        if before > 0 and after < 0:
-            vertices.append((runs[i][0] % len(q) + 1, "max"))
-        elif before < 0 and after > 0:
-            vertices.append((runs[i][0] % len(q) + 1, "min"))
-    vertices.sort()
+    # The trends into and out of plateau i; 0 past the open ends, so the
+    # boundary plateaus of open data are never extrema.
+    around = padded(trends, closed, (0, 0))
+    before, after = around[:len(starts)], around[1:len(starts) + 1]
+    is_max = (before > 0) & (after < 0)
+    extremum = is_max | ((before < 0) & (after > 0))
+    idx = starts[extremum] % n + 1
+    order = np.argsort(idx)
+    idx = idx[order]
+    kinds = np.where(is_max[extremum][order], "max", "min")
+    vertices = tuple(zip(idx.tolist(), kinds.tolist()))
 
-    idx = [v[0] for v in vertices]
-    if len(idx) > 1:
-        pairs = len(idx) if closed else len(idx) - 1
-        for k in range(pairs):
-            nxt = idx[(k + 1) % len(idx)]
-            gap = nxt - idx[k] if nxt > idx[k] else nxt - idx[k] + len(q)
-            if gap < 2:
-                raise AdjacentVerticesError(
-                    "vertices at nodes %d and %d are adjacent"
-                    % (idx[k], nxt))
+    g = len(idx) - (not closed)           # gaps between vertices
+    nxt = padded(idx, closed, (0, 0))[2:g + 2]
+    close = np.nonzero((nxt - idx[:g]) % n < 2)[0]
+    if close.size:
+        k = close[0]
+        raise AdjacentVerticesError(
+            "vertices at nodes %d and %d are adjacent" % (idx[k], nxt[k]))
     return Classification(kind="piecewise", direction=None,
-                          vertices=tuple(vertices), q=q, violations=())
+                          vertices=vertices, violations=())
 
 
 def discrete_curvature_plot(samples) -> np.ndarray:
@@ -347,9 +302,9 @@ class Analysis:
     """Everything the region constructions need, in one bundle."""
 
     data: SplineInput
-    chords: list[ChordData]
-    nodes: list[NodeData]
-    angles: list[ChordAngles]
+    chords: Chords
+    nodes: Nodes
+    angles: Angles
     violations: list[Lim180Violation]
     classification: Classification
 

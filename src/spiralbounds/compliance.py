@@ -4,9 +4,9 @@ The candidate comes in as a dense polyline.  Every sample is projected
 into the local frames of the region's chords; chords whose span contains
 the projection are candidates.  The region is a union of per-chord
 pieces, so a sample complies when it fits ANY candidate chord: margins
-are computed in every candidate and the most favorable pair is kept.
-Samples projecting into no chord (beyond the data extent) are counted
-as unassigned and do not affect the verdict.
+are computed in every candidate and the chord with the most favorable
+margin wins.  Samples projecting into no chord's span are counted as
+unassigned and do not affect the verdict.
 """
 
 from __future__ import annotations
@@ -22,49 +22,6 @@ from .regions import Region
 
 # Relative slack when deciding whether a projection falls on a chord.
 SPAN_SLACK = 1e-12
-
-
-def _local_projections(region: Region, pts: np.ndarray):
-    """Per chord: local coordinates of all samples and the on-chord mask."""
-    for ch in region.chords:
-        local = ch.frame.to_local(pts)
-        c = ch.frame.half_length
-        mask = np.abs(local[:, 0]) <= c * (1.0 + SPAN_SLACK)
-        yield ch, local, mask
-
-
-def _check_pts(polyline) -> np.ndarray:
-    pts = np.asarray(polyline, dtype=float)
-    if pts.size == 0:
-        raise EmptySamplesError("no curve samples to test")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise EmptySamplesError("curve samples must form an (n, 2) array")
-    bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
-    if bad.size:
-        raise InputError("sample %d is not finite: %s"
-                         % (bad[0], pts[bad[0]].tolist()))
-    return pts
-
-
-def assign_samples(region: Region, polyline):
-    """Map samples to chords by projection, closest chord line wins.
-
-    Returns (chord_index, x_local, y_local) arrays; chord_index holds the
-    1-based chord index, or -1 for samples beyond every chord's span.
-    """
-    pts = _check_pts(polyline)
-    n = len(pts)
-    best_dist = np.full(n, math.inf)
-    chord_index = np.full(n, -1, dtype=int)
-    x_local = np.full(n, math.nan)
-    y_local = np.full(n, math.nan)
-    for ch, local, mask in _local_projections(region, pts):
-        better = mask & (np.abs(local[:, 1]) < best_dist)
-        best_dist[better] = np.abs(local[better, 1])
-        chord_index[better] = ch.index
-        x_local[better] = local[better, 0]
-        y_local[better] = local[better, 1]
-    return chord_index, x_local, y_local
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +71,15 @@ class ComplianceReport:
 
 def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     """Test a dense polyline against the region, most favorable chord wins."""
-    pts = _check_pts(polyline)
+    pts = np.asarray(polyline, dtype=float)
+    if pts.size == 0:
+        raise EmptySamplesError("no curve samples to test")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise EmptySamplesError("curve samples must form an (n, 2) array")
+    bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
+    if bad.size:
+        raise InputError("sample %d is not finite: %s"
+                         % (bad[0], pts[bad[0]].tolist()))
     if tol is None:
         tol = 1e-9 * max(ch.frame.half_length for ch in region.chords)
     n = len(pts)
@@ -124,10 +89,12 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     y_local = np.full(n, math.nan)
     margin_lower = np.full(n, math.nan)
     margin_upper = np.full(n, math.nan)
-    for ch, local, mask in _local_projections(region, pts):
+    for ch in region.chords:
+        local = ch.frame.to_local(pts)
+        c = ch.frame.half_length
+        mask = np.abs(local[:, 0]) <= c * (1.0 + SPAN_SLACK)
         if not np.any(mask):
             continue
-        c = ch.frame.half_length
         x = np.clip(local[mask, 0], -c, c)
         y = local[mask, 1]
         m_lo = y - curve_eval(ch.lower, x)

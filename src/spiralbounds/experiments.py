@@ -58,21 +58,16 @@ class RoundingExperiment:
         return int(np.count_nonzero(np.sign(d[1:]) != np.sign(d[:-1])))
 
 
-def node_curvatures(data: SplineInput) -> np.ndarray:
-    """Discrete curvature per node, skipping classification.
-
-    The rounded dataset typically has curvature extrema at adjacent
-    nodes, which the classifier rightly rejects; the experiment only
-    needs the raw q sequence.
-    """
-    return np.array([n.curvature for n in node_data(build_chords(data))])
-
-
 def rounding_experiment(decimals: int = 2) -> RoundingExperiment:
-    """Compare discrete curvature of the circle data before/after rounding."""
+    """Compare discrete curvature of the circle data before/after rounding.
+
+    Classification is skipped: the rounded dataset typically has curvature
+    extrema at adjacent nodes, which the classifier rightly rejects, and
+    the experiment only needs the raw q sequence.
+    """
     exact = circle_dataset()
     rounded = rounded_circle_dataset(decimals)
     return RoundingExperiment(exact=exact, rounded=rounded,
-                              exact_q=node_curvatures(exact),
-                              rounded_q=node_curvatures(rounded),
+                              exact_q=node_data(build_chords(exact)).q,
+                              rounded_q=node_data(build_chords(rounded)).q,
                               target_q=0.1)

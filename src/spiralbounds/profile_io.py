@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .analysis import Analysis, SplineInput, real_chords
+from .analysis import Analysis, SplineInput
 from .compliance import ComplianceReport
 from .errors import EmptySamplesError, InputError, ParseError
 from .geometry import Arc, Biarc
@@ -196,24 +196,24 @@ def _curve_dict(curve):
 def region_report(analysis: Analysis, region: Region) -> dict:
     """JSON-ready report of the analysis and the constructed region."""
     cls = analysis.classification
-    nodes = [{"index": n.index, "turning": n.turning,
-              "half_diagonal": n.half_diagonal, "curvature": n.curvature}
-             for n in analysis.nodes]
-    chord_rows = []
-    for ch, ang, reg in zip(real_chords(analysis.chords), analysis.angles,
-                            region.chords):
-        chord_rows.append({
-            "index": ch.index,
-            "half_length": ch.half_length,
-            "direction": ch.direction,
-            "midpoint": [ch.frame.origin[0], ch.frame.origin[1]],
-            "xi": ang.xi,
-            "eta": ang.eta,
-            "width": reg.width,
-            "width_estimate": reg.width_estimate,
-            "lower": _curve_dict(reg.lower),
-            "upper": _curve_dict(reg.upper),
-        })
+    nd, ch, ang = analysis.nodes, analysis.chords, analysis.angles
+    nodes = [{"index": j, "turning": rho, "half_diagonal": d, "curvature": q}
+             for j, (rho, d, q) in enumerate(zip(
+                 nd.rho.tolist(), nd.d.tolist(), nd.q.tolist()), start=1)]
+    chord_rows = [{
+        "index": reg.index,
+        "half_length": c,
+        "direction": mu,
+        "midpoint": mid,
+        "xi": xi,
+        "eta": eta,
+        "width": reg.width,
+        "width_estimate": reg.width_estimate,
+        "lower": _curve_dict(reg.lower),
+        "upper": _curve_dict(reg.upper),
+    } for reg, c, mu, mid, xi, eta in zip(
+        region.chords, ch.c.tolist(), ch.mu.tolist(), ch.mid.tolist(),
+        ang.xi.tolist(), ang.eta.tolist())]
     return {
         "version": PROFILE_VERSION,
         "grade": region.grade,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Analysis, real_chords
+from .analysis import Analysis, padded
 from .errors import (ClassificationError, DomainError,
                      InfeasibleCurvatureError, OverrideError)
 from .geometry import (Arc, Biarc, ChordFrame, biarc_from_a, biarc_from_b,
@@ -115,60 +115,70 @@ def _require_spiral(analysis: Analysis, grade: str):
             "classifies as %s" % (grade, analysis.classification.kind))
 
 
-def _ordered_arcs(c: float, phi_one: float, phi_two: float):
-    """Build both lens arcs and return them as (lower, upper)."""
-    lo, hi = (phi_one, phi_two) if phi_one <= phi_two else (phi_two, phi_one)
-    return Arc(c, lo), Arc(c, hi)
-
-
-def _arc_width(c: float, phi_lo: float, phi_hi: float) -> float:
-    """Width of the lens between two arcs: their gap at mid-chord."""
-    return c * abs(math.tan(0.5 * phi_hi) - math.tan(0.5 * phi_lo))
-
-
 def _sampled_width(lower, upper, c: float) -> float:
     xs = np.linspace(-c, c, WIDTH_SAMPLES)
     return float(np.max(curve_eval(upper, xs) - curve_eval(lower, xs)))
 
 
-def _estimates(analysis: Analysis) -> list[float]:
-    """Small-angle width estimate per chord: c^2 |q_start - q_end| / 2."""
-    q = [n.curvature for n in analysis.nodes]
-    chords = real_chords(analysis.chords)
-    out = []
-    for k, ch in enumerate(chords):
-        q0 = q[k]
-        q1 = q[(k + 1) % len(q)]
-        out.append(0.5 * ch.half_length ** 2 * abs(q0 - q1))
-    return out
+def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
+    """Assemble the region from per-chord boundaries and widths.
 
-
-def _finish(grade: str, analysis: Analysis, pairs, widths=None) -> Region:
-    chords = real_chords(analysis.chords)
-    ests = _estimates(analysis)
+    The arc grades pass the angle phi of each boundary arc as a column.
+    """
+    chords = analysis.chords
+    m = len(chords)
+    q = analysis.nodes.q
+    # small-angle width estimate c^2 |q_start - q_end| / 2
+    estimates = 0.5 * chords.c ** 2 * np.abs(
+        q[:m] - padded(q, chords.closed)[2:m + 2])
+    arcs = isinstance(lower, np.ndarray)
+    if arcs:
+        lower, upper = lower.tolist(), upper.tolist()
     entries = []
-    for k, (ch, (lower, upper)) in enumerate(zip(chords, pairs)):
-        w = (widths[k] if widths is not None
-             else _sampled_width(lower, upper, ch.half_length))
-        entries.append(RegionChord(index=ch.index, frame=ch.frame,
-                                   lower=lower, upper=upper, width=w,
-                                   width_estimate=ests[k]))
-    total = max(e.width for e in entries)
-    return Region(grade=grade, closed=analysis.data.closed,
-                  chords=entries, width=total)
+    for k, (c, mu, mid, lo, up, w, est) in enumerate(zip(
+            chords.c.tolist(), chords.mu.tolist(), chords.mid.tolist(),
+            lower, upper, widths.tolist(), estimates.tolist()), start=1):
+        if arcs:
+            try:
+                lo, up = Arc(c, lo), Arc(c, up)
+            except DomainError as exc:
+                # Only the vertex grade's substituted arcs can be too steep.
+                raise DomainError(
+                    "chord %d: %s (data too coarse around the vertex)"
+                    % (k, exc)) from exc
+        entries.append(RegionChord(
+            index=k, frame=ChordFrame(origin=tuple(mid), direction=mu,
+                                      half_length=c),
+            lower=lo, upper=up, width=w, width_estimate=est))
+    return Region(grade=grade, closed=chords.closed, chords=entries,
+                  width=float(np.max(widths)))
+
+
+def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:
+    """Per chord the lens between the arcs A(x; c, phi_one), A(x; c, phi_two).
+
+    Ordering by phi orders the arcs pointwise; their gap peaks at
+    mid-chord, which gives the width in closed form.
+    """
+    lo, hi = np.minimum(phi_one, phi_two), np.maximum(phi_one, phi_two)
+    widths = analysis.chords.c * np.abs(np.tan(0.5 * hi) - np.tan(0.5 * lo))
+    return _finish(grade, analysis, lo, hi, widths)
 
 
 def simple_region(analysis: Analysis) -> Region:
     """Per-chord lens between the two neighbouring three-point circles."""
     _require_spiral(analysis, "simple")
-    chords = real_chords(analysis.chords)
-    pairs = []
-    widths = []
-    for ch, ang in zip(chords, analysis.angles):
-        lower, upper = _ordered_arcs(ch.half_length, -ang.eta, ang.xi)
-        pairs.append((lower, upper))
-        widths.append(_arc_width(ch.half_length, lower.phi, upper.phi))
-    return _finish("simple", analysis, pairs, widths)
+    return _lens("simple", analysis, -analysis.angles.eta, analysis.angles.xi)
+
+
+def _neighbours(analysis: Analysis):
+    """Per chord: xi of the chord before it, eta of the chord after it and
+    the turning angle at its end node (NaN past the open ends)."""
+    closed = analysis.data.closed
+    m = len(analysis.chords)
+    return (padded(analysis.angles.xi, closed, (math.nan, math.nan))[:m],
+            padded(analysis.angles.eta, closed, (math.nan, math.nan))[2:],
+            padded(analysis.nodes.rho, closed)[2:m + 2])
 
 
 def vertex_region(analysis: Analysis) -> Region:
@@ -182,40 +192,22 @@ def vertex_region(analysis: Analysis) -> Region:
     region.
     """
     _require_admissible(analysis)
-    cls = analysis.classification
-    verts = dict(cls.vertices)
-    chords = real_chords(analysis.chords)
-    m = len(chords)
     closed = analysis.data.closed
-    xi = [a.xi for a in analysis.angles]
-    eta = [a.eta for a in analysis.angles]
-    rho = [n.turning for n in analysis.nodes]
-
-    pairs = []
-    widths = []
-    for k, ch in enumerate(chords):
-        start = k + 1                                  # 1-based node index
-        end = (k + 1) % m + 1 if closed else k + 2
-        at_start = start in verts
-        at_end = end in verts
-        try:
-            if at_start and at_end:
-                raise ClassificationError(
-                    "vertices at both ends of chord %d" % ch.index)
-            if at_start:
-                phi_pair = (-eta[k], -xi[k - 1] - rho[k])
-            elif at_end:
-                phi_pair = (eta[(k + 1) % m] - rho[(k + 1) % len(rho)], xi[k])
-            else:
-                phi_pair = (-eta[k], xi[k])
-            lower, upper = _ordered_arcs(ch.half_length, *phi_pair)
-        except DomainError as exc:
-            raise DomainError(
-                "chord %d: %s (data too coarse around the vertex)"
-                % (ch.index, exc)) from exc
-        pairs.append((lower, upper))
-        widths.append(_arc_width(ch.half_length, lower.phi, upper.phi))
-    return _finish("vertex", analysis, pairs, widths)
+    m = len(analysis.chords)
+    xi, eta = analysis.angles.xi, analysis.angles.eta
+    rho = analysis.nodes.rho
+    is_vertex = np.zeros(len(analysis.nodes), dtype=bool)
+    is_vertex[[v - 1 for v, _ in analysis.classification.vertices]] = True
+    at_start = is_vertex[:m]
+    at_end = padded(is_vertex, closed, (False, False))[2:m + 2]
+    both = np.nonzero(at_start & at_end)[0]
+    if both.size:
+        raise ClassificationError(
+            "vertices at both ends of chord %d" % (both[0] + 1))
+    xi_prev, eta_next, rho_end = _neighbours(analysis)
+    return _lens("vertex", analysis,
+                 np.where(at_end, eta_next - rho_end, -eta),
+                 np.where(at_start, -xi_prev - rho[:m], xi))
 
 
 def _mirrored_overrides(overrides):
@@ -261,47 +253,32 @@ def _normalized_overrides(overrides, n_nodes: int):
 def narrowed_angle_ranges(analysis: Analysis) -> NarrowedAngles:
     """Tangent-angle ranges per chord, in increasing-curvature orientation."""
     _require_spiral(analysis, "narrowed")
-    cls = analysis.classification
-    mirrored = cls.direction == "decreasing"
+    mirrored = analysis.classification.direction == "decreasing"
     sign = -1.0 if mirrored else 1.0
-    xi = sign * np.array([a.xi for a in analysis.angles])
-    eta = sign * np.array([a.eta for a in analysis.angles])
-    rho = sign * np.array([n.turning for n in analysis.nodes])
-    m = len(xi)
-    closed = analysis.data.closed
-
-    alpha_lo = np.empty(m)
-    beta_lo = np.empty(m)
-    for k in range(m):
-        if not closed and k == 0:
-            alpha_lo[k] = xi[0]
-        else:
-            alpha_lo[k] = max(-rho[k] - xi[k - 1], -eta[k])
-        if not closed and k == m - 1:
-            beta_lo[k] = eta[m - 1]
-        else:
-            beta_lo[k] = max(-xi[k],
-                             rho[(k + 1) % len(rho)] - eta[(k + 1) % m])
-    return NarrowedAngles(alpha_lo=alpha_lo, alpha_hi=xi.copy(),
-                          beta_lo=beta_lo, beta_hi=eta.copy(),
-                          mirrored=mirrored)
+    xi = sign * analysis.angles.xi
+    eta = sign * analysis.angles.eta
+    rho = sign * analysis.nodes.rho
+    xi_prev, eta_next, rho_end = (sign * v for v in _neighbours(analysis))
+    alpha_lo = np.maximum(-rho[:len(xi)] - xi_prev, -eta)
+    beta_lo = np.maximum(-xi, rho_end - eta_next)
+    if not analysis.data.closed:
+        alpha_lo[0] = xi[0]
+        beta_lo[-1] = eta[-1]
+    return NarrowedAngles(alpha_lo=alpha_lo, alpha_hi=xi, beta_lo=beta_lo,
+                          beta_hi=eta, mirrored=mirrored)
 
 
 def _node_bounds(analysis: Analysis, table: NarrowedAngles, overrides):
     """Curvature bounds per node in the table's (increasing) orientation."""
-    chords = real_chords(analysis.chords)
-    c = np.array([ch.half_length for ch in chords])
-    m = len(c)
+    c = analysis.chords.c
     closed = analysis.data.closed
-    n_nodes = m if closed else m + 1
-
-    lower = np.full(n_nodes, -math.inf)
-    upper = np.full(n_nodes, math.inf)
-    for i in range(n_nodes):
-        if closed or i > 0:
-            lower[i] = math.sin(table.beta_lo[(i - 1) % m]) / c[(i - 1) % m]
-        if closed or i < n_nodes - 1:
-            upper[i] = -math.sin(table.alpha_lo[i % m]) / c[i % m]
+    n_nodes = len(analysis.nodes)
+    # A node's floor comes from the chord before it, its ceiling from the
+    # chord after it; the open ends are unbounded on their outer side.
+    lower = padded(np.sin(table.beta_lo) / c, closed,
+                   (-math.inf, math.inf))[:n_nodes]
+    upper = padded(-np.sin(table.alpha_lo) / c, closed,
+                   (-math.inf, math.inf))[1:n_nodes + 1]
 
     lo_over = np.zeros(n_nodes, dtype=bool)
     hi_over = np.zeros(n_nodes, dtype=bool)
@@ -363,27 +340,30 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
     """Biarc-bounded region for spiral data, nested inside the simple one."""
     table = narrowed_angle_ranges(analysis)
     ranges = _node_bounds(analysis, table, overrides)
-    chords = real_chords(analysis.chords)
-    m = len(chords)
     closed = analysis.data.closed
-
-    pairs = []
-    for k, ch in enumerate(chords):
-        c = ch.half_length
-        end = (k + 1) % m if closed else k + 1
+    m = len(analysis.chords)
+    # the upper boundary takes its curvature bound from the chord's end node
+    upper_end = padded(ranges.upper, closed)[2:m + 2]
+    upper_end_over = padded(ranges.upper_overridden, closed,
+                            (False, False))[2:m + 2]
+    lowers, uppers, widths = [], [], []
+    for k, (c, a_lo, a_hi, b_lo, b_hi, a, a_over, b, b_over) in enumerate(zip(
+            analysis.chords.c.tolist(), table.alpha_lo.tolist(),
+            table.alpha_hi.tolist(), table.beta_lo.tolist(),
+            table.beta_hi.tolist(), ranges.lower.tolist(),
+            ranges.lower_overridden.tolist(), upper_end.tolist(),
+            upper_end_over.tolist()), start=1):
         try:
-            lower = _lower_biarc(c, table.alpha_lo[k], table.beta_hi[k],
-                                 ranges.lower[k],
-                                 bool(ranges.lower_overridden[k]), ch.index)
-            upper = _upper_biarc(c, table.alpha_hi[k], table.beta_lo[k],
-                                 ranges.upper[end],
-                                 bool(ranges.upper_overridden[end]), ch.index)
+            lower = _lower_biarc(c, a_lo, b_hi, a, a_over, k)
+            upper = _upper_biarc(c, a_hi, b_lo, b, b_over, k)
         except DomainError as exc:
-            raise DomainError("chord %d: %s" % (ch.index, exc)) from exc
+            raise DomainError("chord %d: %s" % (k, exc)) from exc
         if table.mirrored:
             lower, upper = mirror_curve(upper), mirror_curve(lower)
-        pairs.append((lower, upper))
-    return _finish("narrowed", analysis, pairs)
+        lowers.append(lower)
+        uppers.append(upper)
+        widths.append(_sampled_width(lower, upper, c))
+    return _finish("narrowed", analysis, lowers, uppers, np.array(widths))
 
 
 def build_region(analysis: Analysis, grade: str = "auto",
@@ -405,7 +385,3 @@ def build_region(analysis: Analysis, grade: str = "auto",
         return narrowed_region(analysis, overrides)
     raise ValueError("unknown region grade %r" % (grade,))
 
-
-def region_width(region: Region):
-    """Global fairness width and the per-chord widths."""
-    return region.width, [ch.width for ch in region.chords]

@@ -7,7 +7,8 @@ import pytest
 
 from spiralbounds import SplineInput, analyze
 from spiralbounds.experiments import circle_dataset
-from spiralbounds.logspiral import LogSpiral
+
+from logspiral import LogSpiral
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChordFrame, wrap_angle
+from spiralbounds.geometry import ChordFrame, wrap_angle
 
 FULL_TURN = 2.0 * math.pi
 

@@ -24,13 +24,14 @@ from spiralbounds.geometry import (
     curve_eval,
     tangency_residual,
 )
-from spiralbounds.logspiral import LogSpiral, random_arc, spiral_dataset
 from spiralbounds.regions import (
     build_region,
     narrowed_region,
     simple_region,
     vertex_region,
 )
+
+from logspiral import LogSpiral, random_arc, spiral_dataset
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_criterion_01_circle_reproduction():
     an = analyze(data)
     reg = simple_region(an)
     elapsed = time.perf_counter() - t0
-    q_int = np.array([n.curvature for n in an.nodes[1:-1]])
+    q_int = an.nodes.q[1:-1]
     dev = float(np.max(np.abs(q_int - 0.1)))
     ok = dev <= 1e-9 and reg.width <= 1e-10 and elapsed < 0.1
     report(1, ok, "interior max|q-0.1| = %.2e, width = %.2e, %.0f ms"
@@ -218,7 +219,7 @@ def cocircular_dataset():
 def test_criterion_08_cocircular_degeneracy():
     an = analyze(cocircular_dataset())
     assert an.classification.kind == "spiral"
-    q = [n.curvature for n in an.nodes]
+    q = an.nodes.q
     # nodes 3 and 4 both read the shared circle
     assert abs(q[2] - 0.5) < 1e-12 and abs(q[3] - 0.5) < 1e-12
     simple = simple_region(an)

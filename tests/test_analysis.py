@@ -14,13 +14,13 @@ import numpy.testing as npt
 import pytest
 
 from spiralbounds.analysis import (
-    NodeData,
+    Nodes,
     SplineInput,
     analyze,
     build_chords,
     classify,
     discrete_curvature_plot,
-    real_chords,
+    padded,
 )
 from spiralbounds.errors import (
     AdjacentVerticesError,
@@ -30,7 +30,8 @@ from spiralbounds.errors import (
     MissingTangentsError,
 )
 from spiralbounds.geometry import wrap_angle
-from spiralbounds.logspiral import spiral_dataset
+
+from logspiral import spiral_dataset
 
 ELBOW = SplineInput(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
                     tau_start=0.0, tau_end=math.pi / 2)
@@ -64,23 +65,28 @@ def analysis_for(points, tau_start=None, tau_end=None, closed=False):
 
 
 def test_build_chords_elbow():
+    # open data: two real chords, padded by zero-length pseudo-chords
+    # that carry the boundary tangents
     chords = build_chords(ELBOW)
-    npt.assert_allclose([ch.half_length for ch in chords],
+    assert len(chords) == 2 and not chords.closed
+    npt.assert_allclose(padded(chords.c, chords.closed),
                         [0.0, 0.5, 0.5, 0.0])
-    npt.assert_allclose([ch.direction for ch in chords],
+    npt.assert_allclose(padded(chords.mu, chords.closed, chords.tangents),
                         [0.0, 0.0, math.pi / 2, math.pi / 2])
-    assert [ch.pseudo for ch in chords] == [True, False, False, True]
-    assert len(real_chords(chords)) == 2
+    npt.assert_allclose(chords.mid, [[0.5, 0.0], [1.0, 0.5]])
 
 
 def test_closed_square_chords():
+    # closed data: no pseudo-chords, the padding wraps around
     sq = SplineInput(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                [0.0, 1.0]]), closed=True)
     chords = build_chords(sq)
-    assert len(chords) == 4 and not any(ch.pseudo for ch in chords)
-    npt.assert_allclose([ch.direction for ch in chords],
-                        [0.0, math.pi / 2, math.pi, -math.pi / 2])
-    npt.assert_allclose([ch.half_length for ch in chords], 0.5)
+    assert len(chords) == 4 and chords.closed
+    npt.assert_allclose(chords.mu, [0.0, math.pi / 2, math.pi, -math.pi / 2])
+    npt.assert_allclose(chords.c, 0.5)
+    npt.assert_allclose(padded(chords.mu, chords.closed),
+                        [-math.pi / 2, 0.0, math.pi / 2, math.pi,
+                         -math.pi / 2, 0.0])
 
 
 def test_too_few_points_rejected():
@@ -131,13 +137,12 @@ def test_closed_data_forbids_tangents():
 
 def test_elbow_node_quantities():
     an = analyze(ELBOW)
-    n2 = an.nodes[1]
-    npt.assert_allclose(n2.turning, math.pi / 2, rtol=1e-15)
-    npt.assert_allclose(n2.half_diagonal, math.sqrt(2) / 2, rtol=1e-14)
-    npt.assert_allclose(n2.curvature, math.sqrt(2), rtol=1e-14)
+    npt.assert_allclose(an.nodes.rho[1], math.pi / 2, rtol=1e-15)
+    npt.assert_allclose(an.nodes.d[1], math.sqrt(2) / 2, rtol=1e-14)
+    npt.assert_allclose(an.nodes.q[1], math.sqrt(2), rtol=1e-14)
     # boundary nodes see the tangents through the pseudo-chords
-    npt.assert_allclose(an.nodes[0].curvature, 0.0, atol=1e-15)
-    npt.assert_allclose(an.nodes[2].curvature, 0.0, atol=1e-15)
+    npt.assert_allclose(an.nodes.q[0], 0.0, atol=1e-15)
+    npt.assert_allclose(an.nodes.q[2], 0.0, atol=1e-15)
 
 
 def test_interior_curvature_matches_circumcircle():
@@ -147,7 +152,7 @@ def test_interior_curvature_matches_circumcircle():
         an = analysis_for(pts, tau0, tau1)
         for j in range(2, len(pts)):
             want = circumcircle_curvature(pts[j - 2], pts[j - 1], pts[j])
-            npt.assert_allclose(an.nodes[j - 1].curvature, want, rtol=1e-9)
+            npt.assert_allclose(an.nodes.q[j - 1], want, rtol=1e-9)
 
 
 def test_boundary_curvature_matches_tangent_circle():
@@ -156,9 +161,9 @@ def test_boundary_curvature_matches_tangent_circle():
     rng = np.random.default_rng(4)
     pts, tau0, tau1, _ = spiral_dataset(rng, n_nodes=7)
     an = analysis_for(pts, tau0, tau1)
-    ch1 = an.chords[1]
-    want = math.sin(wrap_angle(ch1.direction - tau0)) / ch1.half_length
-    npt.assert_allclose(an.nodes[0].curvature, want, rtol=1e-12)
+    mu1, c1 = an.chords.mu[0], an.chords.c[0]
+    want = math.sin(wrap_angle(mu1 - tau0)) / c1
+    npt.assert_allclose(an.nodes.q[0], want, rtol=1e-12)
 
 
 def test_degenerate_node_rejected():
@@ -176,29 +181,36 @@ def test_degenerate_node_rejected():
 
 def test_elbow_angles():
     an = analyze(ELBOW)
-    a1, a2 = an.angles
-    npt.assert_allclose(a1.xi, 0.0, atol=1e-15)
-    npt.assert_allclose(a1.eta, math.pi / 4, rtol=1e-14)
-    npt.assert_allclose(a2.xi, -math.pi / 4, rtol=1e-14)
-    npt.assert_allclose(a2.eta, 0.0, atol=1e-15)
+    assert len(an.angles) == 2
+    xi, eta = an.angles.xi, an.angles.eta
+    npt.assert_allclose(xi[0], 0.0, atol=1e-15)
+    npt.assert_allclose(eta[0], math.pi / 4, rtol=1e-14)
+    npt.assert_allclose(xi[1], -math.pi / 4, rtol=1e-14)
+    npt.assert_allclose(eta[1], 0.0, atol=1e-15)
 
 
 def test_angle_defining_relations():
+    # sine and cosine of each angle against their defining expressions,
+    # with the neighbours worked out here one chord at a time
     rng = np.random.default_rng(5)
     for closed, data in _assorted(rng):
         an = analyze(data)
-        chords = real_chords(an.chords)
-        m = len(chords)
-        q = [n.curvature for n in an.nodes]
-        for k, ang in enumerate(an.angles):
-            c = chords[k].half_length
-            npt.assert_allclose(ang.sin_xi, -c * q[k], atol=1e-12)
-            npt.assert_allclose(ang.sin_eta, c * q[(k + 1) % len(q)],
+        c, q = an.chords.c, an.nodes.q
+        rho, d = an.nodes.rho, an.nodes.d
+        m, n = len(c), len(q)
+        for k in range(m):
+            c_prev = c[k - 1] if closed or k > 0 else 0.0
+            c_next = c[(k + 1) % m] if closed or k < m - 1 else 0.0
+            end = (k + 1) % n
+            xi, eta = an.angles.xi[k], an.angles.eta[k]
+            npt.assert_allclose(math.sin(xi), -c[k] * q[k], atol=1e-12)
+            npt.assert_allclose(math.cos(xi),
+                                (c_prev + c[k] * math.cos(rho[k])) / d[k],
                                 atol=1e-12)
-            npt.assert_allclose(math.hypot(ang.sin_xi, ang.cos_xi), 1.0,
-                                rtol=1e-12)
-            npt.assert_allclose(math.hypot(ang.sin_eta, ang.cos_eta), 1.0,
-                                rtol=1e-12)
+            npt.assert_allclose(math.sin(eta), c[k] * q[end], atol=1e-12)
+            npt.assert_allclose(math.cos(eta),
+                                (c_next + c[k] * math.cos(rho[end])) / d[end],
+                                atol=1e-12)
 
 
 def test_angle_transport_identity():
@@ -210,9 +222,9 @@ def test_angle_transport_identity():
         m = len(an.angles)
         rng_j = range(m) if closed else range(1, m)
         for j in rng_j:
-            rho = an.nodes[j % len(an.nodes)].turning
-            npt.assert_allclose(an.angles[j - 1].eta,
-                                rho + an.angles[j].xi, atol=1e-12)
+            rho = an.nodes.rho[j % len(an.nodes)]
+            npt.assert_allclose(an.angles.eta[j - 1],
+                                rho + an.angles.xi[j], atol=1e-12)
 
 
 def _assorted(rng):
@@ -255,8 +267,8 @@ def test_right_angle_is_admissible():
 
 
 def _nodes(q_list):
-    return [NodeData(index=i + 1, turning=0.0, half_diagonal=1.0,
-                     curvature=float(v)) for i, v in enumerate(q_list)]
+    q = np.array(q_list, dtype=float)
+    return Nodes(rho=np.zeros_like(q), d=np.ones_like(q), q=q)
 
 
 def test_classify_monotone_is_spiral():
@@ -331,11 +343,9 @@ def test_rigid_motion_invariance():
     base = analysis_for(pts, t0, t1)
     ang, shift = 0.73, np.array([5.0, -3.0])
     moved = analysis_for(_transform(pts, ang, shift), t0 + ang, t1 + ang)
-    for a, b in zip(base.nodes, moved.nodes):
-        npt.assert_allclose(b.curvature, a.curvature, rtol=1e-9, atol=1e-12)
-    for a, b in zip(base.angles, moved.angles):
-        npt.assert_allclose(b.xi, a.xi, atol=1e-9)
-        npt.assert_allclose(b.eta, a.eta, atol=1e-9)
+    npt.assert_allclose(moved.nodes.q, base.nodes.q, rtol=1e-9, atol=1e-12)
+    npt.assert_allclose(moved.angles.xi, base.angles.xi, atol=1e-9)
+    npt.assert_allclose(moved.angles.eta, base.angles.eta, atol=1e-9)
 
 
 def test_scaling_scales_curvature_inversely():
@@ -343,10 +353,8 @@ def test_scaling_scales_curvature_inversely():
     pts, t0, t1, _ = spiral_dataset(rng, n_nodes=7)
     base = analysis_for(pts, t0, t1)
     scaled = analysis_for(3.5 * pts, t0, t1)
-    for a, b in zip(base.nodes, scaled.nodes):
-        npt.assert_allclose(b.curvature, a.curvature / 3.5, rtol=1e-12)
-    for a, b in zip(base.angles, scaled.angles):
-        npt.assert_allclose(b.xi, a.xi, atol=1e-12)
+    npt.assert_allclose(scaled.nodes.q, base.nodes.q / 3.5, rtol=1e-12)
+    npt.assert_allclose(scaled.angles.xi, base.angles.xi, atol=1e-12)
 
 
 def test_reversal_negates_and_reverses_curvatures():
@@ -357,14 +365,11 @@ def test_reversal_negates_and_reverses_curvatures():
     base = analysis_for(pts, t0, t1)
     rev = analysis_for(pts[::-1], wrap_angle(t1 + math.pi),
                        wrap_angle(t0 + math.pi))
-    q = [n.curvature for n in base.nodes]
-    qr = [n.curvature for n in rev.nodes]
-    npt.assert_allclose(qr, [-v for v in q[::-1]], rtol=1e-9, atol=1e-12)
+    npt.assert_allclose(rev.nodes.q, -base.nodes.q[::-1], rtol=1e-9,
+                        atol=1e-12)
     # chord angles swap roles across the flip
-    for k, ang in enumerate(rev.angles):
-        mate = base.angles[len(base.angles) - 1 - k]
-        npt.assert_allclose(ang.xi, mate.eta, atol=1e-9)
-        npt.assert_allclose(ang.eta, mate.xi, atol=1e-9)
+    npt.assert_allclose(rev.angles.xi, base.angles.eta[::-1], atol=1e-9)
+    npt.assert_allclose(rev.angles.eta, base.angles.xi[::-1], atol=1e-9)
 
 
 def test_reversal_preserves_spiral_direction():
@@ -388,8 +393,7 @@ def test_reversal_preserves_spiral_direction():
 def test_analyze_circle(circle_analysis):
     cl = circle_analysis.classification
     assert cl.kind == "spiral" and cl.direction == "constant"
-    npt.assert_allclose([n.curvature for n in circle_analysis.nodes], 0.1,
-                        rtol=1e-12)
+    npt.assert_allclose(circle_analysis.nodes.q, 0.1, rtol=1e-12)
 
 
 def test_discrete_curvature_plot_circle():

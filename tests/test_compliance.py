@@ -12,23 +12,23 @@ import numpy.testing as npt
 import pytest
 
 from spiralbounds.analysis import SplineInput, analyze
-from spiralbounds.compliance import assign_samples, check_containment
+from spiralbounds.compliance import check_containment
 from spiralbounds.errors import EmptySamplesError, InputError
 from spiralbounds.geometry import curve_eval
-from spiralbounds.logspiral import spiral_dataset
 from spiralbounds.regions import build_region, simple_region
 from spiralbounds.splinefit import cubic_spline_fixture
 
+from logspiral import spiral_dataset
 from conftest import sparse_dataset
 
 
 def test_nodes_assign_to_chord_ends(circle_analysis, circle_data):
     reg = simple_region(circle_analysis)
-    idx, x, y = assign_samples(reg, circle_data.points)
+    rep = check_containment(reg, circle_data.points)
     c = reg.chords[0].frame.half_length
-    assert np.all(idx > 0)
-    npt.assert_allclose(np.abs(np.abs(x) - c), 0.0, atol=1e-12)
-    npt.assert_allclose(y, 0.0, atol=1e-12)
+    assert np.all(rep.chord_index > 0)
+    npt.assert_allclose(np.abs(np.abs(rep.x_local) - c), 0.0, atol=1e-12)
+    npt.assert_allclose(rep.y_local, 0.0, atol=1e-12)
 
 
 def test_circle_midpoint_sagitta(circle_analysis):
@@ -38,9 +38,10 @@ def test_circle_midpoint_sagitta(circle_analysis):
     theta_mid = math.radians(1.5)
     mid = np.array([[10.0 * math.sin(theta_mid),
                      10.0 * (1.0 - math.cos(theta_mid))]])
-    idx, x, y = assign_samples(reg, mid)
+    rep = check_containment(reg, mid)
+    x, y = rep.x_local, rep.y_local
     c = reg.chords[0].frame.half_length
-    assert idx[0] == 1
+    assert rep.chord_index[0] == 1
     npt.assert_allclose(x[0], 0.0, atol=1e-12)
     sagitta = 10.0 - math.sqrt(100.0 - c * c)
     npt.assert_allclose(abs(y[0]), sagitta, rtol=1e-10)
@@ -49,15 +50,16 @@ def test_circle_midpoint_sagitta(circle_analysis):
 
 def test_far_sample_unassigned(circle_analysis):
     reg = simple_region(circle_analysis)
-    idx, _, _ = assign_samples(reg, np.array([[50.0, 50.0], [0.0, 0.01]]))
-    assert idx[0] == -1
-    assert idx[1] == 1
+    rep = check_containment(reg, np.array([[50.0, 50.0], [0.0, 0.01]]))
+    assert rep.chord_index[0] == -1
+    assert rep.chord_index[1] == 1
+    assert math.isnan(rep.margin_lower[0]) and math.isnan(rep.x_local[0])
 
 
 def test_empty_samples_rejected(circle_analysis):
     reg = simple_region(circle_analysis)
     with pytest.raises(EmptySamplesError):
-        assign_samples(reg, np.zeros((0, 2)))
+        check_containment(reg, np.zeros((0, 2)))
     with pytest.raises(EmptySamplesError):
         check_containment(reg, [])
 

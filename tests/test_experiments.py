@@ -5,10 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 
-from spiralbounds.analysis import analyze
+from spiralbounds.analysis import analyze, build_chords, node_data
 from spiralbounds.experiments import (
     circle_dataset,
-    node_curvatures,
     rounded_circle_dataset,
     rounding_experiment,
 )
@@ -33,7 +32,7 @@ def test_circle_dataset_parametrization():
 
 
 def test_circle_dataset_constant_curvature():
-    q = node_curvatures(circle_dataset())
+    q = node_data(build_chords(circle_dataset())).q
     npt.assert_allclose(q, 0.1, atol=1e-12)
     cl = analyze(circle_dataset()).classification
     assert cl.kind == "spiral" and cl.direction == "constant"

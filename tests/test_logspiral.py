@@ -14,7 +14,8 @@ import numpy.testing as npt
 import pytest
 
 from spiralbounds.geometry import Arc, arc_eval
-from spiralbounds.logspiral import LogSpiral, random_arc, spiral_dataset
+
+from logspiral import LogSpiral, random_arc, spiral_dataset
 
 
 def test_point_radius_consistency():

@@ -14,20 +14,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spiralbounds.analysis import SplineInput, analyze, real_chords
+from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
 from spiralbounds.geometry import Arc, Biarc, curve_eval
-from spiralbounds.logspiral import LogSpiral, spiral_dataset
 from spiralbounds.regions import (
     build_region,
     curvature_ranges,
     narrowed_angle_ranges,
     narrowed_region,
-    region_width,
     simple_region,
     vertex_region,
 )
 
+from logspiral import LogSpiral, spiral_dataset
 from conftest import sparse_dataset
 
 
@@ -52,9 +51,9 @@ def test_width_closed_form():
     # lens width is c |tan(xi/2) + tan(eta/2)| on every chord
     an, _ = spiral_analysis(21)
     reg = simple_region(an)
-    for ch, ang in zip(reg.chords, an.angles):
+    for ch, xi, eta in zip(reg.chords, an.angles.xi, an.angles.eta):
         c = ch.frame.half_length
-        want = c * abs(math.tan(ang.xi / 2) + math.tan(ang.eta / 2))
+        want = c * abs(math.tan(xi / 2) + math.tan(eta / 2))
         npt.assert_allclose(ch.width, want, rtol=1e-12, atol=1e-15)
 
 
@@ -118,12 +117,9 @@ def test_circle_region_has_zero_width(circle_analysis):
         npt.assert_allclose(ch.lower.phi, ch.upper.phi, atol=1e-12)
 
 
-def test_region_width_helper(circle_analysis):
-    reg = simple_region(circle_analysis)
-    total, per_chord = region_width(reg)
-    assert total == reg.width
-    assert len(per_chord) == len(reg.chords)
-    npt.assert_allclose(total, max(per_chord), rtol=1e-15)
+def test_region_width_is_largest_chord_width(circle_analysis):
+    for reg in (simple_region(circle_analysis), vertex_region(oval_analysis())):
+        assert reg.width == max(ch.width for ch in reg.chords)
 
 
 def test_simple_region_rejects_inadmissible_data():
@@ -144,14 +140,14 @@ def test_vertex_region_substitutes_one_arc_per_vertex_side():
     assert an.classification.kind == "piecewise"
     vertices = {v for v, _ in an.classification.vertices}
     reg = vertex_region(an)
-    assert len(reg.chords) == len(real_chords(an.chords))
-    for ch, ang in zip(reg.chords, an.angles):
+    assert len(reg.chords) == len(an.chords)
+    for ch, xi, eta in zip(reg.chords, an.angles.xi, an.angles.eta):
         start, end = ch.index, ch.index % len(reg.chords) + 1
         lo, up = ch.lower, ch.upper
         assert isinstance(lo, Arc) and isinstance(up, Arc)
         if start not in vertices and end not in vertices:
             npt.assert_allclose(sorted([lo.phi, up.phi]),
-                                sorted([-ang.eta, ang.xi]), atol=1e-12)
+                                sorted([-eta, xi]), atol=1e-12)
 
 
 def test_vertex_region_contains_generating_oval():
@@ -210,23 +206,23 @@ def test_vertex_widths_bound_the_dense_gap():
 def test_narrowed_angle_table_boundaries():
     an, _ = spiral_analysis(41, increasing=True)
     tab = narrowed_angle_ranges(an)
-    ang = an.angles
-    npt.assert_allclose(tab.alpha_lo[0], ang[0].xi, atol=1e-14)
-    npt.assert_allclose(tab.beta_lo[-1], ang[-1].eta, atol=1e-14)
-    npt.assert_allclose(tab.alpha_hi, [a.xi for a in ang], atol=1e-14)
-    npt.assert_allclose(tab.beta_hi, [a.eta for a in ang], atol=1e-14)
+    xi, eta = an.angles.xi, an.angles.eta
+    npt.assert_allclose(tab.alpha_lo[0], xi[0], atol=1e-14)
+    npt.assert_allclose(tab.beta_lo[-1], eta[-1], atol=1e-14)
+    npt.assert_allclose(tab.alpha_hi, xi, atol=1e-14)
+    npt.assert_allclose(tab.beta_hi, eta, atol=1e-14)
 
 
 def test_narrowed_angle_table_interior_rows():
     an, _ = spiral_analysis(42, increasing=True)
     tab = narrowed_angle_ranges(an)
-    ang = an.angles
-    rho = [n.turning for n in an.nodes]
-    for j in range(1, len(ang)):
-        want = max(-rho[j] - ang[j - 1].xi, -ang[j].eta)
+    xi, eta = an.angles.xi, an.angles.eta
+    rho = an.nodes.rho
+    for j in range(1, len(xi)):
+        want = max(-rho[j] - xi[j - 1], -eta[j])
         npt.assert_allclose(tab.alpha_lo[j], want, atol=1e-14)
-    for j in range(len(ang) - 1):
-        want = max(-ang[j].xi, rho[j + 1] - ang[j + 1].eta)
+    for j in range(len(xi) - 1):
+        want = max(-xi[j], rho[j + 1] - eta[j + 1])
         npt.assert_allclose(tab.beta_lo[j], want, atol=1e-14)
 
 
@@ -235,7 +231,7 @@ def test_narrowed_angles_consistent_across_nodes():
     for seed in (43, 44):
         an, _ = spiral_analysis(seed, increasing=True)
         tab = narrowed_angle_ranges(an)
-        rho = [n.turning for n in an.nodes]
+        rho = an.nodes.rho
         for j in range(1, len(an.angles)):
             npt.assert_allclose(tab.beta_lo[j - 1], tab.alpha_lo[j] + rho[j],
                                 atol=1e-12)
@@ -256,7 +252,7 @@ def test_curvature_ranges_bracket_node_curvatures():
     # the open ends of the data are one-sidedly unbounded
     for increasing, seed in [(True, 48), (False, 49)]:
         an, _ = spiral_analysis(seed, increasing=increasing)
-        q = [n.curvature for n in an.nodes]
+        q = an.nodes.q
         cr = curvature_ranges(an)
         n = len(q)
         tol = 1e-9 * max(abs(v) for v in q)
@@ -340,7 +336,7 @@ def test_override_zero_floor_builds_regular_biarc():
     # raising the start-node floor to zero replaces the degenerate
     # boundary member by a proper biarc through the same angles
     an, arc = spiral_analysis(63, increasing=True)
-    if an.nodes[0].curvature <= 0:
+    if an.nodes.q[0] <= 0:
         pytest.skip("seed gave non-positive start curvature")
     base = narrowed_region(an)
     reg = narrowed_region(an, overrides={1: {"a": 0.0}})
@@ -487,14 +483,12 @@ def test_rolling_closed_data_rolls_every_result(n, axes, warp, phase, shift):
     rolled = analyze(SplineInput(np.roll(pts, -k, axis=0), closed=True))
     rreg = build_region(rolled)
 
-    def q(an):
-        return np.array([nd.curvature for nd in an.nodes])
-
-    npt.assert_allclose(q(rolled), np.roll(q(base), -k), rtol=1e-12)
+    npt.assert_allclose(rolled.nodes.q, np.roll(base.nodes.q, -k),
+                        rtol=1e-12)
     for name in ("xi", "eta"):
-        npt.assert_allclose([getattr(a, name) for a in rolled.angles],
-                            np.roll([getattr(a, name) for a in base.angles],
-                                    -k), rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(getattr(rolled.angles, name),
+                            np.roll(getattr(base.angles, name), -k),
+                            rtol=1e-12, atol=1e-15)
     npt.assert_allclose([ch.width for ch in rreg.chords],
                         np.roll([ch.width for ch in reg.chords], -k),
                         rtol=1e-12, atol=1e-15)
