@@ -197,7 +197,8 @@ def xi_eta(chords: Chords, nodes: Nodes) -> Angles:
     """Neighbour-circle tangent angles at both ends of every chord."""
     m = len(chords)
     c = chords.c
-    c_prev, c_next = padded(c, chords.closed)[:m], padded(c, chords.closed)[2:]
+    c_pad = padded(c, chords.closed)
+    c_prev, c_next = c_pad[:m], c_pad[2:]
     rho_end, d_end, q_end = (padded(col, chords.closed)[2:m + 2]
                              for col in (nodes.rho, nodes.d, nodes.q))
     xi = np.arctan2(-c * nodes.q[:m],
