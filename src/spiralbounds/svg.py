@@ -31,28 +31,45 @@ def _fmt(v: float) -> str:
 
 
 def _path(points, cls: str, extra: str, width: float) -> str:
-    d = "M " + " L ".join("%s %s" % (_fmt(x), _fmt(y)) for x, y in points)
+    # one format call per path: as "%s %s" % (_fmt(x), _fmt(y)) per point
+    d = "M " + " L ".join(["%.10g %.10g"] * len(points)) % tuple(
+        points.ravel().tolist())
     return '<path class="%s" d="%s" %s stroke-width="%s"/>' % (
         cls, d, extra, _fmt(width))
+
+
+def _polylines(region: Region, samples_per_chord: int) -> dict:
+    """Per css class, each chord's polyline in the plane.
+
+    The frame mapping is ChordFrame.to_global for all chords at once,
+    with the same products and sums, so it gives the same floats.
+    """
+    frames = [ch.frame for ch in region.chords]
+    co = np.array([math.cos(f.direction) for f in frames])[:, None, None]
+    si = np.array([math.sin(f.direction) for f in frames])[:, None, None]
+    t = np.concatenate([co, si], axis=2)
+    n = np.concatenate([-si, co], axis=2)
+    origin = np.array([f.origin for f in frames], dtype=float)[:, None, :]
+    half = np.array([[f.half_length] for f in frames])
+    xs = np.array([np.linspace(-c, c, samples_per_chord)
+                   for c in half[:, 0].tolist()])
+
+    def to_global(x, y):
+        return x[..., None] * t + y[..., None] * n + origin
+
+    return {
+        "chord": to_global(np.hstack([-half, half]), np.zeros((len(half), 2))),
+        "lower": to_global(xs, np.array([curve_eval(ch.lower, x) for ch, x
+                                         in zip(region.chords, xs)])),
+        "upper": to_global(xs, np.array([curve_eval(ch.upper, x) for ch, x
+                                         in zip(region.chords, xs)])),
+    }
 
 
 def render_svg(analysis: Analysis, region: Region, path,
                samples_per_chord: int = 64, size: int = 800):
     """Write the region, data points, tangents and width labels to `path`."""
-    samples_per_chord = max(int(samples_per_chord), 2)
-    curves = []   # (css class, global polyline)
-    labels = []   # (global midpoint, text)
-    for ch in region.chords:
-        c = ch.frame.half_length
-        xs = np.linspace(-c, c, samples_per_chord)
-        curves.append(("chord", ch.frame.to_global(
-            np.array([[-c, 0.0], [c, 0.0]]))))
-        for cls, curve in (("lower", ch.lower), ("upper", ch.upper)):
-            ys = curve_eval(curve, xs)
-            curves.append((cls, ch.frame.to_global(
-                np.column_stack([xs, ys]))))
-        labels.append((ch.frame.to_global(np.array([0.0, 0.0])),
-                       "%.4g" % ch.width))
+    curves = _polylines(region, max(int(samples_per_chord), 2))
 
     pts = analysis.data.points
     tangents = []
@@ -64,10 +81,10 @@ def render_svg(analysis: Analysis, region: Region, path,
             tangents.append(np.array([p, p + c * np.array(
                 [math.cos(tau), math.sin(tau)])]))
 
-    everything = np.vstack([poly for _, poly in curves]
-                           + [pts] + tangents)
-    lo = everything.min(axis=0)
-    hi = everything.max(axis=0)
+    parts = ([poly.reshape(-1, 2) for poly in curves.values()] + [pts]
+             + tangents)
+    lo = np.min([p.min(axis=0) for p in parts], axis=0)
+    hi = np.max([p.max(axis=0) for p in parts], axis=0)
     span = np.maximum(hi - lo, 1e-12)
     pad = 0.05 * size
     scale = (size - 2.0 * pad) / float(max(span))
@@ -88,9 +105,10 @@ def render_svg(analysis: Analysis, region: Region, path,
                   _fmt(width_px), _fmt(height_px)))
     out.append('<g transform="translate(%s %s) scale(%s %s)">'
                % (_fmt(tx), _fmt(ty), _fmt(scale), _fmt(-scale)))
-    for cls, poly in curves:
-        extra = _STYLES[cls] % {"dash": dash}
-        out.append(_path(poly, cls, extra, stroke))
+    extra = {cls: _STYLES[cls] % {"dash": dash} for cls in curves}
+    for k in range(len(region.chords)):
+        for cls, polys in curves.items():
+            out.append(_path(polys[k], cls, extra[cls], stroke))
     for seg in tangents:
         out.append('<line class="tangent" x1="%s" y1="%s" x2="%s" y2="%s" '
                    '%s stroke-width="%s"/>'
@@ -101,12 +119,12 @@ def render_svg(analysis: Analysis, region: Region, path,
         out.append('<circle class="node" cx="%s" cy="%s" r="%s" '
                    'fill="#333333"/>' % (_fmt(p[0]), _fmt(p[1]), _fmt(node_r)))
     out.append('</g>')
-    for (mid, text) in labels:
-        px = tx + scale * mid[0]
-        py = ty - scale * mid[1]
+    for ch in region.chords:
+        px = tx + scale * ch.frame.origin[0]
+        py = ty - scale * ch.frame.origin[1]
         out.append('<text class="width-label" x="%s" y="%s" '
-                   'font-size="11" fill="#555555">%s</text>'
-                   % (_fmt(px), _fmt(py - 4.0), text))
+                   'font-size="11" fill="#555555">%.4g</text>'
+                   % (_fmt(px), _fmt(py - 4.0), ch.width))
     out.append('</svg>')
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
