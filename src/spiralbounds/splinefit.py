@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .analysis import SplineInput
 from .errors import InputError
@@ -28,6 +27,9 @@ def cubic_spline_fixture(data: SplineInput, samples_per_chord: int = 64):
                          "with boundary tangents")
     if samples_per_chord < 2:
         raise InputError("need at least 2 samples per chord")
+    # scipy loads here, not with the package: it is most of the import time
+    from scipy.interpolate import CubicSpline
+
     pts = data.points
     seg = pts[1:] - pts[:-1]
     s = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
