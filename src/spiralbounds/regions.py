@@ -135,8 +135,10 @@ def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
     if arcs:
         lower, upper = lower.tolist(), upper.tolist()
     entries = []
+    # (x, y) tuples straight from the columns: no list per chord for the GC
+    origins = zip(*chords.mid.T.tolist())
     for k, (c, mu, mid, lo, up, w, est) in enumerate(zip(
-            chords.c.tolist(), chords.mu.tolist(), chords.mid.tolist(),
+            chords.c.tolist(), chords.mu.tolist(), origins,
             lower, upper, widths.tolist(), estimates.tolist()), start=1):
         if arcs:
             try:
@@ -147,7 +149,7 @@ def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
                     "chord %d: %s (data too coarse around the vertex)"
                     % (k, exc)) from exc
         entries.append(RegionChord(
-            index=k, frame=ChordFrame(origin=tuple(mid), direction=mu,
+            index=k, frame=ChordFrame(origin=mid, direction=mu,
                                       half_length=c),
             lower=lo, upper=up, width=w, width_estimate=est))
     return Region(grade=grade, closed=chords.closed, chords=entries,
