@@ -17,10 +17,9 @@ from .errors import (AdjacentVerticesError, ClassificationError, DataError,
                      SpiralBoundsError)
 from .experiments import (RoundingExperiment, circle_dataset,
                           rounded_circle_dataset, rounding_experiment)
-from .geometry import (Arc, Biarc, ChordFrame, arc_curvature, arc_eval,
-                       biarc_eval, biarc_from_a, biarc_from_b, biarc_from_p,
-                       curve_eval, mirror_curve, tangency_residual,
-                       wrap_angle)
+from .geometry import (Arc, Biarc, ChordFrame, arc_eval, biarc_eval,
+                       biarc_from_a, biarc_from_b, biarc_from_p, curve_eval,
+                       mirror_curve, wrap_angle)
 from .regions import (CurvatureRanges, NarrowedAngles, Region, RegionChord,
                       build_region, curvature_ranges, narrowed_angle_ranges,
                       narrowed_region, simple_region, vertex_region)
@@ -40,9 +39,9 @@ __all__ = [
     "SpiralBoundsError",
     "RoundingExperiment", "circle_dataset", "rounded_circle_dataset",
     "rounding_experiment",
-    "Arc", "Biarc", "ChordFrame", "arc_curvature", "arc_eval", "biarc_eval",
+    "Arc", "Biarc", "ChordFrame", "arc_eval", "biarc_eval",
     "biarc_from_a", "biarc_from_b", "biarc_from_p", "curve_eval",
-    "mirror_curve", "tangency_residual", "wrap_angle",
+    "mirror_curve", "wrap_angle",
     "CurvatureRanges", "NarrowedAngles", "Region", "RegionChord",
     "build_region", "curvature_ranges", "narrowed_angle_ranges",
     "narrowed_region", "simple_region", "vertex_region",

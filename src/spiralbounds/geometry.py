@@ -5,15 +5,30 @@ Every curve here lives in a local chord frame: the chord is the segment
 over it.  Angles are tangent directions measured from the chord;
 curvature is signed, positive when the curve turns left as x increases.
 
-The one-parameter arc family through both chord endpoints is
+Along a circle piece of curvature k through the chord end (x_e, 0),
+with tangent angle theta_e there, the sine of the tangent angle is
+linear in x:
+
+    sin(theta(x)) = sin(theta_e) + k (x - x_e).
+
+Integrating dy/dx = tan(theta) gives the height in a form that does not
+cancel, for k = 0 (a segment) as well:
+
+    y = t / (cos(theta_e) + sqrt(cos(theta_e)^2 - k t)),
+    t = u (2 sin(theta_e) + k u),   u = x - x_e.
+
+Every boundary curve is two such pieces, the first from (-c, 0) up to
+the join abscissa, the second from (c, 0).  The one-parameter arc family
+through both chord endpoints,
 
     A(x; c, phi) = (c^2 - x^2) sin(phi)
                    / (c cos(phi) + sqrt(c^2 - x^2 sin(phi)^2)),
 
 with start tangent angle phi, end tangent angle -phi and constant
-curvature -sin(phi)/c.  A biarc joins two circular arcs with a common
-tangent at an interior join point; the pair of boundary curvatures
-(a at x=-c, b at x=+c) must satisfy the tangency condition
+curvature k = -sin(phi)/c, is the pair (phi, k) and (-phi, k) split at
+mid-chord.  A biarc joins two circular arcs with a common tangent at an
+interior join point; the pair of boundary curvatures (a at x=-c, b at
+x=+c) must satisfy the tangency condition
 
     (a c + sin(alpha)) (b c - sin(beta)) + sin(omega)^2 = 0,
 
@@ -24,6 +39,10 @@ p in [0, inf]:
     b(p) = (sin(beta) + p sin(omega)) / c,
 
 so p = -sin(omega)/(a c + sin(alpha)) = (b c - sin(beta))/sin(omega).
+Equal sines of both pieces at the join place it at
+
+    x_j = c (p^2 - 1) / (p^2 + 2 p cos((alpha - beta)/2) + 1).
+
 p = 0 degenerates to the single arc A(x; c, -beta), p = inf to
 A(x; c, alpha), and omega = 0 collapses the family to A(x; c, alpha)
 for every p.
@@ -32,7 +51,7 @@ for every p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +61,6 @@ TWO_PI = 2.0 * math.pi
 
 # Tolerances below are dimensionless (angles, or curvature*length).
 DEGENERATE_TOL = 1e-12   # biarc collapses to its single-arc limit
-STRAIGHT_TOL = 1e-14     # |k|*c below this treats a piece as a segment
 ANGLE_SLACK = 1e-12      # slack when validating |angle| <= pi/2
 ABSCISSA_SLACK = 1e-12   # relative slack when validating |x| <= c
 
@@ -80,12 +98,6 @@ class ChordFrame:
                 + np.multiply.outer(p[..., 1], n)
                 + np.asarray(self.origin))
 
-    def start(self):
-        return self.to_global(np.array([-self.half_length, 0.0]))
-
-    def end(self):
-        return self.to_global(np.array([self.half_length, 0.0]))
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -122,31 +134,52 @@ class Biarc:
     join: tuple[float, float]
 
 
-def arc_eval(arc: Arc, x):
-    """Height of the arc over abscissa x (scalar or array), |x| <= c."""
-    scalar = np.ndim(x) == 0
+def pieces(curve):
+    """Parameters of the two circle pieces of an Arc or a Biarc.
+
+    Returns (c, x_join, then sin, cos of the end angle and curvature of
+    the piece through (-c, 0), then the same for the piece through
+    (c, 0)); the first piece covers x <= x_join.
+    """
+    c = curve.c
+    if isinstance(curve, Arc):
+        s, co = math.sin(curve.phi), math.cos(curve.phi)
+        return (c, 0.0, s, co, -s / c, -s, co, -s / c)
+    return (c, curve.join[0], math.sin(curve.alpha), math.cos(curve.alpha),
+            curve.a, math.sin(curve.beta), math.cos(curve.beta), curve.b)
+
+
+def piece_table(curves):
+    """pieces() of many curves as columns shaped (n, 1), which broadcast
+    against an (n, m) grid of abscissae, one row per curve."""
+    return np.array([pieces(curve) for curve in curves]).T[..., None]
+
+
+def height(cols, x):
+    """Height over x of the curves whose pieces() are `cols`, |x| <= c."""
+    c, xj, s1, c1, k1, s2, c2, k2 = cols
+    first = x <= xj
+    u = np.where(first, x + c, x - c)
+    s = np.where(first, s1, s2)
+    co = np.where(first, c1, c2)
+    k = np.where(first, k1, k2)
+    t = u * (2.0 * s + k * u)
+    den = co + np.sqrt(np.maximum(co * co - k * t, 0.0))
+    # den vanishes only at a vertical end tangent, where t = 0 as well
+    return np.divide(t, den, out=np.zeros_like(t), where=den > 0.0)
+
+
+def curve_eval(curve, x):
+    """Height of an Arc or a Biarc over abscissa x (scalar or array)."""
+    c = curve.c
     xa = np.asarray(x, dtype=float)
-    c = arc.c
     if np.any(np.abs(xa) > c * (1.0 + ABSCISSA_SLACK)):
         raise DomainError("abscissa outside [-c, c] for c=%g" % c)
-    xa = np.clip(xa, -c, c)
-    s, co = math.sin(arc.phi), math.cos(arc.phi)
-    num = (c * c - xa * xa) * s
-    den = c * co + np.sqrt(np.maximum(c * c - xa * xa * s * s, 0.0))
-    # den vanishes only at |phi| = pi/2 with |x| = c, where the height is 0.
-    y = np.divide(num, den, out=np.zeros_like(num, dtype=float), where=den > 0.0)
-    return float(y) if scalar else y
+    y = height(pieces(curve), np.clip(xa, -c, c))
+    return float(y) if np.ndim(x) == 0 else y
 
 
-def arc_curvature(arc: Arc) -> float:
-    """Signed curvature of the arc: -sin(phi)/c."""
-    return -math.sin(arc.phi) / arc.c
-
-
-def tangency_residual(c, alpha, beta, a, b) -> float:
-    """Residual of the biarc tangency condition; zero for a true biarc."""
-    omega = 0.5 * (alpha + beta)
-    return (a * c + math.sin(alpha)) * (b * c - math.sin(beta)) + math.sin(omega) ** 2
+arc_eval = biarc_eval = curve_eval
 
 
 def _check_biarc_args(c, alpha, beta):
@@ -155,33 +188,6 @@ def _check_biarc_args(c, alpha, beta):
     for name, ang in (("alpha", alpha), ("beta", beta)):
         if abs(ang) > 0.5 * math.pi + ANGLE_SLACK:
             raise DomainError("biarc boundary angle %s=%g exceeds pi/2" % (name, ang))
-
-
-def _join_point(c, alpha, beta, a, b):
-    """Join of the two pieces: the tangency point on the line of centers."""
-    start = np.array([-c, 0.0])
-    end = np.array([c, 0.0])
-    a_straight = abs(a) * c < STRAIGHT_TOL
-    b_straight = abs(b) * c < STRAIGHT_TOL
-    if a_straight and b_straight:
-        # Tangency then forces alpha = beta = 0: the biarc is the chord.
-        return (0.0, 0.0)
-    if a_straight:
-        t = np.array([math.cos(alpha), math.sin(alpha)])
-        o2 = end + (1.0 / b) * np.array([-math.sin(beta), math.cos(beta)])
-        j = start + ((o2 - start) @ t) * t
-    elif b_straight:
-        t = np.array([math.cos(beta), math.sin(beta)])
-        o1 = start + (1.0 / a) * np.array([-math.sin(alpha), math.cos(alpha)])
-        j = end + ((o1 - end) @ t) * t
-    else:
-        o1 = start + (1.0 / a) * np.array([-math.sin(alpha), math.cos(alpha)])
-        o2 = end + (1.0 / b) * np.array([-math.sin(beta), math.cos(beta)])
-        # Both centers sit on the normal at the join, so o2 - o1 is
-        # (1/b - 1/a) times the unit normal there.
-        n = (o2 - o1) / (1.0 / b - 1.0 / a)
-        j = o1 - n / a
-    return (float(j[0]), float(j[1]))
 
 
 def biarc_from_p(c, alpha, beta, p):
@@ -204,8 +210,10 @@ def biarc_from_p(c, alpha, beta, p):
     so = math.sin(omega)
     a = -(math.sin(alpha) + so / p) / c
     b = (math.sin(beta) + p * so) / c
-    return Biarc(c=c, alpha=alpha, beta=beta, a=a, b=b, p=p,
-                 join=_join_point(c, alpha, beta, a, b))
+    # x_j of the module docstring, numerator and denominator divided by p
+    xj = c * (p - 1.0 / p) / (p + 1.0 / p + 2.0 * math.cos(0.5 * (alpha - beta)))
+    spec = Biarc(c=c, alpha=alpha, beta=beta, a=a, b=b, p=p, join=(xj, 0.0))
+    return replace(spec, join=(xj, curve_eval(spec, xj)))
 
 
 def biarc_from_a(c, alpha, beta, a):
@@ -256,41 +264,6 @@ def biarc_from_b(c, alpha, beta, b):
             "no biarc with end curvature b=%g for alpha=%g, beta=%g "
             "(needs b*c >= sin(beta) when alpha+beta > 0)" % (b, alpha, beta))
     return biarc_from_p(c, alpha, beta, p)
-
-
-def _piece_height(x, c, angle, k, first):
-    """Height of one biarc piece: a circle branch or a straight segment."""
-    if abs(k) * c < STRAIGHT_TOL:
-        x0 = -c if first else c
-        return (x - x0) * math.tan(angle)
-    px = -c if first else c
-    ox = px - math.sin(angle) / k
-    oy = math.cos(angle) / k
-    r = 1.0 / abs(k)
-    root = np.sqrt(np.maximum(r * r - (x - ox) ** 2, 0.0))
-    return oy - math.copysign(1.0, k) * root
-
-
-def biarc_eval(spec: Biarc, x):
-    """Height of the biarc over abscissa x (scalar or array), |x| <= c."""
-    scalar = np.ndim(x) == 0
-    xa = np.asarray(x, dtype=float)
-    c = spec.c
-    if np.any(np.abs(xa) > c * (1.0 + ABSCISSA_SLACK)):
-        raise DomainError("abscissa outside [-c, c] for c=%g" % c)
-    xa = np.atleast_1d(np.clip(xa, -c, c))
-    first = xa <= spec.join[0]
-    y = np.empty_like(xa)
-    y[first] = _piece_height(xa[first], c, spec.alpha, spec.a, True)
-    y[~first] = _piece_height(xa[~first], c, spec.beta, spec.b, False)
-    return float(y[0]) if scalar else y
-
-
-def curve_eval(curve, x):
-    """Evaluate an Arc or a Biarc boundary curve at abscissa x."""
-    if isinstance(curve, Arc):
-        return arc_eval(curve, x)
-    return biarc_eval(curve, x)
 
 
 def mirror_curve(curve):

@@ -1,6 +1,7 @@
 """Shared fixtures: canonical datasets reused across the suite."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,27 @@ from spiralbounds import SplineInput, analyze
 from spiralbounds.experiments import circle_dataset
 
 from logspiral import LogSpiral
+
+
+def arc_curvature(arc) -> float:
+    """Signed curvature of an Arc: -sin(phi)/c."""
+    return -math.sin(arc.phi) / arc.c
+
+
+def tangency_residual(c, alpha, beta, a, b) -> float:
+    """Residual of the biarc tangency condition; zero for a true biarc."""
+    omega = 0.5 * (alpha + beta)
+    return (a * c + math.sin(alpha)) * (b * c - math.sin(beta)) + math.sin(omega) ** 2
+
+
+def chord_start(frame):
+    """Global position of a ChordFrame's chord start, (-c, 0) locally."""
+    return frame.to_global(np.array([-frame.half_length, 0.0]))
+
+
+def chord_end(frame):
+    """Global position of a ChordFrame's chord end, (c, 0) locally."""
+    return frame.to_global(np.array([frame.half_length, 0.0]))
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from spiralbounds.geometry import (
     biarc_from_b,
     biarc_from_p,
     curve_eval,
-    tangency_residual,
 )
 from spiralbounds.regions import (
     build_region,
@@ -31,6 +30,7 @@ from spiralbounds.regions import (
     vertex_region,
 )
 
+from conftest import tangency_residual
 from logspiral import LogSpiral, random_arc, spiral_dataset
 
 import pytest

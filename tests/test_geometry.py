@@ -6,11 +6,12 @@ curvature b), degenerate family members, and the mirror involution.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spiralbounds.errors import DomainError, InfeasibleCurvatureError
@@ -18,7 +19,6 @@ from spiralbounds.geometry import (
     Arc,
     Biarc,
     ChordFrame,
-    arc_curvature,
     arc_eval,
     biarc_eval,
     biarc_from_a,
@@ -26,9 +26,10 @@ from spiralbounds.geometry import (
     biarc_from_p,
     curve_eval,
     mirror_curve,
-    tangency_residual,
     wrap_angle,
 )
+
+from conftest import arc_curvature, chord_end, chord_start, tangency_residual
 
 # ---------------------------------------------------------------------------
 # wrap_angle
@@ -60,14 +61,14 @@ def test_chord_frame_round_trip():
     fr = ChordFrame(origin=(2.0, -1.0), direction=0.7, half_length=1.5)
     pts = np.array([[0.3, 0.4], [-1.0, 2.0], [5.0, -3.0]])
     npt.assert_allclose(fr.to_global(fr.to_local(pts)), pts, atol=1e-12)
-    npt.assert_allclose(fr.to_local(fr.start()), [-1.5, 0.0], atol=1e-12)
-    npt.assert_allclose(fr.to_local(fr.end()), [1.5, 0.0], atol=1e-12)
+    npt.assert_allclose(fr.to_local(chord_start(fr)), [-1.5, 0.0], atol=1e-12)
+    npt.assert_allclose(fr.to_local(chord_end(fr)), [1.5, 0.0], atol=1e-12)
 
 
 def test_chord_frame_endpoints():
     fr = ChordFrame(origin=(0.0, 0.0), direction=0.0, half_length=2.0)
-    npt.assert_allclose(fr.start(), [-2.0, 0.0])
-    npt.assert_allclose(fr.end(), [2.0, 0.0])
+    npt.assert_allclose(chord_start(fr), [-2.0, 0.0])
+    npt.assert_allclose(chord_end(fr), [2.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +285,59 @@ def test_mirror_is_an_involution():
     npt.assert_allclose(back.join, bi.join, rtol=1e-15)
 
 
+def _arc_height(x, c, phi):
+    """A(x; c, phi) written out, with c^2 - x^2 as an exact product."""
+    s = math.sin(phi)
+    return ((c - x) * (c + x) * s
+            / (c * math.cos(phi) + np.sqrt(c * c - (x * s) ** 2)))
+
+
+@pytest.mark.parametrize("phi", [1e-2, 1e-4, 1e-6])
+def test_biarc_on_one_circle_matches_the_arc(phi):
+    # both pieces lie on the circle of Arc(c, phi): a near-straight piece
+    # keeps full relative accuracy however small k*c = -sin(phi) is
+    c = 1.7
+    k = -math.sin(phi) / c
+    xj = 0.3 * c
+    bi = Biarc(c=c, alpha=phi, beta=-phi, a=k, b=k, p=1.0,
+               join=(xj, float(_arc_height(xj, c, phi))))
+    xs = np.linspace(-c, c, 2001)
+    npt.assert_allclose(biarc_eval(bi, xs), _arc_height(xs, c, phi),
+                        rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.floats(0.05, 20.0),
+    alpha=st.floats(-1.3, 1.5),
+    beta=st.floats(-1.3, 1.5),
+    p=st.floats(1e-3, 1e3),
+    straight=st.sampled_from(["", "a", "b"]),
+)
+def test_biarc_join_property(c, alpha, beta, p, straight):
+    # both pieces reach the join at its height, with equal tangent sines
+    so = math.sin(0.5 * (alpha + beta))
+    assume(abs(so) > 1e-3)
+    if straight == "a":      # a c = -(sin(alpha) + so/p) = 0
+        p = -so / math.sin(alpha) if alpha else -1.0
+    elif straight == "b":    # b c = sin(beta) + p so = 0
+        p = -math.sin(beta) / so
+    assume(1e-6 < p < 1e6)
+    bi = biarc_from_p(c, alpha, beta, p)
+    if straight:
+        assert abs(getattr(bi, straight)) * c < 1e-14
+    xj, yj = bi.join
+    for piece in (math.inf, -math.inf):   # the first, then the second piece
+        y = curve_eval(replace(bi, join=(piece, yj)), xj)
+        assert abs(y - yj) <= 1e-12 * c
+    scale = max(1.0, abs(bi.a) * c, abs(bi.b) * c)
+    assert abs(math.sin(alpha) + bi.a * (xj + c)
+               - math.sin(beta) - bi.b * (xj - c)) <= 1e-12 * scale
 
 
 @settings(max_examples=200, deadline=None)

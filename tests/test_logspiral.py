@@ -15,6 +15,7 @@ import pytest
 
 from spiralbounds.geometry import Arc, arc_eval
 
+from conftest import chord_end, chord_start
 from logspiral import LogSpiral, random_arc, spiral_dataset
 
 
@@ -65,8 +66,8 @@ def test_arc_frame_and_angles():
     sp = LogSpiral(scale=1.0, growth=-0.2, center=(0.0, 0.0))
     arc = sp.arc(0.3, 1.1)
     p0, p1 = sp.point(0.3), sp.point(1.1)
-    npt.assert_allclose(arc.frame.start(), p0, atol=1e-14)
-    npt.assert_allclose(arc.frame.end(), p1, atol=1e-14)
+    npt.assert_allclose(chord_start(arc.frame), p0, atol=1e-14)
+    npt.assert_allclose(chord_end(arc.frame), p1, atol=1e-14)
     npt.assert_allclose(arc.kappa0, sp.curvature(0.3), rtol=1e-14)
     npt.assert_allclose(arc.kappa1, sp.curvature(1.1), rtol=1e-14)
 
