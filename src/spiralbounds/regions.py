@@ -25,11 +25,15 @@ swaps their roles.  Reversing the point order would not do: reversal
 negates the curvature sequence AND walks it backwards, so it preserves
 the direction of monotonicity.
 
-Widths: the simple and vertex regions bound each chord by two arcs, whose
-gap peaks at mid-chord, where A(0; c, phi) = c tan(phi/2); so their width
-is the closed form c|tan(phi_hi/2) - tan(phi_lo/2)| (for the simple lens
-c|tan(xi/2) + tan(eta/2)|).  Narrowed (biarc) widths are the maximum gap
-over WIDTH_SAMPLES abscissae per chord.
+Widths: every grade's width is the exact largest gap between the two
+boundaries of a chord.  Along a circle piece the sine of the tangent
+angle is linear in x (see geometry), so the gap of a pair of pieces is
+stationary at one root of sin(theta_upper) = sin(theta_lower), and the
+largest gap lies at a join or at such a root.  For the simple and vertex
+regions both boundaries are arcs, that root is mid-chord, where
+A(0; c, phi) = c tan(phi/2), and the width is the closed form
+c|tan(phi_hi/2) - tan(phi_lo/2)| (for the simple lens
+c|tan(xi/2) + tan(eta/2)|).
 """
 
 from __future__ import annotations
@@ -43,9 +47,7 @@ from .analysis import Analysis, padded
 from .errors import (ClassificationError, DomainError,
                      InfeasibleCurvatureError, OverrideError)
 from .geometry import (Arc, Biarc, ChordFrame, biarc_from_a, biarc_from_b,
-                       biarc_from_p, curve_eval, mirror_curve)
-
-WIDTH_SAMPLES = 1000  # abscissae per chord for sampled biarc widths
+                       biarc_from_p, height, mirror_curve, piece_table)
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,26 @@ def _require_spiral(analysis: Analysis, grade: str):
             "classifies as %s" % (grade, analysis.classification.kind))
 
 
-def _sampled_width(lower, upper, c: float) -> float:
-    xs = np.linspace(-c, c, WIDTH_SAMPLES)
-    return float(np.max(curve_eval(upper, xs) - curve_eval(lower, xs)))
+def _gap_maxima(lowers, uppers) -> np.ndarray:
+    """Largest gap upper - lower per chord, in closed form.
+
+    Inside a pair of pieces the gap is stationary where the tangent sines
+    agree; both sines are linear in x, so each pair has one root.  The
+    gap is largest at a join or at one of the four roots (clipped into
+    the chord); evaluating it elsewhere only adds a smaller candidate.
+    """
+    lo, up = piece_table(lowers), piece_table(uppers)
+    c = lo[0]
+    xs = [lo[1], up[1]]
+    for s_lo, k_lo, end_lo in ((lo[2], lo[4], -c), (lo[5], lo[7], c)):
+        for s_up, k_up, end_up in ((up[2], up[4], -c), (up[5], up[7], c)):
+            # s_up + k_up (x - end_up) = s_lo + k_lo (x - end_lo)
+            num = s_lo - s_up + k_up * end_up - k_lo * end_lo
+            dk = k_up - k_lo
+            xs.append(np.divide(num, dk, out=np.zeros_like(num),
+                                where=dk != 0.0))
+    x = np.clip(np.hstack(xs), -c, c)
+    return np.max(height(up, x) - height(lo, x), axis=1)
 
 
 def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
@@ -348,7 +367,7 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
     upper_end = padded(ranges.upper, closed)[2:m + 2]
     upper_end_over = padded(ranges.upper_overridden, closed,
                             (False, False))[2:m + 2]
-    lowers, uppers, widths = [], [], []
+    lowers, uppers = [], []
     for k, (c, a_lo, a_hi, b_lo, b_hi, a, a_over, b, b_over) in enumerate(zip(
             analysis.chords.c.tolist(), table.alpha_lo.tolist(),
             table.alpha_hi.tolist(), table.beta_lo.tolist(),
@@ -364,8 +383,8 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
             lower, upper = mirror_curve(upper), mirror_curve(lower)
         lowers.append(lower)
         uppers.append(upper)
-        widths.append(_sampled_width(lower, upper, c))
-    return _finish("narrowed", analysis, lowers, uppers, np.array(widths))
+    return _finish("narrowed", analysis, lowers, uppers,
+                   _gap_maxima(lowers, uppers))
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

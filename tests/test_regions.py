@@ -269,6 +269,22 @@ def test_curvature_ranges_bracket_node_curvatures():
         assert len(infinite) == 2
 
 
+def test_narrowed_widths_bound_the_dense_gap():
+    # narrowed widths are exact too: no abscissa of a fine grid finds the
+    # boundary biarcs further apart than the reported width
+    cases = [(spiral_analysis(seed, increasing=inc)[0], None)
+             for seed, inc in ((71, True), (72, False), (73, True))]
+    cases += [(analyze(sparse_dataset()), None),
+              (spiral_analysis(63, increasing=True)[0], {1: {"a": 0.0}})]
+    for an, overrides in cases:
+        for ch in narrowed_region(an, overrides).chords:
+            c = ch.frame.half_length
+            xs = np.linspace(-c, c, 200_001)
+            dense = np.max(curve_eval(ch.upper, xs) - curve_eval(ch.lower, xs))
+            assert ch.width >= dense * (1.0 - 1e-13), (ch.index, ch.width,
+                                                        dense)
+
+
 def test_narrowed_region_nests_inside_simple():
     for seed in (51, 52, 53, 54):
         an, _ = spiral_analysis(seed)
