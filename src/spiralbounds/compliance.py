@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamplesError, InputError
-from .geometry import curve_eval
+from .geometry import height, piece_table
 from .regions import Region
 
 # Relative slack when deciding whether a projection falls on a chord.
@@ -89,18 +89,28 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     y_local = np.full(n, math.nan)
     margin_lower = np.full(n, math.nan)
     margin_upper = np.full(n, math.nan)
-    for ch in region.chords:
-        local = ch.frame.to_local(pts)
+    frames = [ch.frame for ch in region.chords]
+    origins = np.array([f.origin for f in frames])
+    # per chord the columns t, n of ChordFrame.to_local, shape (2, 2)
+    co = np.array([math.cos(f.direction) for f in frames])
+    si = np.array([math.sin(f.direction) for f in frames])
+    axes = np.stack([np.stack([co, si], 1), np.stack([-si, co], 1)], 2)
+    # per chord the pieces of its lower and upper boundary, (8, 2, 1)
+    tables = piece_table([curve for ch in region.chords
+                          for curve in (ch.lower, ch.upper)])
+    tables = tables.reshape(8, -1, 2, 1).swapaxes(0, 1)
+    for ch, origin, axis, table in zip(region.chords, origins, axes, tables):
+        local = (pts - origin) @ axis
         c = ch.frame.half_length
-        mask = np.abs(local[:, 0]) <= c * (1.0 + SPAN_SLACK)
-        if not np.any(mask):
+        idx = np.flatnonzero(np.abs(local[:, 0]) <= c * (1.0 + SPAN_SLACK))
+        if not idx.size:
             continue
-        x = np.clip(local[mask, 0], -c, c)
-        y = local[mask, 1]
-        m_lo = y - curve_eval(ch.lower, x)
-        m_up = curve_eval(ch.upper, x) - y
+        x = np.clip(local[idx, 0], -c, c)
+        y = local[idx, 1]
+        lower, upper = height(table, x)
+        m_lo = y - lower
+        m_up = upper - y
         score = np.minimum(m_lo, m_up)
-        idx = np.nonzero(mask)[0]
         better = score > best_score[idx]
         upd = idx[better]
         best_score[upd] = score[better]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .analysis import Analysis
-from .geometry import curve_eval
+from .geometry import height, piece_table
 from .regions import Region
 
 _STYLES = {
@@ -51,18 +51,19 @@ def _polylines(region: Region, samples_per_chord: int) -> dict:
     n = np.concatenate([-si, co], axis=2)
     origin = np.array([f.origin for f in frames], dtype=float)[:, None, :]
     half = np.array([[f.half_length] for f in frames])
-    xs = np.array([np.linspace(-c, c, samples_per_chord)
-                   for c in half[:, 0].tolist()])
+    xs = half * np.linspace(-1.0, 1.0, samples_per_chord)
+    # both boundaries of every chord in one evaluation: lowers, then uppers
+    ys = height(piece_table([ch.lower for ch in region.chords]
+                            + [ch.upper for ch in region.chords]),
+                np.vstack([xs, xs]))
 
     def to_global(x, y):
         return x[..., None] * t + y[..., None] * n + origin
 
     return {
         "chord": to_global(np.hstack([-half, half]), np.zeros((len(half), 2))),
-        "lower": to_global(xs, np.array([curve_eval(ch.lower, x) for ch, x
-                                         in zip(region.chords, xs)])),
-        "upper": to_global(xs, np.array([curve_eval(ch.upper, x) for ch, x
-                                         in zip(region.chords, xs)])),
+        "lower": to_global(xs, ys[:len(half)]),
+        "upper": to_global(xs, ys[len(half):]),
     }
 
 
