@@ -30,9 +30,9 @@ import numpy as np
 
 from .analysis import Analysis, SplineInput
 from .compliance import ComplianceReport
-from .errors import EmptySamplesError, InputError, ParseError
+from .errors import EmptySamplesError, InputError, OverrideError, ParseError
 from .geometry import Arc, Biarc
-from .regions import Region
+from .regions import Region, checked_overrides
 
 PROFILE_VERSION = 1
 
@@ -92,29 +92,14 @@ def parse_profile(obj, degrees: bool = False):
     if not closed and (tau_start is None or tau_end is None):
         raise ParseError("open profiles need tangents.start and tangents.end")
 
-    overrides = {}
     raw_over = obj.get("curvature_overrides") or {}
     if not isinstance(raw_over, dict):
         raise ParseError("'curvature_overrides' must map node index to "
                          "{'a': …, 'b': …}")
-    for key, spec in raw_over.items():
-        try:
-            node = int(key)
-        except (TypeError, ValueError):
-            raise ParseError("override key %r is not a node index" % (key,))
-        if not isinstance(spec, dict) or set(spec) - {"a", "b"}:
-            raise ParseError("override for node %d must be {'a': …, 'b': …}"
-                             % node)
-        entry = {}
-        for side in ("a", "b"):
-            if side in spec and spec[side] is not None:
-                v = spec[side]
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise ParseError("override %s for node %d must be a "
-                                     "number" % (side, node))
-                entry[side] = float(v)
-        if entry:
-            overrides[node] = entry
+    try:
+        overrides = checked_overrides(raw_over)
+    except OverrideError as exc:
+        raise ParseError(str(exc)) from exc
 
     try:
         data = SplineInput(points=points, tau_start=tau_start,

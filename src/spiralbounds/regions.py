@@ -39,6 +39,7 @@ c|tan(xi/2) + tan(eta/2)|).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,43 +232,42 @@ def vertex_region(analysis: Analysis) -> Region:
                  np.where(at_start, -xi_prev - rho[:m], xi))
 
 
-def _mirrored_overrides(overrides):
-    if not overrides:
-        return overrides
-    flipped = {}
-    for node, (lo, hi) in overrides.items():
-        flipped[node] = (-hi if hi is not None else None,
-                         -lo if lo is not None else None)
-    return flipped
+def checked_overrides(overrides) -> dict:
+    """Validate curvature overrides: the one rule for every entry point.
 
-
-def _normalized_overrides(overrides, n_nodes: int):
-    """Map {node: {'a':…, 'b':…}} or {node: (a, b)} to {node: (a, b)}."""
-    if not overrides:
-        return {}
+    Takes {node: {'a': lo, 'b': hi}} or {node: (lo, hi)}, either bound
+    None or left out, and returns {node: {'a': lo, 'b': hi}} with float
+    bounds, leaving out nodes without any.  Raises OverrideError, naming
+    the node, for a key that is not a node index, a malformed entry, a
+    bound that is not a finite real number and an empty range a > b.
+    """
     out = {}
-    for node, spec in overrides.items():
-        idx = int(node)
-        if not 1 <= idx <= n_nodes:
-            raise OverrideError(
-                "curvature override for node %d, but nodes run 1..%d"
-                % (idx, n_nodes))
-        if isinstance(spec, dict):
-            unknown = set(spec) - {"a", "b"}
-            if unknown:
-                raise OverrideError(
-                    "curvature override for node %d has unknown keys %s"
-                    % (idx, sorted(unknown)))
-            lo, hi = spec.get("a"), spec.get("b")
-        else:
-            lo, hi = spec
-        lo = None if lo is None else float(lo)
-        hi = None if hi is None else float(hi)
-        if lo is not None and hi is not None and lo > hi:
+    for key, spec in (overrides or {}).items():
+        try:
+            node = int(key)
+        except (TypeError, ValueError):
+            raise OverrideError("override key %r is not a node index"
+                                % (key,)) from None
+        if isinstance(spec, dict) and not set(spec) - {"a", "b"}:
+            spec = (spec.get("a"), spec.get("b"))
+        elif not (isinstance(spec, tuple) and len(spec) == 2):
+            raise OverrideError("override for node %d must be {'a': …, 'b': …}"
+                                " or (a, b), got %r" % (node, spec))
+        entry = {}
+        for side, value in zip("ab", spec):
+            if value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise OverrideError("override %s for node %d must be a finite "
+                                    "number, got %r" % (side, node, value))
+            entry[side] = float(value)
+        if entry.get("a", -math.inf) > entry.get("b", math.inf):
             raise OverrideError(
                 "curvature override for node %d is empty: a=%g > b=%g"
-                % (idx, lo, hi))
-        out[idx] = (lo, hi)
+                % (node, entry["a"], entry["b"]))
+        if entry:
+            out[node] = entry
     return out
 
 
@@ -303,15 +303,19 @@ def _node_bounds(analysis: Analysis, table: NarrowedAngles, overrides):
 
     lo_over = np.zeros(n_nodes, dtype=bool)
     hi_over = np.zeros(n_nodes, dtype=bool)
-    user = _normalized_overrides(overrides, n_nodes)
-    if table.mirrored:
-        user = _mirrored_overrides(user)
-    for idx, (lo, hi) in user.items():
+    for idx, spec in checked_overrides(overrides).items():
+        if not 1 <= idx <= n_nodes:
+            raise OverrideError(
+                "curvature override for node %d, but nodes run 1..%d"
+                % (idx, n_nodes))
+        lo, hi = spec.get("a", -math.inf), spec.get("b", math.inf)
+        if table.mirrored:   # negated curvatures: floor and ceiling swap
+            lo, hi = -hi, -lo
         i = idx - 1
-        if lo is not None and lo > lower[i]:
+        if lo > lower[i]:
             lower[i] = lo
             lo_over[i] = True
-        if hi is not None and hi < upper[i]:
+        if hi < upper[i]:
             upper[i] = hi
             hi_over[i] = True
         if lower[i] > upper[i]:

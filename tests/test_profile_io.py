@@ -93,6 +93,16 @@ def test_parse_rejects_malformed(mutate):
         parse_profile(prof)
 
 
+@pytest.mark.parametrize("value", ["NaN", "-Infinity", "Infinity", "true",
+                                   '"x"'])
+def test_parse_rejects_bad_override_number_and_names_node(value):
+    # JSON's NaN and infinities decode to floats; none is a usable bound
+    text = json.dumps(dict(VALID, curvature_overrides={"3": {"a": 0.0}}))
+    prof = json.loads(text.replace('{"a": 0.0}', '{"a": %s}' % value))
+    with pytest.raises(ParseError, match=r"\bnode 3\b"):
+        parse_profile(prof)
+
+
 @pytest.mark.parametrize("side, value", [
     ("start", math.nan),
     ("end", math.inf),

@@ -393,6 +393,19 @@ def test_override_empty_range_rejected():
         narrowed_region(an, overrides={2: {"a": 1.0, "b": -1.0}})
 
 
+@pytest.mark.parametrize("overrides", [
+    {3: (math.nan, None)},
+    {3: (None, -math.inf)},
+    {3: {"a": True}},
+    {"3": {"a": "x"}},
+    {3: {"b": [1.0]}},
+])
+def test_override_bad_number_rejected_and_named(overrides):
+    an, _ = spiral_analysis(65)
+    with pytest.raises(OverrideError, match=r"\bnode 3\b"):
+        build_region(an, overrides=overrides)
+
+
 def test_override_contradiction_rejected():
     # a floor far above the node's ceiling leaves no curvature at all
     an, _ = spiral_analysis(65, increasing=True)
