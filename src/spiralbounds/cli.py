@@ -22,7 +22,7 @@ from .compliance import check_containment
 from .errors import DataError, InputError
 from .experiments import rounding_experiment
 from .profile_io import (compliance_report_dict, load_profile, load_samples,
-                         region_report, report_json, save_samples, write_plot)
+                         region_report, report_json, save_columns)
 from .regions import build_region
 from .splinefit import cubic_spline_fixture
 from .svg import render_svg
@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
     report = check_containment(region, samples, tol=args.tol)
     print(report_json(compliance_report_dict(report)))
     if args.curvature_plot:
-        write_plot(args.curvature_plot, discrete_curvature_plot(samples))
+        save_columns(args.curvature_plot, discrete_curvature_plot(samples))
     return 0 if report.passed else 1
 
 
@@ -119,7 +119,7 @@ def cmd_spline_fixture(args) -> int:
     data, _ = load_profile(args.profile, args.degrees)
     samples = cubic_spline_fixture(data, args.samples_per_chord)
     if args.output:
-        save_samples(args.output, samples)
+        save_columns(args.output, samples)
     else:
         for x, y in samples:
             print("%.17g %.17g" % (x, y))
@@ -137,10 +137,9 @@ def cmd_rounding_experiment(args) -> int:
     }))
     if args.plot:
         nodes = range(1, len(exp.exact_q) + 1)
-        write_plot(args.plot + "-exact.txt",
-                   list(zip(nodes, exp.exact_q)))
-        write_plot(args.plot + "-rounded.txt",
-                   list(zip(nodes, exp.rounded_q)))
+        save_columns(args.plot + "-exact.txt", list(zip(nodes, exp.exact_q)))
+        save_columns(args.plot + "-rounded.txt",
+                     list(zip(nodes, exp.rounded_q)))
     return 0
 
 

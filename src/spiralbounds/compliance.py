@@ -89,16 +89,13 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     y_local = np.full(n, math.nan)
     margin_lower = np.full(n, math.nan)
     margin_upper = np.full(n, math.nan)
-    frames = [ch.frame for ch in region.chords]
-    origins = np.array([f.origin for f in frames])
-    # per chord the columns t, n of ChordFrame.to_local, shape (2, 2)
-    co = np.array([math.cos(f.direction) for f in frames])
-    si = np.array([math.sin(f.direction) for f in frames])
-    axes = np.stack([np.stack([co, si], 1), np.stack([-si, co], 1)], 2)
     # per chord the pieces of its lower and upper boundary, (8, 2, 1)
     tables = piece_table([curve for ch in region.chords
                           for curve in (ch.lower, ch.upper)])
     tables = tables.reshape(8, -1, 2, 1).swapaxes(0, 1)
+    # ChordFrame.to_local of every chord, its parameters gathered once
+    origins = np.array([ch.frame.origin for ch in region.chords])
+    axes = np.array([ch.frame.axes for ch in region.chords])
     for ch, origin, axis, table in zip(region.chords, origins, axes, tables):
         local = (pts - origin) @ axis
         c = ch.frame.half_length

@@ -80,23 +80,19 @@ class ChordFrame:
     direction: float
     half_length: float
 
-    def _axes(self):
+    @property
+    def axes(self):
+        """Rotation into the frame: columns chord direction t, normal n."""
         co, si = math.cos(self.direction), math.sin(self.direction)
-        return np.array([co, si]), np.array([-si, co])
+        return np.array([[co, -si], [si, co]])
 
     def to_local(self, points):
         """Map global points (2,) or (n, 2) to chord coordinates."""
-        t, n = self._axes()
-        d = np.asarray(points, dtype=float) - np.asarray(self.origin)
-        return np.stack([d @ t, d @ n], axis=-1)
+        return (np.asarray(points, dtype=float) - self.origin) @ self.axes
 
     def to_global(self, points):
         """Map chord coordinates back to the global plane."""
-        t, n = self._axes()
-        p = np.asarray(points, dtype=float)
-        return (np.multiply.outer(p[..., 0], t)
-                + np.multiply.outer(p[..., 1], n)
-                + np.asarray(self.origin))
+        return np.asarray(points, dtype=float) @ self.axes.T + self.origin
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,8 @@ def biarc_from_p(c, alpha, beta, p):
     a = -(math.sin(alpha) + so / p) / c
     b = (math.sin(beta) + p * so) / c
     # x_j of the module docstring, numerator and denominator divided by p
-    xj = c * (p - 1.0 / p) / (p + 1.0 / p + 2.0 * math.cos(0.5 * (alpha - beta)))
+    xj = c * (p - 1.0 / p) / (p + 1.0 / p
+                              + 2.0 * math.cos(0.5 * (alpha - beta)))
     spec = Biarc(c=c, alpha=alpha, beta=beta, a=a, b=b, p=p, join=(xj, 0.0))
     return replace(spec, join=(xj, curve_eval(spec, xj)))
 

@@ -160,12 +160,8 @@ def load_samples(path) -> np.ndarray:
     return pts
 
 
-def save_samples(path, samples):
-    np.savetxt(path, np.asarray(samples, dtype=float), fmt="%.17g")
-
-
-def write_plot(path, rows):
-    """Two-column plot data (abscissa, value)."""
+def save_columns(path, rows):
+    """Rows of numbers (samples, plot data) as text, to full precision."""
     np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g")
 
 

@@ -41,15 +41,11 @@ def _path(points, cls: str, extra: str, width: float) -> str:
 def _polylines(region: Region, samples_per_chord: int) -> dict:
     """Per css class, each chord's polyline in the plane.
 
-    The frame mapping is ChordFrame.to_global for all chords at once,
-    with the same products and sums, so it gives the same floats.
+    The frame mapping is ChordFrame.to_global for all chords at once.
     """
     frames = [ch.frame for ch in region.chords]
-    co = np.array([math.cos(f.direction) for f in frames])[:, None, None]
-    si = np.array([math.sin(f.direction) for f in frames])[:, None, None]
-    t = np.concatenate([co, si], axis=2)
-    n = np.concatenate([-si, co], axis=2)
-    origin = np.array([f.origin for f in frames], dtype=float)[:, None, :]
+    rotations = np.array([f.axes.T for f in frames])
+    origin = np.array([f.origin for f in frames])[:, None, :]
     half = np.array([[f.half_length] for f in frames])
     xs = half * np.linspace(-1.0, 1.0, samples_per_chord)
     # both boundaries of every chord in one evaluation: lowers, then uppers
@@ -58,7 +54,7 @@ def _polylines(region: Region, samples_per_chord: int) -> dict:
                 np.vstack([xs, xs]))
 
     def to_global(x, y):
-        return x[..., None] * t + y[..., None] * n + origin
+        return np.stack([x, y], axis=-1) @ rotations + origin
 
     return {
         "chord": to_global(np.hstack([-half, half]), np.zeros((len(half), 2))),

@@ -20,7 +20,8 @@ def arc_curvature(arc) -> float:
 def tangency_residual(c, alpha, beta, a, b) -> float:
     """Residual of the biarc tangency condition; zero for a true biarc."""
     omega = 0.5 * (alpha + beta)
-    return (a * c + math.sin(alpha)) * (b * c - math.sin(beta)) + math.sin(omega) ** 2
+    return ((a * c + math.sin(alpha)) * (b * c - math.sin(beta))
+            + math.sin(omega) ** 2)
 
 
 def chord_start(frame):

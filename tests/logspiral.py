@@ -94,7 +94,7 @@ class SpiralArc:
         grid = np.linspace(self.theta0, self.theta1, 129)
         xg = self.frame.to_local(self.spiral.point(grid))[:, 0]
         th = np.interp(xt, xg, grid)
-        t_axis, _ = self.frame._axes()
+        t_axis = self.frame.axes[:, 0]
         for _ in range(6):
             loc = self.frame.to_local(self.spiral.point(th))
             f = loc[:, 0] - xt

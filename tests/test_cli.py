@@ -5,16 +5,19 @@ Exit code contract: 0 success / containment pass, 1 containment fail,
 overrides, arguments).
 """
 
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spiralbounds.analysis import SplineInput
-from spiralbounds.cli import main
+from spiralbounds.cli import build_parser, main
 from spiralbounds.splinefit import cubic_spline_fixture
 
 from conftest import sparse_dataset, write_profile
@@ -244,3 +247,23 @@ def test_module_entry_point(circle_profile):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["classification"]["kind"] == "spiral"
+
+
+# ---------------------------------------------------------------------------
+# README agrees with the parser
+# ---------------------------------------------------------------------------
+
+
+def test_readme_usage_flags_exist():
+    # every flag in README's `spiralbounds …` usage blocks must parse
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    flag = re.compile(r"(?<![\w-])--?[a-z][\w-]*")
+    usages = [(block.split()[1], flag.findall(block))
+              for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+              if block.startswith("spiralbounds ")]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(cmd for cmd, _ in usages) == sorted(sub.choices)
+    for cmd, flags in usages:
+        known = sub.choices[cmd]._option_string_actions
+        assert [f for f in flags if f not in known] == [], cmd

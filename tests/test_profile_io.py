@@ -17,7 +17,7 @@ from spiralbounds.profile_io import (
     parse_profile,
     region_report,
     report_json,
-    save_samples,
+    save_columns,
 )
 from spiralbounds.regions import build_region
 
@@ -151,7 +151,7 @@ def test_load_profile_bad_json(tmp_path):
 def test_samples_text_round_trip(tmp_path):
     pts = np.array([[0.1, -0.2], [1.5, 2.5], [-3.0, 0.125]])
     path = tmp_path / "samples.txt"
-    save_samples(str(path), pts)
+    save_columns(str(path), pts)
     npt.assert_allclose(load_samples(str(path)), pts, rtol=1e-15)
 
 
