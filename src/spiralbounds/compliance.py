@@ -1,12 +1,36 @@
 """Containment test of a candidate curve against a bounding region.
 
-The candidate comes in as a dense polyline.  Every sample is projected
-into the local frames of the region's chords; chords whose span contains
-the projection are candidates.  The region is a union of per-chord
-pieces, so a sample complies when it fits ANY candidate chord: margins
-are computed in every candidate and the chord with the most favorable
-margin wins.  Samples projecting into no chord's span are counted as
-unassigned and do not affect the verdict.
+The candidate comes in as a dense polyline.  A sample is measured in
+every chord whose span contains its projection (|x| <= c within
+SPAN_SLACK, x then clipped to [-c, c]).  The region is a union of
+per-chord pieces, so a sample complies when it fits ANY such chord: its
+score in a chord is min(margin_lower, margin_upper), the chord with the
+most favourable score wins and a tie goes to the lower chord index.
+
+Finding those chords takes near-linear time.  Chords are filed in a
+uniform grid by their midpoints, with cell side
+
+    h = 2 max_j (c_j (1 + SPAN_SLACK) + H_j),
+
+where H_j is the largest |y| of chord j's lens: the largest gap between
+either boundary and the chord itself, found in closed form like the
+width (geometry.gap_maxima).  Each sample is first scored against the
+chords of the 3x3 cells around it.  A chord outside those cells has its
+midpoint at least h away, so if it spans the sample, |y| >= h -
+c_j (1 + SPAN_SLACK) and its score is at most
+c_j (1 + SPAN_SLACK) + H_j - h <= -h/2.  A sample whose best nearby
+score is above -h/4 (the bound, with room for rounding) thus has its
+final answer.  The rest are far from the data or span no nearby
+chord; they are scored against every chord with one broadcast span
+test, CHUNK (sample, chord) elements at a time.  When all pairs fit in
+one chunk the grid is skipped and the broadcast test does everything.
+
+A sample in no chord's span lies beyond the data only if its nearest
+node is an open end of the data; it is then unassigned and does not
+affect the verdict.  Otherwise it sits in the outer wedge at a node:
+it is measured in the two chords meeting there with x clipped to the
+node's end, so its margin is -|y|, and the better chord wins.  Closed
+data has no ends, so there every such sample is measured at a node.
 """
 
 from __future__ import annotations
@@ -17,20 +41,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamplesError, InputError
-from .geometry import height, piece_table
+from .geometry import gap_maxima, height, piece_table
 from .regions import Region
 
 # Relative slack when deciding whether a projection falls on a chord.
 SPAN_SLACK = 1e-12
+# (sample, chord) pairs held at once; larger chunks cost memory, not time.
+CHUNK = 1 << 16
+# Offsets of the 3x3 cells around a cell.
+NEIGHBOURS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
 
 
 @dataclass(frozen=True, eq=False)
 class ComplianceReport:
     """Per-sample margins against the region, plus the overall verdict.
 
-    chord_index is -1 for unassigned samples; their margins are NaN.
-    margin_lower = y - lower(x), margin_upper = upper(x) - y, both in
-    model units; a sample passes when both are >= -tol.
+    chord_index is -1 for unassigned samples (beyond the open ends of the
+    data); their margins are NaN.  margin_lower = y - lower(x),
+    margin_upper = upper(x) - y, both in model units; a sample passes
+    when both are >= -tol.
     """
 
     chord_index: np.ndarray
@@ -69,6 +98,107 @@ class ComplianceReport:
         return self.violations.size == 0
 
 
+class _Chords:
+    """The region's chords as columns, gathered once."""
+
+    def __init__(self, region: Region):
+        chords = region.chords
+        self.closed = region.closed
+        self.index = np.array([ch.index for ch in chords])
+        self.c = np.array([ch.frame.half_length for ch in chords])
+        self.reach = self.c * (1.0 + SPAN_SLACK)
+        self.ox, self.oy = np.array([ch.frame.origin for ch in chords]).T
+        # the rotation of ChordFrame.axes
+        direction = [ch.frame.direction for ch in chords]
+        self.cos = np.array([math.cos(d) for d in direction])
+        self.sin = np.array([math.sin(d) for d in direction])
+        # pieces of the lower and upper boundary per chord, (8, m, 2)
+        self.table = piece_table([curve for ch in chords
+                                  for curve in (ch.lower, ch.upper)]
+                                 ).reshape(8, -1, 2)
+
+    def lens_height(self):
+        """Largest |y| of each chord's lens: the larger gap between a
+        boundary and the chord, a straight piece (sin 0, cos 1, k 0)."""
+        lower, upper = self.table[..., :1], self.table[..., 1:]
+        chord = np.zeros_like(lower)
+        chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
+        return np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
+
+    def spans(self, pts, i, j):
+        """Whether sample i projects onto chord j; i and j broadcast."""
+        x = ((pts[i, 0] - self.ox[j]) * self.cos[j]
+             + (pts[i, 1] - self.oy[j]) * self.sin[j])
+        return np.abs(x) <= self.reach[j]
+
+    def best(self, pts, i, j):
+        """Per sample of the pairs (i, j), the chord with the best score.
+
+        Returns the samples, their chords, and per sample x (clipped to
+        [-c, c]), y, lower and upper margin and score.
+        """
+        dx, dy = pts[i, 0] - self.ox[j], pts[i, 1] - self.oy[j]
+        co, si, c = self.cos[j], self.sin[j], self.c[j]
+        x = np.clip(dx * co + dy * si, -c, c)
+        y = dy * co - dx * si
+        lower, upper = height(self.table[:, j], x[:, None]).T
+        m_lo, m_up = y - lower, upper - y
+        score = np.minimum(m_lo, m_up)
+        order = np.lexsort((j, -score, i))
+        run = i[order]
+        first = order[np.concatenate(([True], run[1:] != run[:-1]))]
+        return i[first], j[first], (x[first], y[first], m_lo[first],
+                                    m_up[first], score[first])
+
+    def nodes(self):
+        """Node positions: every chord's start, and the last chord's end
+        for open data."""
+        start = np.column_stack([self.ox - self.c * self.cos,
+                                 self.oy - self.c * self.sin])
+        if self.closed:
+            return start
+        end = (self.ox[-1] + self.c[-1] * self.cos[-1],
+               self.oy[-1] + self.c[-1] * self.sin[-1])
+        return np.vstack([start, end])
+
+
+def _grid_pairs(g: _Chords, pts, h):
+    """Each sample paired with the chords filed in its 3x3 cells.
+
+    Yields (sample, chord) index arrays of at most CHUNK pairs (or one
+    sample's), every sample's pairs in one block.
+    """
+    corner = np.array([g.ox.min(), g.oy.min()])
+    cells = np.floor((np.column_stack([g.ox, g.oy]) - corner) / h
+                     ).astype(np.int64)
+    top = cells.max(axis=0)
+    ny = top[1] + 5   # keys stay distinct for cell rows -2 .. top + 2
+
+    def key(cell):
+        return (cell[..., 0] + 2) * ny + cell[..., 1] + 2
+
+    keys = key(cells)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    step = CHUNK // len(NEIGHBOURS)
+    for a in range(0, len(pts), step):
+        f = np.floor((pts[a:a + step] - corner) / h)
+        near = np.flatnonzero(np.all((f >= -1) & (f <= top + 1), axis=1))
+        around = key(f[near].astype(np.int64)[:, None, :] + NEIGHBOURS)
+        first = np.searchsorted(keys, around, "left")
+        count = np.searchsorted(keys, around, "right") - first
+        ends = np.cumsum(count.sum(axis=1))
+        s = 0
+        while s < len(near):
+            e = max(s + 1, int(np.searchsorted(
+                ends, (ends[s - 1] if s else 0) + CHUNK, "right")))
+            n = count[s:e].ravel()
+            offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            yield (np.repeat(np.repeat(a + near[s:e], len(NEIGHBOURS)), n),
+                   order[np.repeat(first[s:e].ravel(), n) + offset])
+            s = e
+
+
 def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     """Test a dense polyline against the region, most favorable chord wins."""
     pts = np.asarray(polyline, dtype=float)
@@ -80,42 +210,54 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     if bad.size:
         raise InputError("sample %d is not finite: %s"
                          % (bad[0], pts[bad[0]].tolist()))
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError("tolerance must be finite and >= 0, got %r"
+                         % (tol,))
+    g = _Chords(region)
     if tol is None:
-        tol = 1e-9 * max(ch.frame.half_length for ch in region.chords)
-    n = len(pts)
-    best_score = np.full(n, -math.inf)
-    chord_index = np.full(n, -1, dtype=int)
-    x_local = np.full(n, math.nan)
-    y_local = np.full(n, math.nan)
-    margin_lower = np.full(n, math.nan)
-    margin_upper = np.full(n, math.nan)
-    # per chord the pieces of its lower and upper boundary, (8, 2, 1)
-    tables = piece_table([curve for ch in region.chords
-                          for curve in (ch.lower, ch.upper)])
-    tables = tables.reshape(8, -1, 2, 1).swapaxes(0, 1)
-    # ChordFrame.to_local of every chord, its parameters gathered once
-    origins = np.array([ch.frame.origin for ch in region.chords])
-    axes = np.array([ch.frame.axes for ch in region.chords])
-    for ch, origin, axis, table in zip(region.chords, origins, axes, tables):
-        local = (pts - origin) @ axis
-        c = ch.frame.half_length
-        idx = np.flatnonzero(np.abs(local[:, 0]) <= c * (1.0 + SPAN_SLACK))
-        if not idx.size:
-            continue
-        x = np.clip(local[idx, 0], -c, c)
-        y = local[idx, 1]
-        lower, upper = height(table, x)
-        m_lo = y - lower
-        m_up = upper - y
-        score = np.minimum(m_lo, m_up)
-        better = score > best_score[idx]
-        upd = idx[better]
-        best_score[upd] = score[better]
-        chord_index[upd] = ch.index
-        x_local[upd] = x[better]
-        y_local[upd] = y[better]
-        margin_lower[upd] = m_lo[better]
-        margin_upper[upd] = m_up[better]
-    return ComplianceReport(chord_index=chord_index, x_local=x_local,
-                            y_local=y_local, margin_lower=margin_lower,
-                            margin_upper=margin_upper, tol=float(tol))
+        tol = 1e-9 * g.c.max()
+    n, m = len(pts), len(g.c)
+    chord = np.full(n, -1)
+    # per sample: x_local, y_local, margin_lower, margin_upper, score
+    out = np.full((5, n), math.nan)
+
+    def measure(i, j):
+        """Keep per sample the best chord of the pairs (i, j)."""
+        i, j, values = g.best(pts, i, j)
+        chord[i] = j
+        out[:, i] = values
+
+    todo = np.arange(n)
+    if n * m > CHUNK:
+        h = 2.0 * np.max(g.reach + g.lens_height())
+        for i, j in _grid_pairs(g, pts, h):
+            span = g.spans(pts, i, j)
+            if span.any():
+                measure(i[span], j[span])
+        todo = np.flatnonzero(~(out[4] > -0.25 * h))
+    step = max(1, CHUNK // m)
+    for a in range(0, len(todo), step):
+        rows = todo[a:a + step]
+        ri, j = np.nonzero(g.spans(pts, rows[:, None], np.arange(m)))
+        if ri.size:
+            measure(rows[ri], j)
+    # the node wedges: samples in no chord's span
+    todo = np.flatnonzero(chord < 0)
+    nodes = g.nodes()
+    step = max(1, CHUNK // len(nodes))
+    for a in range(0, len(todo), step):
+        rows = todo[a:a + step]
+        d = ((pts[rows, None, 0] - nodes[:, 0]) ** 2
+             + (pts[rows, None, 1] - nodes[:, 1]) ** 2)
+        node = np.argmin(d, axis=1)
+        if not g.closed:   # nearest an open end: beyond the data
+            inner = (node > 0) & (node < m)
+            rows, node = rows[inner], node[inner]
+        if rows.size:
+            measure(np.repeat(rows, 2),
+                    np.column_stack([node - 1, node]).ravel() % m)
+    assigned = chord >= 0
+    chord[assigned] = g.index[chord[assigned]]
+    return ComplianceReport(chord_index=chord, x_local=out[0],
+                            y_local=out[1], margin_lower=out[2],
+                            margin_upper=out[3], tol=float(tol))

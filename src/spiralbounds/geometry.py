@@ -165,6 +165,27 @@ def height(cols, x):
     return np.divide(t, den, out=np.zeros_like(t), where=den > 0.0)
 
 
+def gap_maxima(lo, up):
+    """Largest gap up - lo per row of two piece tables, in closed form.
+
+    Inside a pair of pieces the gap is stationary where the tangent sines
+    agree; both sines are linear in x, so each pair has one root.  The
+    gap is largest at a join or at one of the four roots (clipped into
+    the chord); evaluating it elsewhere only adds a smaller candidate.
+    """
+    c = lo[0]
+    xs = [lo[1], up[1]]
+    for s_lo, k_lo, end_lo in ((lo[2], lo[4], -c), (lo[5], lo[7], c)):
+        for s_up, k_up, end_up in ((up[2], up[4], -c), (up[5], up[7], c)):
+            # s_up + k_up (x - end_up) = s_lo + k_lo (x - end_lo)
+            num = s_lo - s_up + k_up * end_up - k_lo * end_lo
+            dk = k_up - k_lo
+            xs.append(np.divide(num, dk, out=np.zeros_like(num),
+                                where=dk != 0.0))
+    x = np.clip(np.hstack(xs), -c, c)
+    return np.max(height(up, x) - height(lo, x), axis=1)
+
+
 def curve_eval(curve, x):
     """Height of an Arc or a Biarc over abscissa x (scalar or array)."""
     c = curve.c

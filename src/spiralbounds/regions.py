@@ -48,7 +48,7 @@ from .analysis import Analysis, padded
 from .errors import (ClassificationError, DomainError,
                      InfeasibleCurvatureError, OverrideError)
 from .geometry import (Arc, Biarc, ChordFrame, biarc_from_a, biarc_from_b,
-                       biarc_from_p, height, mirror_curve, piece_table)
+                       biarc_from_p, gap_maxima, mirror_curve, piece_table)
 
 
 @dataclass(frozen=True)
@@ -116,28 +116,6 @@ def _require_spiral(analysis: Analysis, grade: str):
         raise ClassificationError(
             "the %s region needs monotone discrete curvature, but the data "
             "classifies as %s" % (grade, analysis.classification.kind))
-
-
-def _gap_maxima(lowers, uppers) -> np.ndarray:
-    """Largest gap upper - lower per chord, in closed form.
-
-    Inside a pair of pieces the gap is stationary where the tangent sines
-    agree; both sines are linear in x, so each pair has one root.  The
-    gap is largest at a join or at one of the four roots (clipped into
-    the chord); evaluating it elsewhere only adds a smaller candidate.
-    """
-    lo, up = piece_table(lowers), piece_table(uppers)
-    c = lo[0]
-    xs = [lo[1], up[1]]
-    for s_lo, k_lo, end_lo in ((lo[2], lo[4], -c), (lo[5], lo[7], c)):
-        for s_up, k_up, end_up in ((up[2], up[4], -c), (up[5], up[7], c)):
-            # s_up + k_up (x - end_up) = s_lo + k_lo (x - end_lo)
-            num = s_lo - s_up + k_up * end_up - k_lo * end_lo
-            dk = k_up - k_lo
-            xs.append(np.divide(num, dk, out=np.zeros_like(num),
-                                where=dk != 0.0))
-    x = np.clip(np.hstack(xs), -c, c)
-    return np.max(height(up, x) - height(lo, x), axis=1)
 
 
 def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
@@ -388,7 +366,7 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
         lowers.append(lower)
         uppers.append(upper)
     return _finish("narrowed", analysis, lowers, uppers,
-                   _gap_maxima(lowers, uppers))
+                   gap_maxima(piece_table(lowers), piece_table(uppers)))
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from spiralbounds import SplineInput, analyze
+from spiralbounds.compliance import SPAN_SLACK
 from spiralbounds.experiments import circle_dataset
+from spiralbounds.geometry import curve_eval
 
 from logspiral import LogSpiral
 
@@ -32,6 +34,61 @@ def chord_start(frame):
 def chord_end(frame):
     """Global position of a ChordFrame's chord end, (c, 0) locally."""
     return frame.to_global(np.array([frame.half_length, 0.0]))
+
+
+def reference_containment(region, samples):
+    """Brute-force containment: every sample projected into every chord.
+
+    Returns (chord_index, x_local, y_local, margin_lower, margin_upper)
+    by the package's rules, one chord at a time: the most favourable
+    score min(margin_lower, margin_upper) among the chords whose span
+    holds the projection wins, the lower chord on ties; a sample in no
+    span is measured at its nearest node in the two chords meeting there
+    (x clipped), unless that node is an open end.  The rotation into a
+    chord frame is written out as the package writes it, so that ties at
+    a node, which rounding in y decides, break the same way.
+    """
+    pts = np.asarray(samples, dtype=float)
+    n = len(pts)
+    chords = region.chords
+    best = np.full(n, -np.inf)
+    out = np.full((6, n), np.nan)   # chord, x, y, margin lower, upper, score
+    out[0] = -1
+
+    def measure(k, rows, clip_only):
+        ch = chords[k]
+        c = ch.frame.half_length
+        co, si = math.cos(ch.frame.direction), math.sin(ch.frame.direction)
+        dx = pts[rows, 0] - ch.frame.origin[0]
+        dy = pts[rows, 1] - ch.frame.origin[1]
+        x, y = dx * co + dy * si, dy * co - dx * si
+        if not clip_only:
+            inside = np.abs(x) <= c * (1.0 + SPAN_SLACK)
+            rows, x, y = rows[inside], x[inside], y[inside]
+        x = np.clip(x, -c, c)
+        lower, upper = curve_eval(ch.lower, x), curve_eval(ch.upper, x)
+        score = np.minimum(y - lower, upper - y)
+        better = score > best[rows]
+        rows = rows[better]
+        best[rows] = score[better]
+        out[0, rows] = ch.index
+        out[1:, rows] = (x[better], y[better], (y - lower)[better],
+                         (upper - y)[better], score[better])
+
+    everyone = np.arange(n)
+    for k in range(len(chords)):
+        measure(k, everyone, clip_only=False)
+    nodes = [chord_start(ch.frame) for ch in chords]
+    if not region.closed:
+        nodes.append(chord_end(chords[-1].frame))
+    nodes = np.array(nodes)
+    m = len(chords)
+    for i in np.flatnonzero(out[0] < 0):
+        node = int(np.argmin(np.hypot(*(nodes - pts[i]).T)))
+        if region.closed or 0 < node < m:
+            for k in sorted({(node - 1) % m, node % m}):
+                measure(k, np.array([i]), clip_only=True)
+    return out[0].astype(int), out[1], out[2], out[3], out[4]
 
 
 @pytest.fixture(scope="session")

@@ -165,6 +165,16 @@ def test_check_tol_flag_loosens(capsys, sparse_profile, sparse_samples):
     assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_bad_tol_exits_3(capsys, tol):
+    golden = Path(__file__).parent / "golden"
+    code, out, err = run(capsys, "check", str(golden / "spiral-inc.json"),
+                         str(golden / "spiral-inc.fail.txt"), "--tol", tol)
+    assert code == 3
+    assert out == ""
+    assert "got %r" % float(tol) in err
+
+
 def test_check_curvature_plot(capsys, tmp_path, sparse_profile,
                               sparse_samples):
     plot = tmp_path / "q.txt"

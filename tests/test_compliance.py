@@ -6,20 +6,24 @@ ill-set dataset provides the honest failure case.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from spiralbounds import compliance
 from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.compliance import check_containment
-from spiralbounds.errors import EmptySamplesError, InputError
+from spiralbounds.errors import DataError, EmptySamplesError, InputError
 from spiralbounds.geometry import curve_eval
 from spiralbounds.regions import build_region, simple_region
 from spiralbounds.splinefit import cubic_spline_fixture
 
-from logspiral import spiral_dataset
-from conftest import sparse_dataset
+from logspiral import LogSpiral, spiral_dataset
+from conftest import reference_containment, sparse_dataset
 
 
 def test_nodes_assign_to_chord_ends(circle_analysis, circle_data):
@@ -159,3 +163,190 @@ def test_unassigned_samples_do_not_fail(circle_analysis):
     assert rep.passed
     assert rep.unassigned_count == 2
     assert math.isinf(rep.worst_margin)
+
+
+# ---------------------------------------------------------------------------
+# Node wedges: only samples beyond the open ends stay unassigned
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("push", [0.001, 0.01, 0.1, 1.0])
+@pytest.mark.parametrize("grade", ["simple", "auto"])
+def test_node_wedge_sample_fails(circle_analysis, circle_data, push, grade):
+    # node 11 of the circle data pushed outward projects past the ends of
+    # both chords meeting there; it is measured at the node, margin -|y|
+    node = circle_data.points[10]
+    centre = np.array([0.0, 10.0])
+    pt = node + push * (node - centre) / 10.0
+    reg = build_region(circle_analysis, grade)
+    rep = check_containment(reg, pt[None, :])
+    assert rep.unassigned_count == 0
+    assert rep.chord_index[0] in (10, 11)
+    c = reg.chords[rep.chord_index[0] - 1].frame.half_length
+    assert abs(rep.x_local[0]) == c
+    assert not rep.passed
+    npt.assert_allclose(rep.worst_margin, -abs(rep.y_local[0]), atol=1e-12)
+    assert rep.worst_margin < -0.99 * push
+
+
+def test_far_sample_nearest_an_interior_node_fails(circle_analysis):
+    # (5, -3) is 3.9 outside the circle, nearest to node 8, in no span
+    rep = check_containment(simple_region(circle_analysis),
+                            np.array([[5.0, -3.0]]))
+    assert rep.unassigned_count == 0
+    assert not rep.passed
+    assert rep.worst_margin < -3.0
+
+
+def test_closed_data_leaves_no_sample_unassigned():
+    t = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
+    pts = np.column_stack([2.0 * np.cos(t), np.sin(t)])
+    reg = build_region(analyze(SplineInput(pts, closed=True)))
+    phi = np.linspace(0.0, 2 * math.pi, 37)
+    far = 20.0 * np.column_stack([np.cos(phi), np.sin(phi)])
+    rep = check_containment(reg, np.vstack([far, 1.05 * pts]))
+    assert rep.unassigned_count == 0
+    assert rep.violations.size == len(far) + len(pts)
+
+
+# ---------------------------------------------------------------------------
+# Tolerance
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_bad_tolerance_rejected_and_named(circle_analysis, tol):
+    reg = simple_region(circle_analysis)
+    with pytest.raises(InputError, match=r"got %s$" % repr(tol)):
+        check_containment(reg, np.zeros((1, 2)), tol=tol)
+
+
+def test_zero_tolerance_accepted(circle_analysis):
+    rep = check_containment(simple_region(circle_analysis),
+                            np.zeros((1, 2)), tol=0.0)
+    assert rep.tol == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The grid index gives the brute-force result
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_reference(region, samples):
+    rep = check_containment(region, samples)
+    ref = reference_containment(region, samples)
+    npt.assert_array_equal(rep.chord_index, ref[0])
+    atol = 1e-12 * max(ch.frame.half_length for ch in region.chords)
+    for got, want in zip((rep.x_local, rep.y_local, rep.margin_lower,
+                          rep.margin_upper), ref[1:]):
+        npt.assert_allclose(got, want, rtol=0.0, atol=atol)
+    return rep
+
+
+def _outside_probes(region, rng, count):
+    """Points just above the upper or below the lower boundary."""
+    probes = []
+    for k in rng.integers(0, len(region.chords), count):
+        ch = region.chords[k]
+        c = ch.frame.half_length
+        x = rng.uniform(-c, c)
+        if rng.random() < 0.5:
+            y = curve_eval(ch.upper, x) + 1e-3 * c
+        else:
+            y = curve_eval(ch.lower, x) - 1e-3 * c
+        probes.append(ch.frame.to_global(np.array([x, y])))
+    return np.array(probes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed=st.booleans(), n=st.integers(5, 30),
+       stretch=st.sampled_from([1.0, 20.0]), long_at=st.floats(0.0, 1.0),
+       growth=st.floats(0.08, 0.4), increasing=st.booleans(),
+       mirrored=st.booleans(), step=st.floats(0.02, 0.05),
+       chunk=st.sampled_from([9, 40, 300, 1 << 16]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_index_matches_brute_force(closed, n, stretch, long_at, growth,
+                                   increasing, mirrored, step, chunk, seed):
+    # one chord `stretch` times longer than the rest sets the cell side;
+    # small chunks send every path through many blocks
+    rng = np.random.default_rng(seed)
+    gaps = np.ones(n if closed else n - 1)
+    gaps[int(long_at * (len(gaps) - 1))] = stretch
+    if closed:
+        t = 2 * math.pi * np.concatenate([[0.0], np.cumsum(gaps)[:-1]]) \
+            / gaps.sum()
+        curve_t = rng.uniform(0.0, 2 * math.pi, 40)
+        pts = np.column_stack([1.5 * np.cos(t), np.sin(t)])
+        curve = np.column_stack([1.5 * np.cos(curve_t), np.sin(curve_t)])
+        data = SplineInput(pts, closed=True)
+        size = 1.5
+    else:
+        spiral = LogSpiral(scale=2.0, growth=-growth if increasing
+                           else growth, center=(1.0, -2.0))
+        theta = np.concatenate([[0.0], np.cumsum(step * gaps)])
+        pts = spiral.point(theta)
+        curve = spiral.point(rng.uniform(0.0, theta[-1], 40))
+        tau = spiral.tangent_angle(theta[[0, -1]])
+        if mirrored:
+            pts, curve, tau = pts * [1, -1], curve * [1, -1], -tau
+        data = SplineInput(pts, float(tau[0]), float(tau[1]))
+        size = np.ptp(pts, axis=0).max()
+    try:
+        region = build_region(analyze(data))
+    except DataError:
+        assume(False)
+    phi = rng.uniform(0.0, 2 * math.pi, 8)
+    far = pts.mean(axis=0) + 10.0 * size * np.column_stack(
+        [np.cos(phi), np.sin(phi)])
+    c = np.array([ch.frame.half_length for ch in region.chords])
+    nudged = pts + rng.normal(size=pts.shape) * 0.2 * c.min()
+    samples = np.vstack([curve, pts, nudged, far,
+                         _outside_probes(region, rng, 20)])
+    with mock.patch.object(compliance, "CHUNK", chunk):
+        _assert_matches_reference(region, samples)
+
+
+def test_index_matches_brute_force_on_2000_chords():
+    # a seeded open spiral of 2000 chords: its spline samples take the
+    # grid path, the node-wedge and far probes the broadcast path
+    rng = np.random.default_rng(7)
+    spiral = LogSpiral(scale=50.0, growth=-0.05)
+    theta = np.cumsum(np.concatenate(
+        [[0.0], 0.003 * rng.uniform(0.8, 1.2, 2000)]))
+    pts = spiral.point(theta)
+    tau = spiral.tangent_angle(theta[[0, -1]])
+    data = SplineInput(pts, float(tau[0]), float(tau[1]))
+    region = build_region(analyze(data))
+    spline = cubic_spline_fixture(data, 16)
+    # nodes pushed outward by 0.05 (a third of a chord) land in the
+    # wedges; pushes of up to 12 chords in or out span far chords
+    radial = (pts - spiral.center) / spiral.radius(theta)[:, None]
+    out = pts[1:-1:7] + 0.05 * radial[1:-1:7]
+    push = rng.uniform(-12.0, 12.0, 400) * 0.15
+    k = rng.integers(0, len(pts), 400)
+    shifted = pts[k] + push[:, None] * radial[k]
+    phi = rng.uniform(0.0, 2 * math.pi, 50)
+    far = 1000.0 * np.column_stack([np.cos(phi), np.sin(phi)])
+    samples = np.vstack([spline, out, shifted, far])
+    assert len(samples) * len(region.chords) > compliance.CHUNK
+    rep = _assert_matches_reference(region, samples)
+    wedge = rep.chord_index[len(spline):len(spline) + len(out)]
+    assert np.all(wedge > 0)
+
+
+def test_index_finds_the_better_chord_of_another_turn():
+    # between the turns of a three-turn spiral a sample spans a chord of
+    # each turn; the nearer one can lie outside its 3x3 cells while the
+    # farther one lies inside, so the nearby score alone is not final
+    spiral = LogSpiral(scale=10.0, growth=-0.026)
+    theta = np.arange(0.0, 6 * math.pi, 0.05)
+    tau = spiral.tangent_angle(theta[[0, -1]])
+    region = build_region(analyze(SplineInput(spiral.point(theta),
+                                              float(tau[0]), float(tau[1]))))
+    rng = np.random.default_rng(3)
+    th = rng.uniform(2 * math.pi, 4 * math.pi, 3000)
+    share = rng.uniform(0.0, 1.0, 3000)
+    r = (1 - share) * spiral.radius(th) + share * spiral.radius(th + 2 * math.pi)
+    samples = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    assert len(samples) * len(region.chords) > compliance.CHUNK
+    _assert_matches_reference(region, samples)
