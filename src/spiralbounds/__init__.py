@@ -19,7 +19,7 @@ from .experiments import (RoundingExperiment, circle_dataset,
                           rounded_circle_dataset, rounding_experiment)
 from .geometry import (Arc, Biarc, ChordFrame, arc_eval, biarc_eval,
                        biarc_from_a, biarc_from_b, biarc_from_p, curve_eval,
-                       mirror_curve, wrap_angle)
+                       wrap_angle)
 from .regions import (CurvatureRanges, NarrowedAngles, Region, RegionChord,
                       build_region, curvature_ranges, narrowed_angle_ranges,
                       narrowed_region, simple_region, vertex_region)
@@ -41,7 +41,7 @@ __all__ = [
     "rounding_experiment",
     "Arc", "Biarc", "ChordFrame", "arc_eval", "biarc_eval",
     "biarc_from_a", "biarc_from_b", "biarc_from_p", "curve_eval",
-    "mirror_curve", "wrap_angle",
+    "wrap_angle",
     "CurvatureRanges", "NarrowedAngles", "Region", "RegionChord",
     "build_region", "curvature_ranges", "narrowed_angle_ranges",
     "narrowed_region", "simple_region", "vertex_region",

@@ -96,10 +96,11 @@ def cmd_analyze(args) -> int:
     data, overrides = load_profile(args.profile, args.degrees)
     analysis = analyze(data)
     region = build_region(analysis, args.grade, overrides)
-    print(report_json(region_report(analysis, region)))
+    # side output first: a failure there exits 3 with nothing on stdout
     if args.svg:
         render_svg(analysis, region, args.svg,
                    samples_per_chord=args.samples_per_chord)
+    print(report_json(region_report(analysis, region)))
     return 0
 
 
@@ -109,9 +110,9 @@ def cmd_check(args) -> int:
     analysis = analyze(data)
     region = build_region(analysis, args.grade, overrides)
     report = check_containment(region, samples, tol=args.tol)
-    print(report_json(compliance_report_dict(report)))
     if args.curvature_plot:
         save_columns(args.curvature_plot, discrete_curvature_plot(samples))
+    print(report_json(compliance_report_dict(report)))
     return 0 if report.passed else 1
 
 

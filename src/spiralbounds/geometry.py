@@ -46,12 +46,18 @@ Equal sines of both pieces at the join place it at
 p = 0 degenerates to the single arc A(x; c, -beta), p = inf to
 A(x; c, alpha), and omega = 0 collapses the family to A(x; c, alpha)
 for every p.
+
+family(c, alpha, beta, p) builds members for arrays of chords at once;
+the biarc_from_* factories check and wrap it.  One rule gives p from a
+start curvature.  Traversed backwards (turned by pi), a chord swaps
+alpha and beta and its member has start curvature -b and parameter 1/p,
+so the end rule is the start rule on (beta, alpha, -b), with p -> 1/p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +123,7 @@ class Biarc:
 
     alpha, beta are the boundary tangent angles, a and b the (finite)
     boundary curvatures, p the family parameter, join the point where the
-    pieces meet.  Instances are built by the biarc_from_* factories, which
+    pieces meet.  family() holds many as arrays; the biarc_from_* factories
     return a plain Arc whenever the requested member degenerates.
     """
 
@@ -199,12 +205,73 @@ def curve_eval(curve, x):
 arc_eval = biarc_eval = curve_eval
 
 
-def _check_biarc_args(c, alpha, beta):
-    if not c > 0.0:
-        raise DomainError("biarc needs a positive half-chord, got %r" % (c,))
-    for name, ang in (("alpha", alpha), ("beta", beta)):
-        if abs(ang) > 0.5 * math.pi + ANGLE_SLACK:
-            raise DomainError("biarc boundary angle %s=%g exceeds pi/2" % (name, ang))
+def family(c, alpha, beta, p):
+    """Members of the biarc family, one per element of the broadcast inputs:
+    a Biarc whose fields are arrays, and the mask of the degenerate members,
+    each held as its arc's two pieces.  Inputs are unchecked."""
+    c, alpha, beta, p = np.broadcast_arrays(c, alpha, beta, p)
+    flat = np.abs(0.5 * (alpha + beta)) < DEGENERATE_TOL
+    arc = flat | (p == 0.0) | np.isinf(p)
+    # an arc A(x; c, phi) is the member with omega = 0, joined at p = 1
+    phi = np.where(~flat & (p == 0.0), -beta, alpha)
+    alpha, beta = np.where(arc, phi, alpha), np.where(arc, -phi, beta)
+    q = np.where(arc, 1.0, p)
+    so = np.sin(0.5 * (alpha + beta))
+    a = -(np.sin(alpha) + so / q) / c
+    b = (np.sin(beta) + q * so) / c
+    # x_j of the module docstring, numerator and denominator divided by p
+    xj = c * (q - 1.0 / q) / (q + 1.0 / q + 2.0 * np.cos(0.5 * (alpha - beta)))
+    yj = height(family_pieces(Biarc(c, alpha, beta, a, b, p, (xj, None))), xj)
+    return Biarc(c, alpha, beta, a, b, p, (xj, yj)), arc
+
+
+def family_pieces(members):
+    """pieces() of family() members, as columns of the same shape."""
+    return (members.c, members.join[0],
+            np.sin(members.alpha), np.cos(members.alpha), members.a,
+            np.sin(members.beta), np.cos(members.beta), members.b)
+
+
+def curves(members, arc):
+    """family() members as Arc and Biarc objects, in row order."""
+    rows = zip(*(np.ravel(v).tolist() for v in (
+        members.c, members.alpha, members.beta, members.a, members.b,
+        members.p, *members.join, arc)))
+    return [Arc(c, alpha) if degenerate
+            else Biarc(c, alpha, beta, a, b, p, (xj, yj))
+            for c, alpha, beta, a, b, p, xj, yj, degenerate in rows]
+
+
+def start_parameter(c, alpha, beta, a):
+    """p of the member with start curvature a, per element; NaN where no
+    member has it.  a = -sign(omega) inf tags the p = 0 member."""
+    omega = 0.5 * (alpha + beta)
+    t = a * c + np.sin(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = -np.sin(omega) / t
+    p = np.where(np.minimum(abs(t), abs(omega)) < DEGENERATE_TOL, math.inf, p)
+    # an infinite a of the wrong sign gives p = -0.0
+    return np.where(np.signbit(p), math.nan, p)
+
+
+def end_parameter(c, alpha, beta, b):
+    """p of the member with end curvature b: the start rule, reversed."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / start_parameter(c, beta, alpha, -b)
+
+
+def _member(c, alpha, beta, p, request=None):
+    """One checked member; a NaN p means no member has `request`."""
+    lim = 0.5 * math.pi + ANGLE_SLACK   # written so that NaN fails it
+    if not (c > 0.0 and abs(alpha) <= lim and abs(beta) <= lim):
+        raise DomainError("biarc needs c > 0 and |alpha|, |beta| <= pi/2, "
+                          "got c=%r, alpha=%r, beta=%r" % (c, alpha, beta))
+    if request and math.isnan(p):
+        raise InfeasibleCurvatureError("no biarc with %s for alpha=%g, beta=%g"
+                                       % (request, alpha, beta))
+    if math.isnan(p) or p < 0.0:
+        raise DomainError("family parameter must lie in [0, inf], got %r" % (p,))
+    return curves(*family(c, alpha, beta, p))[0]
 
 
 def biarc_from_p(c, alpha, beta, p):
@@ -214,80 +281,17 @@ def biarc_from_p(c, alpha, beta, p):
     p = inf gives A(x; c, alpha), and omega = 0 gives A(x; c, alpha)
     whatever p is.
     """
-    _check_biarc_args(c, alpha, beta)
-    if math.isnan(p) or p < 0.0:
-        raise DomainError("family parameter must lie in [0, inf], got %r" % (p,))
-    omega = 0.5 * (alpha + beta)
-    if abs(omega) < DEGENERATE_TOL:
-        return Arc(c, alpha)
-    if p == 0.0:
-        return Arc(c, -beta)
-    if math.isinf(p):
-        return Arc(c, alpha)
-    so = math.sin(omega)
-    a = -(math.sin(alpha) + so / p) / c
-    b = (math.sin(beta) + p * so) / c
-    # x_j of the module docstring, numerator and denominator divided by p
-    xj = c * (p - 1.0 / p) / (p + 1.0 / p
-                              + 2.0 * math.cos(0.5 * (alpha - beta)))
-    spec = Biarc(c=c, alpha=alpha, beta=beta, a=a, b=b, p=p, join=(xj, 0.0))
-    return replace(spec, join=(xj, curve_eval(spec, xj)))
+    return _member(c, alpha, beta, p)
 
 
 def biarc_from_a(c, alpha, beta, a):
-    """Biarc with prescribed start curvature a (math.inf allowed as a tag).
-
-    a = -inf (for alpha + beta > 0; +inf for the mirrored case) selects the
-    p = 0 member; a = -sin(alpha)/c makes the first piece fill the whole
-    chord, the p = inf member.
-    """
-    _check_biarc_args(c, alpha, beta)
-    omega = 0.5 * (alpha + beta)
-    if abs(omega) < DEGENERATE_TOL:
-        return Arc(c, alpha)
-    if math.isinf(a):
-        if (omega > 0.0) == (a < 0.0):
-            return Arc(c, -beta)
-        raise InfeasibleCurvatureError(
-            "start curvature %r incompatible with alpha+beta=%g" % (a, 2 * omega))
-    t = a * c + math.sin(alpha)
-    if abs(t) < DEGENERATE_TOL:
-        return Arc(c, alpha)
-    p = -math.sin(omega) / t
-    if p < 0.0:
-        raise InfeasibleCurvatureError(
-            "no biarc with start curvature a=%g for alpha=%g, beta=%g "
-            "(needs a*c <= -sin(alpha) when alpha+beta > 0)" % (a, alpha, beta))
-    return biarc_from_p(c, alpha, beta, p)
+    """Biarc with prescribed start curvature a; a = -sign(alpha + beta) inf
+    selects the p = 0 member, a = -sin(alpha)/c the p = inf member."""
+    return _member(c, alpha, beta, float(start_parameter(c, alpha, beta, a)),
+                   "start curvature a=%g (needs a*c <= -sin(alpha))" % a)
 
 
 def biarc_from_b(c, alpha, beta, b):
     """Biarc with prescribed end curvature b (math.inf allowed as a tag)."""
-    _check_biarc_args(c, alpha, beta)
-    omega = 0.5 * (alpha + beta)
-    if abs(omega) < DEGENERATE_TOL:
-        return Arc(c, alpha)
-    if math.isinf(b):
-        if (omega > 0.0) == (b > 0.0):
-            return Arc(c, alpha)
-        raise InfeasibleCurvatureError(
-            "end curvature %r incompatible with alpha+beta=%g" % (b, 2 * omega))
-    t = b * c - math.sin(beta)
-    if abs(t) < DEGENERATE_TOL:
-        # A regular-looking request that is secretly the p = 0 member.
-        return Arc(c, -beta)
-    p = t / math.sin(omega)
-    if p < 0.0:
-        raise InfeasibleCurvatureError(
-            "no biarc with end curvature b=%g for alpha=%g, beta=%g "
-            "(needs b*c >= sin(beta) when alpha+beta > 0)" % (b, alpha, beta))
-    return biarc_from_p(c, alpha, beta, p)
-
-
-def mirror_curve(curve):
-    """Reflect a boundary curve across the chord (y -> -y)."""
-    if isinstance(curve, Arc):
-        return Arc(curve.c, -curve.phi)
-    return Biarc(c=curve.c, alpha=-curve.alpha, beta=-curve.beta,
-                 a=-curve.a, b=-curve.b, p=curve.p,
-                 join=(curve.join[0], -curve.join[1]))
+    return _member(c, alpha, beta, float(end_parameter(c, alpha, beta, b)),
+                   "end curvature b=%g (needs b*c >= sin(beta))" % b)

@@ -19,11 +19,16 @@ Lower/upper assignment never assumes a curvature sign: candidates are
 ordered by their height at mid-chord, which settles it because the arc
 family A(x; c, phi) is pointwise monotone in phi.  The narrowed tables
 are derived for increasing curvature; decreasing data is handled by
-mirroring across the chords (negating all angle data), running the
-increasing construction and mirroring the resulting curves back, which
-swaps their roles.  Reversing the point order would not do: reversal
-negates the curvature sequence AND walks it backwards, so it preserves
-the direction of monotonicity.
+mirroring across the chords (negating all angle data); geometry.family
+is odd in alpha and beta, so the boundaries are the members for the
+negated angles, lower and upper swapped.  Reversing the point order
+would not do: reversal negates the curvature sequence AND walks it
+backwards, so it preserves the direction of monotonicity.
+
+A narrowed lower boundary is the member with the start node's floor
+curvature, the upper one the member with the end node's ceiling.  Where
+no member has it (p is NaN) the boundary is the lens arc, p = 0 below
+and p = inf above, unless a user override caused it: an OverrideError.
 
 Widths: every grade's width is the exact largest gap between the two
 boundaries of a chord.  Along a circle piece the sine of the tangent
@@ -45,10 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Analysis, padded
-from .errors import (ClassificationError, DomainError,
-                     InfeasibleCurvatureError, OverrideError)
-from .geometry import (Arc, Biarc, ChordFrame, biarc_from_a, biarc_from_b,
-                       biarc_from_p, gap_maxima, mirror_curve, piece_table)
+from .errors import ClassificationError, DomainError, OverrideError
+from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, curves,
+                       end_parameter, family, family_pieces, gap_maxima,
+                       start_parameter)
 
 
 @dataclass(frozen=True)
@@ -118,38 +123,32 @@ def _require_spiral(analysis: Analysis, grade: str):
             "classifies as %s" % (grade, analysis.classification.kind))
 
 
-def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
-    """Assemble the region from per-chord boundaries and widths.
+def _require_graphs(*angles):
+    """Name the first chord with a boundary tangent angle past pi/2."""
+    steep = np.argwhere(np.abs(np.stack(angles, axis=1))
+                        > 0.5 * math.pi + ANGLE_SLACK)
+    if steep.size:
+        k, j = steep[0]
+        raise DomainError("chord %d: boundary tangent angle %g exceeds pi/2 "
+                          "(data too coarse)" % (k + 1, angles[j][k]))
 
-    The arc grades pass the angle phi of each boundary arc as a column.
-    """
+
+def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
+    """Assemble the region from per-chord boundary curves and widths."""
     chords = analysis.chords
     m = len(chords)
     q = analysis.nodes.q
     # small-angle width estimate c^2 |q_start - q_end| / 2
     estimates = 0.5 * chords.c ** 2 * np.abs(
         q[:m] - padded(q, chords.closed)[2:m + 2])
-    arcs = isinstance(lower, np.ndarray)
-    if arcs:
-        lower, upper = lower.tolist(), upper.tolist()
-    entries = []
     # (x, y) tuples straight from the columns: no list per chord for the GC
     origins = zip(*chords.mid.T.tolist())
-    for k, (c, mu, mid, lo, up, w, est) in enumerate(zip(
-            chords.c.tolist(), chords.mu.tolist(), origins,
-            lower, upper, widths.tolist(), estimates.tolist()), start=1):
-        if arcs:
-            try:
-                lo, up = Arc(c, lo), Arc(c, up)
-            except DomainError as exc:
-                # Only the vertex grade's substituted arcs can be too steep.
-                raise DomainError(
-                    "chord %d: %s (data too coarse around the vertex)"
-                    % (k, exc)) from exc
-        entries.append(RegionChord(
-            index=k, frame=ChordFrame(origin=mid, direction=mu,
-                                      half_length=c),
-            lower=lo, upper=up, width=w, width_estimate=est))
+    entries = [RegionChord(index=k, frame=ChordFrame(origin=mid, direction=mu,
+                                                     half_length=c),
+                           lower=lo, upper=up, width=w, width_estimate=est)
+               for k, (c, mu, mid, lo, up, w, est) in enumerate(zip(
+                   chords.c.tolist(), chords.mu.tolist(), origins, lower,
+                   upper, widths.tolist(), estimates.tolist()), start=1)]
     return Region(grade=grade, closed=chords.closed, chords=entries,
                   width=float(np.max(widths)))
 
@@ -162,7 +161,10 @@ def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:
     """
     lo, hi = np.minimum(phi_one, phi_two), np.maximum(phi_one, phi_two)
     widths = analysis.chords.c * np.abs(np.tan(0.5 * hi) - np.tan(0.5 * lo))
-    return _finish(grade, analysis, lo, hi, widths)
+    _require_graphs(lo, hi)   # only the vertex grade's substitutes can fail
+    c = analysis.chords.c.tolist()
+    return _finish(grade, analysis, list(map(Arc, c, lo.tolist())),
+                   list(map(Arc, c, hi.tolist())), widths)
 
 
 def simple_region(analysis: Analysis) -> Region:
@@ -290,12 +292,8 @@ def _node_bounds(analysis: Analysis, table: NarrowedAngles, overrides):
         if table.mirrored:   # negated curvatures: floor and ceiling swap
             lo, hi = -hi, -lo
         i = idx - 1
-        if lo > lower[i]:
-            lower[i] = lo
-            lo_over[i] = True
-        if hi < upper[i]:
-            upper[i] = hi
-            hi_over[i] = True
+        lo_over[i], hi_over[i] = lo > lower[i], hi < upper[i]
+        lower[i], upper[i] = max(lower[i], lo), min(upper[i], hi)
         if lower[i] > upper[i]:
             raise OverrideError(
                 "curvature override at node %d contradicts the computed "
@@ -315,28 +313,27 @@ def curvature_ranges(analysis: Analysis, overrides=None) -> CurvatureRanges:
                            upper_overridden=ranges.lower_overridden)
 
 
-def _lower_biarc(c, alpha, beta, a, tainted, index):
-    try:
-        return biarc_from_a(c, alpha, beta, a)
-    except InfeasibleCurvatureError as exc:
-        if tainted:
-            raise OverrideError(
-                "chord %d: curvature override makes the lower boundary "
-                "infeasible (%s)" % (index, exc)) from exc
-        # Numerical slack pushed p below 0; fall back to the lens arc,
-        # which is a valid (just wider) lower bound.
-        return biarc_from_p(c, alpha, beta, 0.0)
-
-
-def _upper_biarc(c, alpha, beta, b, tainted, index):
-    try:
-        return biarc_from_b(c, alpha, beta, b)
-    except InfeasibleCurvatureError as exc:
-        if tainted:
-            raise OverrideError(
-                "chord %d: curvature override makes the upper boundary "
-                "infeasible (%s)" % (index, exc)) from exc
-        return biarc_from_p(c, alpha, beta, math.inf)
+def _boundaries(c, lower, upper, mirrored):
+    """Both boundary curves of every chord and the chord widths.  `lower`
+    holds alpha, beta, the start curvature and its override flag per
+    chord (increasing orientation), `upper` the end curvature."""
+    _require_graphs(*lower[:2], *upper[:2])
+    p_lo, p_up = start_parameter(c, *lower[:3]), end_parameter(c, *upper[:3])
+    bad_lo = np.isnan(p_lo) & lower[3]
+    tainted = np.flatnonzero(bad_lo | np.isnan(p_up) & upper[3])
+    if tainted.size:
+        k = tainted[0]
+        raise OverrideError(
+            "chord %d: curvature override makes the %s boundary infeasible"
+            % (k + 1, "lower" if bad_lo[k] else "upper"))
+    sides = [(*lower[:2], np.where(np.isnan(p_lo), 0.0, p_lo)),
+             (*upper[:2], np.where(np.isnan(p_up), math.inf, p_up))]
+    if mirrored:   # family() is odd in alpha and beta: the sides swap
+        sides = [(-al, -be, p) for al, be, p in sides[::-1]]
+    (lo, lo_arc), (up, up_arc) = [family(*(v[:, None] for v in (c, al, be, p)))
+                                  for al, be, p in sides]
+    return (curves(lo, lo_arc), curves(up, up_arc),
+            gap_maxima(family_pieces(lo), family_pieces(up)))
 
 
 def narrowed_region(analysis: Analysis, overrides=None) -> Region:
@@ -345,28 +342,13 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
     ranges = _node_bounds(analysis, table, overrides)
     closed = analysis.data.closed
     m = len(analysis.chords)
-    # the upper boundary takes its curvature bound from the chord's end node
-    upper_end = padded(ranges.upper, closed)[2:m + 2]
-    upper_end_over = padded(ranges.upper_overridden, closed,
-                            (False, False))[2:m + 2]
-    lowers, uppers = [], []
-    for k, (c, a_lo, a_hi, b_lo, b_hi, a, a_over, b, b_over) in enumerate(zip(
-            analysis.chords.c.tolist(), table.alpha_lo.tolist(),
-            table.alpha_hi.tolist(), table.beta_lo.tolist(),
-            table.beta_hi.tolist(), ranges.lower.tolist(),
-            ranges.lower_overridden.tolist(), upper_end.tolist(),
-            upper_end_over.tolist()), start=1):
-        try:
-            lower = _lower_biarc(c, a_lo, b_hi, a, a_over, k)
-            upper = _upper_biarc(c, a_hi, b_lo, b, b_over, k)
-        except DomainError as exc:
-            raise DomainError("chord %d: %s" % (k, exc)) from exc
-        if table.mirrored:
-            lower, upper = mirror_curve(upper), mirror_curve(lower)
-        lowers.append(lower)
-        uppers.append(upper)
-    return _finish("narrowed", analysis, lowers, uppers,
-                   gap_maxima(piece_table(lowers), piece_table(uppers)))
+    return _finish("narrowed", analysis, *_boundaries(
+        analysis.chords.c,
+        (table.alpha_lo, table.beta_hi, ranges.lower[:m],
+         ranges.lower_overridden[:m]),
+        (table.alpha_hi, table.beta_lo, padded(ranges.upper, closed)[2:m + 2],
+         padded(ranges.upper_overridden, closed, (False, False))[2:m + 2]),
+        table.mirrored))
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

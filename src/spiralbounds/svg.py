@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .analysis import Analysis
+from .errors import InputError
 from .geometry import height, piece_table
 from .regions import Region
 
@@ -66,7 +67,9 @@ def _polylines(region: Region, samples_per_chord: int) -> dict:
 def render_svg(analysis: Analysis, region: Region, path,
                samples_per_chord: int = 64, size: int = 800):
     """Write the region, data points, tangents and width labels to `path`."""
-    curves = _polylines(region, max(int(samples_per_chord), 2))
+    if samples_per_chord < 2:
+        raise InputError("need at least 2 samples per chord")
+    curves = _polylines(region, int(samples_per_chord))
 
     pts = analysis.data.points
     tangents = []

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from spiralbounds import SplineInput, analyze
+from spiralbounds.analysis import padded
 from spiralbounds.compliance import SPAN_SLACK
+from spiralbounds.errors import InfeasibleCurvatureError, OverrideError
 from spiralbounds.experiments import circle_dataset
-from spiralbounds.geometry import curve_eval
+from spiralbounds.geometry import (Arc, Biarc, biarc_from_a, biarc_from_b,
+                                   biarc_from_p, curve_eval, gap_maxima,
+                                   piece_table)
+from spiralbounds.regions import _node_bounds, narrowed_angle_ranges
 
 from logspiral import LogSpiral
 
@@ -34,6 +39,63 @@ def chord_start(frame):
 def chord_end(frame):
     """Global position of a ChordFrame's chord end, (c, 0) locally."""
     return frame.to_global(np.array([frame.half_length, 0.0]))
+
+
+def mirror_curve(curve):
+    """Reflect a boundary curve across the chord (y -> -y)."""
+    if isinstance(curve, Arc):
+        return Arc(curve.c, -curve.phi)
+    return Biarc(c=curve.c, alpha=-curve.alpha, beta=-curve.beta,
+                 a=-curve.a, b=-curve.b, p=curve.p,
+                 join=(curve.join[0], -curve.join[1]))
+
+
+def _reference_side(factory, c, alpha, beta, curvature, tainted, index,
+                    side, fallback):
+    try:
+        return factory(c, alpha, beta, curvature)
+    except InfeasibleCurvatureError as exc:
+        if tainted:
+            raise OverrideError(
+                "chord %d: curvature override makes the %s boundary "
+                "infeasible" % (index, side)) from exc
+        return biarc_from_p(c, alpha, beta, fallback)
+
+
+def reference_narrowed(analysis, overrides=None):
+    """The narrowed boundaries built one chord at a time.
+
+    Returns (lowers, uppers, widths).  Per chord the lower boundary is
+    the member with the start node's curvature floor, the upper one the
+    member with the end node's ceiling, both in the increasing
+    orientation; an infeasible member is an OverrideError if an override
+    tainted it and the lens arc otherwise.  Decreasing data is built
+    mirrored and each curve reflected back, which swaps the sides.
+    """
+    table = narrowed_angle_ranges(analysis)
+    ranges = _node_bounds(analysis, table, overrides)
+    closed = analysis.data.closed
+    m = len(analysis.chords)
+    upper_end = padded(ranges.upper, closed)[2:m + 2]
+    upper_end_over = padded(ranges.upper_overridden, closed,
+                            (False, False))[2:m + 2]
+    lowers, uppers = [], []
+    for k, (c, a_lo, a_hi, b_lo, b_hi, a, a_over, b, b_over) in enumerate(zip(
+            analysis.chords.c.tolist(), table.alpha_lo.tolist(),
+            table.alpha_hi.tolist(), table.beta_lo.tolist(),
+            table.beta_hi.tolist(), ranges.lower.tolist(),
+            ranges.lower_overridden.tolist(), upper_end.tolist(),
+            upper_end_over.tolist()), start=1):
+        lower = _reference_side(biarc_from_a, c, a_lo, b_hi, a, a_over, k,
+                                "lower", 0.0)
+        upper = _reference_side(biarc_from_b, c, a_hi, b_lo, b, b_over, k,
+                                "upper", math.inf)
+        if table.mirrored:
+            lower, upper = mirror_curve(upper), mirror_curve(lower)
+        lowers.append(lower)
+        uppers.append(upper)
+    return (lowers, uppers,
+            gap_maxima(piece_table(lowers), piece_table(uppers)))
 
 
 def reference_containment(region, samples):

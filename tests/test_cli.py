@@ -84,6 +84,27 @@ def test_analyze_svg_flag(capsys, tmp_path, circle_profile):
     assert "<svg " in text
 
 
+def test_analyze_unwritable_svg_exits_3_without_report(capsys, tmp_path,
+                                                      circle_profile):
+    svg = tmp_path / "no-such-dir" / "region.svg"
+    code, out, err = run(capsys, "analyze", circle_profile, "--svg", str(svg))
+    assert code == 3
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-5"])
+def test_analyze_svg_too_few_samples_per_chord_exits_3(capsys, tmp_path,
+                                                       circle_profile, k):
+    svg = tmp_path / "region.svg"
+    code, out, err = run(capsys, "analyze", circle_profile, "--svg", str(svg),
+                         "--samples-per-chord", k)
+    assert code == 3
+    assert out == ""
+    assert "samples per chord" in err
+    assert not svg.exists()
+
+
 def test_analyze_degrees_flag(capsys, tmp_path, _circle):
     prof = {"version": 1,
             "points": [[float(x), float(y)] for x, y in _circle.points],
@@ -183,6 +204,22 @@ def test_check_curvature_plot(capsys, tmp_path, sparse_profile,
     data = np.loadtxt(str(plot))
     assert data.shape[1] == 2
     assert data.shape[0] > 100
+
+
+def test_check_curvature_plot_error_exits_3_without_report(
+        capsys, tmp_path, circle_profile):
+    # samples inside the region, but one point repeats: the verdict would
+    # be a pass, and the plot of the samples' curvature cannot be made
+    t = np.linspace(0.0, math.radians(60.0), 300)
+    pts = np.column_stack([10 * np.sin(t), 10 * (1 - np.cos(t))])
+    samples = tmp_path / "repeat.txt"
+    np.savetxt(str(samples), np.vstack([pts[:100], pts[99:]]))
+    plot = tmp_path / "q.txt"
+    code, out, err = run(capsys, "check", circle_profile, str(samples),
+                         "--curvature-plot", str(plot))
+    assert code == 3
+    assert out == ""
+    assert "repeated consecutive samples" in err
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,15 @@ from spiralbounds.geometry import (
     biarc_from_b,
     biarc_from_p,
     curve_eval,
-    mirror_curve,
+    curves,
+    end_parameter,
+    family,
+    start_parameter,
     wrap_angle,
 )
 
-from conftest import arc_curvature, chord_end, chord_start, tangency_residual
+from conftest import (arc_curvature, chord_end, chord_start, mirror_curve,
+                      tangency_residual)
 
 # ---------------------------------------------------------------------------
 # wrap_angle
@@ -254,6 +258,14 @@ def test_biarc_limit_continuity_small_p():
     assert dev9 < 1e-8
 
 
+@pytest.mark.parametrize("args", [(1.0, math.nan, 0.1), (1.0, 0.5, math.nan),
+                                  (math.nan, 0.5, 0.1)])
+@pytest.mark.parametrize("factory", [biarc_from_p, biarc_from_a, biarc_from_b])
+def test_biarc_rejects_nan_arguments(args, factory):
+    with pytest.raises(DomainError):
+        factory(*args, 1.0)
+
+
 def test_biarc_rejects_negative_p():
     with pytest.raises(DomainError):
         biarc_from_p(p=-0.5, **CASE)
@@ -370,3 +382,61 @@ def test_biarc_endpoint_property(c, alpha, beta, p):
     bi = biarc_from_p(c, alpha, beta, p)
     ends = np.abs(curve_eval(bi, np.array([-c, c])))
     assert np.max(ends) < 1e-10 * max(1.0, c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    c=st.floats(0.05, 20.0),
+    alpha=st.floats(-1.5, 1.5),
+    beta=st.floats(-1.5, 1.5),
+    b=st.floats(-50.0, 50.0),
+)
+def test_end_rule_is_the_start_rule_on_the_reversed_chord(c, alpha, beta, b):
+    # p = (b c - sin(beta)) / sin(omega) of the module docstring, against
+    # the start rule on (beta, alpha, -b) inverted: same feasibility, and
+    # p within two roundings
+    so = math.sin(0.5 * (alpha + beta))
+    t = b * c - math.sin(beta)
+    assume(abs(0.5 * (alpha + beta)) > 1e-9 and abs(t) > 1e-9)
+    direct = t / so
+    p = float(end_parameter(c, alpha, beta, b))
+    if direct < 0.0:
+        assert math.isnan(p)
+    else:
+        assert abs(p - direct) <= 4.5e-16 * direct
+        bi = biarc_from_p(c, alpha, beta, p)
+        if isinstance(bi, Biarc):
+            assert abs(bi.b - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def test_parameter_rules_tags_and_degenerates():
+    c, alpha, beta = CASE["c"], CASE["alpha"], CASE["beta"]   # omega > 0
+    assert start_parameter(c, alpha, beta, -math.inf) == 0.0
+    assert math.isnan(start_parameter(c, alpha, beta, math.inf))
+    assert end_parameter(c, alpha, beta, math.inf) == math.inf
+    assert math.isnan(end_parameter(c, alpha, beta, -math.inf))
+    # the first (last) piece filling the chord: p = inf (p = 0)
+    assert start_parameter(c, alpha, beta, -math.sin(alpha) / c) == math.inf
+    assert end_parameter(c, alpha, beta, math.sin(beta) / c) == 0.0
+    # omega = 0: every curvature names the one arc
+    assert start_parameter(c, 0.4, -0.4, 3.0) == math.inf
+    assert end_parameter(c, 0.4, -0.4, 3.0) == 0.0
+
+
+def test_family_columns_match_the_scalar_factory():
+    # one call over columns equals member-by-member calls, degenerate
+    # members (p = 0, p = inf, omega = 0) included
+    rng = np.random.default_rng(7)
+    n = 64
+    c = rng.uniform(0.1, 5.0, n)
+    alpha = rng.uniform(-1.4, 1.4, n)
+    beta = rng.uniform(-1.4, 1.4, n)
+    p = rng.uniform(0.01, 100.0, n)
+    p[::7], p[1::7] = 0.0, math.inf
+    beta[2::7] = -alpha[2::7]
+    members, arc = family(c[:, None], alpha[:, None], beta[:, None],
+                          p[:, None])
+    assert members.a.shape == (n, 1)
+    assert arc[::7].all() and arc[1::7].all() and arc[2::7].all()
+    got = curves(members, arc)
+    assert got == [biarc_from_p(*args) for args in zip(c, alpha, beta, p)]

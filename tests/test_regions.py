@@ -6,6 +6,7 @@ forms for lens width.  Override handling gets its own section: clamps,
 contradictions, and the conservative fallback for infeasible corners.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
 from spiralbounds.geometry import Arc, Biarc, curve_eval
 from spiralbounds.regions import (
+    _boundaries,
     build_region,
     curvature_ranges,
     narrowed_angle_ranges,
@@ -27,7 +29,7 @@ from spiralbounds.regions import (
 )
 
 from logspiral import LogSpiral, spiral_dataset
-from conftest import sparse_dataset
+from conftest import reference_narrowed, sparse_dataset
 
 
 def spiral_analysis(seed, **kw):
@@ -413,25 +415,34 @@ def test_override_contradiction_rejected():
         narrowed_region(an, overrides={2: {"a": 1e6}})
 
 
+def _corner(lower_tainted, upper_tainted):
+    """One chord whose boundary curvatures lie just past the feasible
+    limits, through the column rule of the narrowed region."""
+    def one(v):
+        return np.array([v])
+    return _boundaries(
+        one(1.0),
+        (one(0.5), one(0.1), one(-math.sin(0.5) + 1e-6), one(lower_tainted)),
+        (one(0.5), one(0.1), one(math.sin(0.1) - 1e-6), one(upper_tainted)),
+        mirrored=False)
+
+
 def test_infeasible_corner_fallback_is_conservative():
     # untainted infeasibility (ranges crossing by rounding) falls back to
     # the widest member rather than failing; exercised directly with a
     # start curvature just past the feasible limit
-    from spiralbounds.regions import _lower_biarc, _upper_biarc
-    lo = _lower_biarc(1.0, 0.5, 0.1, -math.sin(0.5) + 1e-6, False, 1)
+    [lo], [up], _ = _corner(False, False)
     assert isinstance(lo, Arc)
     npt.assert_allclose(lo.phi, -0.1, atol=1e-12)
-    up = _upper_biarc(1.0, 0.5, 0.1, math.sin(0.1) - 1e-6, False, 1)
     assert isinstance(up, Arc)
     npt.assert_allclose(up.phi, 0.5, atol=1e-12)
 
 
 def test_infeasible_corner_with_override_is_an_error():
-    from spiralbounds.regions import _lower_biarc, _upper_biarc
     with pytest.raises(OverrideError):
-        _lower_biarc(1.0, 0.5, 0.1, -math.sin(0.5) + 1e-6, True, 1)
+        _corner(True, False)
     with pytest.raises(OverrideError):
-        _upper_biarc(1.0, 0.5, 0.1, math.sin(0.1) - 1e-6, True, 1)
+        _corner(False, True)
 
 
 def test_overrides_on_decreasing_spiral():
@@ -526,3 +537,82 @@ def test_rolling_closed_data_rolls_every_result(n, axes, warp, phase, shift):
         bcls.kind, bcls.direction, reg.grade)
     assert set(rcls.vertices) == {((v - 1 - k) % n + 1, kind)
                                   for v, kind in bcls.vertices}
+
+
+# ---------------------------------------------------------------------------
+# Narrowed columns against the per-chord construction; symmetries
+# ---------------------------------------------------------------------------
+
+
+def _fields(curve):
+    return np.hstack(dataclasses.astuple(curve))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), increasing=st.booleans(),
+       n_nodes=st.integers(4, 25),
+       picks=st.lists(st.tuples(st.integers(0, 1000), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0),
+                                st.sampled_from(["a", "b", "ab"])),
+                      max_size=4))
+def test_narrowed_columns_match_the_per_chord_build(seed, increasing, n_nodes,
+                                                    picks):
+    # random overrides inside each node's computed range: the column build
+    # must give every chord the same boundary type, the same fields and
+    # the same width as the chord-by-chord loop, or the same error
+    pts, t0, t1, _ = spiral_dataset(np.random.default_rng(seed),
+                                    n_nodes=n_nodes, increasing=increasing)
+    an = analyze(SplineInput(pts, t0, t1))
+    assume(an.classification.kind == "spiral")
+    ranges = curvature_ranges(an)
+    overrides = {}
+    for node, u, v, sides in picks:
+        i = node % len(an.nodes)
+        lo, hi = ranges.lower[i], ranges.upper[i]
+        if np.isfinite(lo) and np.isfinite(hi):
+            a, b = sorted((lo + u * (hi - lo), lo + v * (hi - lo)))
+            overrides[i + 1] = {side: bound for side, bound in
+                                (("a", a), ("b", b)) if side in sides}
+    try:
+        lowers, uppers, widths = reference_narrowed(an, overrides)
+    except OverrideError as exc:
+        with pytest.raises(OverrideError) as got:
+            narrowed_region(an, overrides)
+        assert str(got.value) == str(exc)
+        return
+    region = narrowed_region(an, overrides)
+    assert len(region.chords) == len(lowers)
+    for ch, lower, upper, width in zip(region.chords, lowers, uppers, widths):
+        for got, want in ((ch.lower, lower), (ch.upper, upper)):
+            assert type(got) is type(want)
+            npt.assert_allclose(_fields(got), _fields(want), rtol=1e-12,
+                                atol=0.0)
+        assert ch.width == width
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), increasing=st.booleans(),
+       n_nodes=st.integers(4, 25), s=st.floats(1e-3, 1e3))
+def test_widths_keep_the_symmetries_of_the_data(seed, increasing, n_nodes, s):
+    # mirroring keeps every grade's chord widths, reversal reverses their
+    # order and scaling by s multiplies them by s
+    pts, t0, t1, _ = spiral_dataset(np.random.default_rng(seed),
+                                    n_nodes=n_nodes, increasing=increasing)
+
+    def widths(points, tau_start, tau_end):
+        an = analyze(SplineInput(points, tau_start, tau_end))
+        return {grade: np.array([ch.width
+                                 for ch in build_region(an, grade).chords])
+                for grade in ("simple", "vertex", "narrowed")}
+
+    try:
+        base = widths(pts, t0, t1)
+    except DataError:
+        assume(False)
+    mirrored = widths(pts * [1.0, -1.0], -t0, -t1)
+    reversed_ = widths(pts[::-1], t1 + math.pi, t0 + math.pi)
+    scaled = widths(s * pts, t0, t1)
+    for grade, w in base.items():
+        npt.assert_allclose(mirrored[grade], w, rtol=1e-9, atol=0.0)
+        npt.assert_allclose(reversed_[grade], w[::-1], rtol=1e-9, atol=0.0)
+        npt.assert_allclose(scaled[grade], s * w, rtol=1e-9, atol=0.0)
