@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="construct a region and report it")
     _add_profile_flags(p)
     p.add_argument("--svg", metavar="PATH", help="render the region as SVG")
-    p.add_argument("--samples-per-chord", type=int, default=64,
-                   help="boundary sampling density for SVG output")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="test curve samples for containment")
@@ -98,8 +96,7 @@ def cmd_analyze(args) -> int:
     region = build_region(analysis, args.grade, overrides)
     # side output first: a failure there exits 3 with nothing on stdout
     if args.svg:
-        render_svg(analysis, region, args.svg,
-                   samples_per_chord=args.samples_per_chord)
+        render_svg(analysis, region, args.svg)
     print(report_json(region_report(analysis, region)))
     return 0
 

@@ -14,10 +14,10 @@ uniform grid by their midpoints, with cell side
 
 where H_j is the largest |y| of chord j's lens: the largest gap between
 either boundary and the chord itself, found in closed form like the
-width (geometry.gap_maxima).  Each sample is first scored against the
-chords of the 3x3 cells around it.  A chord outside those cells has its
-midpoint at least h away, so if it spans the sample, |y| >= h -
-c_j (1 + SPAN_SLACK) and its score is at most
+width (regions.ChordColumns.lens_height).  Each sample is first scored
+against the chords of the 3x3 cells around it.  A chord outside those
+cells has its midpoint at least h away, so if it spans the sample,
+|y| >= h - c_j (1 + SPAN_SLACK) and its score is at most
 c_j (1 + SPAN_SLACK) + H_j - h <= -h/2.  A sample whose best nearby
 score is above -h/4 (the bound, with room for rounding) thus has its
 final answer.  The rest are far from the data or span no nearby
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamplesError, InputError
-from .geometry import gap_maxima, height, piece_table
-from .regions import Region
+from .geometry import height
+from .regions import ChordColumns, Region
 
 # Relative slack when deciding whether a projection falls on a chord.
 SPAN_SLACK = 1e-12
@@ -98,32 +98,14 @@ class ComplianceReport:
         return self.violations.size == 0
 
 
-class _Chords:
-    """The region's chords as columns, gathered once."""
+class _Chords(ChordColumns):
+    """The region's chords as columns, with the search around them."""
 
     def __init__(self, region: Region):
-        chords = region.chords
+        super().__init__(region)
         self.closed = region.closed
-        self.index = np.array([ch.index for ch in chords])
-        self.c = np.array([ch.frame.half_length for ch in chords])
+        self.index = np.array([ch.index for ch in region.chords])
         self.reach = self.c * (1.0 + SPAN_SLACK)
-        self.ox, self.oy = np.array([ch.frame.origin for ch in chords]).T
-        # the rotation of ChordFrame.axes
-        direction = [ch.frame.direction for ch in chords]
-        self.cos = np.array([math.cos(d) for d in direction])
-        self.sin = np.array([math.sin(d) for d in direction])
-        # pieces of the lower and upper boundary per chord, (8, m, 2)
-        self.table = piece_table([curve for ch in chords
-                                  for curve in (ch.lower, ch.upper)]
-                                 ).reshape(8, -1, 2)
-
-    def lens_height(self):
-        """Largest |y| of each chord's lens: the larger gap between a
-        boundary and the chord, a straight piece (sin 0, cos 1, k 0)."""
-        lower, upper = self.table[..., :1], self.table[..., 1:]
-        chord = np.zeros_like(lower)
-        chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
-        return np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
 
     def spans(self, pts, i, j):
         """Whether sample i projects onto chord j; i and j broadcast."""

@@ -109,10 +109,21 @@ def parse_profile(obj, degrees: bool = False):
     return data, overrides
 
 
+def _unique_keys(pairs):
+    """object_pairs_hook for profiles: json.load would keep the last of
+    two equal keys, such as a node named twice in curvature_overrides."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError("profile names the key %r more than once"
+                         % next(k for k in keys if keys.count(k) > 1))
+    return obj
+
+
 def load_profile(path, degrees: bool = False):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError("cannot read profile %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:

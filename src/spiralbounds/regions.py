@@ -53,7 +53,7 @@ from .analysis import Analysis, padded
 from .errors import ClassificationError, DomainError, OverrideError
 from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, curves,
                        end_parameter, family, family_pieces, gap_maxima,
-                       start_parameter)
+                       piece_table, start_parameter)
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,34 @@ class Region:
     closed: bool
     chords: list[RegionChord]
     width: float
+
+
+class ChordColumns:
+    """A region's chords as columns, gathered once.
+
+    c and the midpoints (ox, oy) per chord, the cos and sin of the chord
+    direction (the rotation of ChordFrame.axes) and `table`, the pieces()
+    of the lower and upper boundary of every chord, shaped (8, m, 2).
+    """
+
+    def __init__(self, region: Region):
+        chords = region.chords
+        self.c = np.array([ch.frame.half_length for ch in chords])
+        self.ox, self.oy = np.array([ch.frame.origin for ch in chords]).T
+        direction = [ch.frame.direction for ch in chords]
+        self.cos = np.array([math.cos(d) for d in direction])
+        self.sin = np.array([math.sin(d) for d in direction])
+        self.table = piece_table([curve for ch in chords
+                                  for curve in (ch.lower, ch.upper)]
+                                 ).reshape(8, -1, 2)
+
+    def lens_height(self):
+        """Largest |y| of each chord's lens: the larger gap between a
+        boundary and the chord, a straight piece (sin 0, cos 1, k 0)."""
+        lower, upper = self.table[..., :1], self.table[..., 1:]
+        chord = np.zeros_like(lower)
+        chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
+        return np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +220,12 @@ def vertex_region(analysis: Analysis) -> Region:
     arc continuing the previous chord's boundary tangent.  Symmetrically
     at an end-node vertex.  Data without vertices reproduces the simple
     region.
+
+    The region bounds the piecewise spirals whose curvature extrema lie
+    at the data's discrete vertex nodes.  A curve whose vertex is one
+    node off can leave it: of 130 tent profiles (curvature linear up to
+    a peak node, then down) whose discrete vertex missed the peak, 34
+    left the region by up to 2.3e-3 of the largest half-chord.
     """
     _require_admissible(analysis)
     closed = analysis.data.closed
@@ -218,16 +252,21 @@ def checked_overrides(overrides) -> dict:
     Takes {node: {'a': lo, 'b': hi}} or {node: (lo, hi)}, either bound
     None or left out, and returns {node: {'a': lo, 'b': hi}} with float
     bounds, leaving out nodes without any.  Raises OverrideError, naming
-    the node, for a key that is not a node index, a malformed entry, a
-    bound that is not a finite real number and an empty range a > b.
+    the node, for a key that is not a node index, two keys naming one
+    node (3 and "03"), a malformed entry, a bound that is not a finite
+    real number and an empty range a > b.
     """
     out = {}
+    seen = set()
     for key, spec in (overrides or {}).items():
         try:
             node = int(key)
         except (TypeError, ValueError):
             raise OverrideError("override key %r is not a node index"
                                 % (key,)) from None
+        if node in seen:
+            raise OverrideError("node %d has more than one override" % node)
+        seen.add(node)
         if isinstance(spec, dict) and not set(spec) - {"a", "b"}:
             spec = (spec.get("a"), spec.get("b"))
         elif not (isinstance(spec, tuple) and len(spec) == 2):

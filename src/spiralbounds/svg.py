@@ -3,9 +3,12 @@
 All geometry is written in model coordinates inside one group carrying
 the only transform in the file (translate + scale with a y flip, since
 SVG's y axis points down).  Per chord the file holds three paths: the
-chord itself and the sampled lower/upper boundary curves.  Width labels
-are annotations and live outside the transformed group, positioned in
-pixel space, so the model-coordinate contract stays intact.
+chord and its lower and upper boundary.  A boundary is drawn exactly as
+its two circle pieces, node to join to node: `A r r 0 0 f x y` for
+curvature k, with r = 1/|k| and f = (k > 0) (a left turn sweeps a
+positive angle in model coordinates), or `L x y` where k = 0.  Each
+chord's box [-c, c] x [-H, H], H its lens height, sizes the picture.
+Width labels live outside the group, positioned in pixel space.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ import math
 import numpy as np
 
 from .analysis import Analysis
-from .errors import InputError
-from .geometry import height, piece_table
-from .regions import Region
+from .geometry import height
+from .regions import ChordColumns, Region
 
 _STYLES = {
     "chord": 'fill="none" stroke="#999999" stroke-dasharray="%(dash)s"',
@@ -25,64 +27,68 @@ _STYLES = {
     "upper": 'fill="none" stroke="#d62728"',
     "tangent": 'stroke="#2ca02c"',
 }
+# One piece from the values r, r, f, x, y; a segment prints no r and f.
+_PIECES = ("A %.10g %.10g 0 0 %d %.10g %.10g", "L%.0s%.0s%.0s %.10g %.10g")
 
 
 def _fmt(v: float) -> str:
     return "%.10g" % v
 
 
-def _path(points, cls: str, extra: str, width: float) -> str:
-    # one format call per path: as "%s %s" % (_fmt(x), _fmt(y)) per point
-    d = "M " + " L ".join(["%.10g %.10g"] * len(points)) % tuple(
-        points.ravel().tolist())
-    return '<path class="%s" d="%s" %s stroke-width="%s"/>' % (
-        cls, d, extra, _fmt(width))
+def _rows(templates, values) -> str:
+    """Lines of templates, filled in turn with the values row by row."""
+    return ("\n".join(np.ravel(templates))
+            % tuple(np.ravel(values).tolist()))
 
 
-def _polylines(region: Region, samples_per_chord: int) -> dict:
-    """Per css class, each chord's polyline in the plane.
+def _paths(g: ChordColumns, style: dict, stroke: str) -> str:
+    """The chord, lower and upper path of every chord, one line each."""
+    sx, sy = g.ox - g.c * g.cos, g.oy - g.c * g.sin
+    ex, ey = g.ox + g.c * g.cos, g.oy + g.c * g.sin
+    # the joins, (m, 2) per coordinate: lower boundary, upper boundary
+    cos, sin = g.cos[:, None], g.sin[:, None]
+    xj = g.table[1]
+    yj = height(g.table, xj)
+    jx = g.ox[:, None] + xj * cos - yj * sin
+    jy = g.oy[:, None] + xj * sin + yj * cos
+    k1, k2 = g.table[4], g.table[7]
+    with np.errstate(divide="ignore"):
+        r1, r2 = 1.0 / np.abs(k1), 1.0 / np.abs(k2)
+    columns = [sx, sy, ex, ey]
+    for s in (0, 1):
+        columns += [sx, sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
+                    jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, ex, ey]
 
-    The frame mapping is ChordFrame.to_global for all chords at once.
-    """
-    frames = [ch.frame for ch in region.chords]
-    rotations = np.array([f.axes.T for f in frames])
-    origin = np.array([f.origin for f in frames])[:, None, :]
-    half = np.array([[f.half_length] for f in frames])
-    xs = half * np.linspace(-1.0, 1.0, samples_per_chord)
-    # both boundaries of every chord in one evaluation: lowers, then uppers
-    ys = height(piece_table([ch.lower for ch in region.chords]
-                            + [ch.upper for ch in region.chords]),
-                np.vstack([xs, xs]))
+    def line(cls, d):
+        return ('<path class="%s" d="M %%.10g %%.10g %s" %s '
+                'stroke-width="%s"/>' % (cls, d, style[cls], stroke))
 
-    def to_global(x, y):
-        return np.stack([x, y], axis=-1) @ rotations + origin
-
-    return {
-        "chord": to_global(np.hstack([-half, half]), np.zeros((len(half), 2))),
-        "lower": to_global(xs, ys[:len(half)]),
-        "upper": to_global(xs, ys[len(half):]),
-    }
+    # per side the four templates, indexed by which pieces are straight
+    straight = 2 * ~np.isfinite(r1) + ~np.isfinite(r2)
+    sides = [np.array([line(cls, _PIECES[a] + " " + _PIECES[b])
+                       for a in (0, 1) for b in (0, 1)])[straight[:, s]]
+             for s, cls in enumerate(("lower", "upper"))]
+    chord = np.full(len(sx), line("chord", "L %.10g %.10g"))
+    return _rows(np.column_stack([chord] + sides), np.column_stack(columns))
 
 
-def render_svg(analysis: Analysis, region: Region, path,
-               samples_per_chord: int = 64, size: int = 800):
+def render_svg(analysis: Analysis, region: Region, path, size: int = 800):
     """Write the region, data points, tangents and width labels to `path`."""
-    if samples_per_chord < 2:
-        raise InputError("need at least 2 samples per chord")
-    curves = _polylines(region, int(samples_per_chord))
-
+    g = ChordColumns(region)
     pts = analysis.data.points
     tangents = []
     if not analysis.data.closed:
-        c0 = region.chords[0].frame.half_length
-        cn = region.chords[-1].frame.half_length
-        for p, tau, c in ((pts[0], analysis.data.tau_start, c0),
-                          (pts[-1], analysis.data.tau_end, cn)):
+        for p, tau, c in ((pts[0], analysis.data.tau_start, g.c[0]),
+                          (pts[-1], analysis.data.tau_end, g.c[-1])):
             tangents.append(np.array([p, p + c * np.array(
                 [math.cos(tau), math.sin(tau)])]))
 
-    parts = ([poly.reshape(-1, 2) for poly in curves.values()] + [pts]
-             + tangents)
+    # half extents of each chord's box, which holds its nodes
+    h = g.lens_height()
+    ex = g.c * np.abs(g.cos) + h * np.abs(g.sin)
+    ey = g.c * np.abs(g.sin) + h * np.abs(g.cos)
+    parts = [np.column_stack([g.ox - ex, g.oy - ey]),
+             np.column_stack([g.ox + ex, g.oy + ey])] + tangents
     lo = np.min([p.min(axis=0) for p in parts], axis=0)
     hi = np.max([p.max(axis=0) for p in parts], axis=0)
     span = np.maximum(hi - lo, 1e-12)
@@ -93,8 +99,7 @@ def render_svg(analysis: Analysis, region: Region, path,
     tx = pad - scale * lo[0]
     ty = pad + scale * hi[1]
 
-    stroke = 1.5 / scale             # ~1.5 px expressed in model units
-    node_r = 3.0 / scale
+    stroke = _fmt(1.5 / scale)       # ~1.5 px expressed in model units
     dash = "%s %s" % (_fmt(4.0 / scale), _fmt(4.0 / scale))
 
     out = []
@@ -105,26 +110,22 @@ def render_svg(analysis: Analysis, region: Region, path,
                   _fmt(width_px), _fmt(height_px)))
     out.append('<g transform="translate(%s %s) scale(%s %s)">'
                % (_fmt(tx), _fmt(ty), _fmt(scale), _fmt(-scale)))
-    extra = {cls: _STYLES[cls] % {"dash": dash} for cls in curves}
-    for k in range(len(region.chords)):
-        for cls, polys in curves.items():
-            out.append(_path(polys[k], cls, extra[cls], stroke))
+    style = {cls: _STYLES[cls] % {"dash": dash} for cls in _STYLES}
+    out.append(_paths(g, style, stroke))
     for seg in tangents:
         out.append('<line class="tangent" x1="%s" y1="%s" x2="%s" y2="%s" '
                    '%s stroke-width="%s"/>'
                    % (_fmt(seg[0, 0]), _fmt(seg[0, 1]),
                       _fmt(seg[1, 0]), _fmt(seg[1, 1]),
-                      _STYLES["tangent"], _fmt(stroke)))
-    for p in pts:
-        out.append('<circle class="node" cx="%s" cy="%s" r="%s" '
-                   'fill="#333333"/>' % (_fmt(p[0]), _fmt(p[1]), _fmt(node_r)))
+                      style["tangent"], stroke))
+    out.append(_rows(['<circle class="node" cx="%%.10g" cy="%%.10g" r="%s" '
+                      'fill="#333333"/>' % _fmt(3.0 / scale)] * len(pts), pts))
     out.append('</g>')
-    for ch in region.chords:
-        px = tx + scale * ch.frame.origin[0]
-        py = ty - scale * ch.frame.origin[1]
-        out.append('<text class="width-label" x="%s" y="%s" '
-                   'font-size="11" fill="#555555">%.4g</text>'
-                   % (_fmt(px), _fmt(py - 4.0), ch.width))
+    out.append(_rows(['<text class="width-label" x="%.10g" y="%.10g" '
+                      'font-size="11" fill="#555555">%.4g</text>'] * len(g.c),
+                     np.column_stack([tx + scale * g.ox,
+                                      ty - scale * g.oy - 4.0,
+                                      [ch.width for ch in region.chords]])))
     out.append('</svg>')
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

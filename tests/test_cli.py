@@ -93,18 +93,6 @@ def test_analyze_unwritable_svg_exits_3_without_report(capsys, tmp_path,
     assert "error" in err
 
 
-@pytest.mark.parametrize("k", ["1", "0", "-5"])
-def test_analyze_svg_too_few_samples_per_chord_exits_3(capsys, tmp_path,
-                                                       circle_profile, k):
-    svg = tmp_path / "region.svg"
-    code, out, err = run(capsys, "analyze", circle_profile, "--svg", str(svg),
-                         "--samples-per-chord", k)
-    assert code == 3
-    assert out == ""
-    assert "samples per chord" in err
-    assert not svg.exists()
-
-
 def test_analyze_degrees_flag(capsys, tmp_path, _circle):
     prof = {"version": 1,
             "points": [[float(x), float(y)] for x, y in _circle.points],
@@ -142,6 +130,23 @@ def test_analyze_bad_override_exits_3(capsys, tmp_path, _circle):
     path.write_text(json.dumps(prof))
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3
+
+
+@pytest.mark.parametrize("overrides", [
+    '{"1": {"a": 0.0}, "1": {"a": 0.1}}',
+    '{"1": {"a": 0.0}, "01": {"b": 1.0}}',
+])
+def test_analyze_node_overridden_twice_exits_3(capsys, tmp_path, _circle,
+                                               overrides):
+    from conftest import profile_dict
+    text = json.dumps(profile_dict(_circle, curvature_overrides={}))
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"curvature_overrides": {}',
+                                 '"curvature_overrides": ' + overrides))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert out == ""
+    assert re.search(r"\bnode 1\b|key '1'", err)
 
 
 def test_override_tightens_from_profile(capsys, tmp_path, _circle):

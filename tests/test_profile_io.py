@@ -136,6 +136,26 @@ def test_load_profile_round_trip(tmp_path, circle_data):
     assert overrides == {}
 
 
+def test_parse_rejects_node_named_twice():
+    prof = dict(VALID, curvature_overrides={"1": {"a": 0.0}, "01": {"b": 1.0}})
+    with pytest.raises(ParseError, match=r"\bnode 1\b"):
+        parse_profile(prof)
+
+
+@pytest.mark.parametrize("overrides", [
+    '{"1": {"a": 0.0}, "1": {"b": 1.0}}',
+    '{"1": {"a": 0.0, "a": -1.0}}',
+])
+def test_load_profile_rejects_repeated_key(tmp_path, overrides):
+    # json.load alone keeps the last of two equal keys
+    text = json.dumps(dict(VALID, curvature_overrides={}))
+    p = tmp_path / "twice.json"
+    p.write_text(text.replace('"curvature_overrides": {}',
+                              '"curvature_overrides": ' + overrides))
+    with pytest.raises(ParseError, match="more than once"):
+        load_profile(str(p))
+
+
 def test_load_profile_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -21,6 +21,7 @@ from spiralbounds.geometry import Arc, Biarc, curve_eval
 from spiralbounds.regions import (
     _boundaries,
     build_region,
+    checked_overrides,
     curvature_ranges,
     narrowed_angle_ranges,
     narrowed_region,
@@ -406,6 +407,18 @@ def test_override_bad_number_rejected_and_named(overrides):
     an, _ = spiral_analysis(65)
     with pytest.raises(OverrideError, match=r"\bnode 3\b"):
         build_region(an, overrides=overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"3": {"a": -1.0}, "03": {"b": 2.0}},
+    {"3": {"a": -1.0}, " 3": {"b": 2.0}},
+    {3: (None, 1.0), "3": (None, 2.0)},
+    {"3": {}, 3: {"a": 1.0}},
+])
+def test_override_same_node_twice_rejected_and_named(overrides):
+    # keeping either entry would silently drop the other
+    with pytest.raises(OverrideError, match=r"\bnode 3\b"):
+        checked_overrides(overrides)
 
 
 def test_override_contradiction_rejected():
