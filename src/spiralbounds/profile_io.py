@@ -17,14 +17,28 @@ per-node curvature bounds of the narrowed construction; keys are 1-based
 node indices.
 
 Sample files are either a JSON array of [x, y] pairs or plain text with
-one "x y" pair per line; '#' starts a comment.  Reports are JSON
-dictionaries built here so they round-trip losslessly.
+one "x y" pair per line; '#' starts a comment.  A coordinate in JSON
+must be a number: a boolean, a string or null is a ParseError.
+
+Reports are JSON dictionaries built here so they round-trip losslessly.
+report_json writes them byte for byte as json.dumps(report, indent=2)
+does, but json's indent path is its pure-Python encoder, one generator
+frame per value, which took most of the time of analyzing a large
+profile.  Instead the writer works on columns: the values found at one
+key path across all rows (every chords[].lower.phi, say) are written
+together, floats by one map(float.__repr__) where all are finite.
+Dicts of one key tuple are filled into one % template, lists of one
+length into another, and the items of those lists form the next
+column, so the recursion is as deep as the report, not as long.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -70,10 +84,11 @@ def parse_profile(obj, degrees: bool = False):
             or not all(isinstance(p, (list, tuple)) and len(p) == 2
                        for p in raw_pts)):
         raise ParseError("'points' must list at least 3 [x, y] pairs")
+    _require_numbers(raw_pts, lambda i: "point %d" % (i + 1))
     try:
         points = np.asarray(raw_pts, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("non-numeric point coordinates: %s" % exc) from exc
+    except OverflowError as exc:    # an integer beyond the float range
+        raise ParseError("point coordinates: %s" % exc) from exc
 
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
@@ -107,6 +122,22 @@ def parse_profile(obj, degrees: bool = False):
     except InputError as exc:   # non-finite points or tangents
         raise ParseError(str(exc)) from exc
     return data, overrides
+
+
+def _require_numbers(rows, name):
+    """Raise ParseError unless every coordinate of the [x, y] rows is a
+    real number other than a boolean, the rule of checked_overrides.
+
+    numpy would read true as 1.0, "0.1" as 0.1 and null as NaN; name(i)
+    names row i in the error.
+    """
+    if set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return
+    for i, row in enumerate(rows):
+        for value in row:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParseError("%s has a coordinate that is not a number: "
+                                 "%r" % (name(i), value))
 
 
 def _unique_keys(pairs):
@@ -148,6 +179,10 @@ def load_samples(path) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise ParseError("sample file %s is not valid JSON: %s"
                              % (path, exc)) from exc
+        if not all(isinstance(row, list) and len(row) == 2 for row in rows):
+            raise ParseError("sample file %s must hold [x, y] pairs" % path)
+        _require_numbers(rows, lambda i: "sample file %s: sample %d"
+                         % (path, i))
     else:
         rows = []
         for ln, line in enumerate(text.splitlines(), start=1):
@@ -161,13 +196,11 @@ def load_samples(path) -> np.ndarray:
             rows.append(parts)
     try:
         pts = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError("sample file %s has non-numeric entries: %s"
                          % (path, exc)) from exc
     if pts.size == 0:
         raise EmptySamplesError("sample file %s holds no samples" % path)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ParseError("sample file %s must hold [x, y] pairs" % path)
     return pts
 
 
@@ -245,4 +278,120 @@ def compliance_report_dict(report: ComplianceReport) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=True)
+    """The report as json.dumps(report, indent=2, allow_nan=True) writes it."""
+    return _encode([report], 0)[0]
+
+
+def _encode(col, depth):
+    """JSON text of each value of the column col, nested depth deep."""
+    writers = {_WRITERS.get(t) for t in set(map(type, col))}
+    if len(writers) == 1 and None not in writers:
+        return writers.pop()(col, depth)
+    return _by(_writer, col, lambda write, rows: write(rows, depth))
+
+
+def _writer(value):
+    """The column writer of a value, in the order json tests types."""
+    if isinstance(value, str):
+        return _strings
+    if value is None or value is True or value is False:
+        return _constants
+    if isinstance(value, int):
+        return _ints
+    if isinstance(value, float):
+        return _floats
+    if isinstance(value, (list, tuple)):
+        return _lists
+    if isinstance(value, dict):
+        return _dicts
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
+
+
+def _by(key, col, fill):
+    """fill(k, rows) on the values of col grouped by k = key(value), as
+    one list in col's order."""
+    groups = {}
+    for i, value in enumerate(col):
+        groups.setdefault(key(value), []).append(i)
+    if len(groups) == 1:
+        return fill(next(iter(groups)), col)
+    out = [None] * len(col)
+    for k, idx in groups.items():
+        for i, text in zip(idx, fill(k, [col[i] for i in idx])):
+            out[i] = text
+    return out
+
+
+def _strings(col, depth):
+    return list(map(encode_basestring_ascii, col))
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _constants(col, depth):
+    return list(map(_CONSTANTS.__getitem__, col))
+
+
+def _ints(col, depth):
+    return list(map(int.__repr__, col))
+
+
+def _floats(col, depth):
+    if all(map(math.isfinite, col)):
+        return list(map(float.__repr__, col))
+    return [float.__repr__(v) if math.isfinite(v) else "NaN" if v != v
+            else "Infinity" if v > 0 else "-Infinity" for v in col]
+
+
+def _lists(col, depth):
+    def fill(n, rows):
+        if not n:
+            return ["[]"] * len(rows)
+        # the items of every list of one length form a single column
+        items = _encode(list(chain.from_iterable(rows)), depth + 1)
+        tmpl = ("[" + ",".join([_newline(depth + 1) + "%s"] * n)
+                + _newline(depth) + "]")
+        return [tmpl % row for row in zip(*[iter(items)] * n)]
+    return _by(len, col, fill)
+
+
+def _dicts(col, depth):
+    def fill(names, rows):
+        if not names:
+            return ["{}"] * len(rows)
+        values = [_encode(c, depth + 1)
+                  for c in zip(*(row.values() for row in rows))]
+        tmpl = ("{" + ",".join(
+            _newline(depth + 1) + encode_basestring_ascii(name)
+            .replace("%", "%%") + ": %s" for name in names)
+            + _newline(depth) + "}")
+        return [tmpl % row for row in zip(*values)]
+
+    def fill_keys(keys, rows):
+        if all(type(k) is str for k in keys):
+            return fill(keys, rows)
+        # 1, 1.0 and True are equal keys, as are 0.0 and -0.0, each
+        # written its own way
+        return _by(lambda row: tuple(map(_key, row)), rows, fill)
+    return _by(tuple, col, fill_keys)
+
+
+def _key(key):
+    """A dict key as json names it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode([key], 0)[0]
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % type(key).__name__)
+
+
+def _newline(depth):
+    return "\n" + "  " * depth
+
+
+_WRITERS = {str: _strings, type(None): _constants, bool: _constants,
+            int: _ints, float: _floats, list: _lists, tuple: _lists,
+            dict: _dicts}

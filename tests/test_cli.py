@@ -117,6 +117,16 @@ def test_analyze_inadmissible_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_analyze_non_number_coordinate_exits_3(capsys, tmp_path):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"version": 1, "closed": True,
+                                "points": [[0, 0], [True, "0.1"], [1, 1]]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert out == ""
+    assert re.search(r"\bpoint 2\b", err)
+
+
 def test_analyze_missing_file_exits_3(capsys):
     code, _, err = run(capsys, "analyze", "does-not-exist.json")
     assert code == 3
@@ -191,6 +201,15 @@ def test_check_tol_flag_loosens(capsys, sparse_profile, sparse_samples):
     assert json.loads(out)["verdict"] == "pass"
 
 
+def test_check_non_number_sample_exits_3(capsys, tmp_path, circle_profile):
+    samples = tmp_path / "typed.json"
+    samples.write_text('[[0.5, "0.02"], [false, 0], [1.0, 0.05]]')
+    code, out, err = run(capsys, "check", circle_profile, str(samples))
+    assert code == 3
+    assert out == ""
+    assert re.search(r"\bsample 0\b", err)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_check_bad_tol_exits_3(capsys, tol):
     golden = Path(__file__).parent / "golden"
@@ -262,6 +281,8 @@ def test_rounding_experiment_report(capsys):
     assert rep["trend_sign_changes"] >= 5
     assert rep["max_deviation"] > 0.03
     assert len(rep["rounded_q"]) == 21
+    # the documented layout: what json.dumps(indent=2) writes
+    assert out == json.dumps(rep, indent=2, allow_nan=True) + "\n"
 
 
 def test_rounding_experiment_plot_files(capsys, tmp_path):

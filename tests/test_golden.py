@@ -42,13 +42,18 @@ CASES = {
 }
 
 
-def _run(args):
+def _stdout(args):
     argv = [str(GOLDEN / a) if a.endswith((".json", ".txt")) else a
             for a in args]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, json.loads(out.getvalue())
+    return code, out.getvalue()
+
+
+def _run(args):
+    code, text = _stdout(args)
+    return code, json.loads(text)
 
 
 def _expected(name):
@@ -102,6 +107,14 @@ def test_cli_output_matches_golden(name, scale):
     code, doc = _run(args)
     assert code == exit_code
     _compare(doc, _expected(name), "", name, scale)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_indented_json(name):
+    # README's layout: json.dumps(report, indent=2), whatever writes it
+    _, text = _stdout(CASES[name][0])
+    assert text == json.dumps(json.loads(text), indent=2,
+                              allow_nan=True) + "\n"
 
 
 if __name__ == "__main__":

@@ -2,14 +2,18 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spiralbounds import profile_io
 from spiralbounds.analysis import analyze
 from spiralbounds.compliance import check_containment
-from spiralbounds.errors import EmptySamplesError, ParseError
+from spiralbounds.errors import DataError, EmptySamplesError, ParseError
 from spiralbounds.profile_io import (
     compliance_report_dict,
     load_profile,
@@ -116,6 +120,20 @@ def test_parse_rejects_non_finite_tangent(side, value):
         parse_profile(prof)
 
 
+@pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+def test_parse_rejects_non_number_coordinate_and_names_point(value):
+    # numpy reads true as 1.0, "0.1" as 0.1 and null as NaN
+    prof = dict(VALID, points=[[0.0, 0.0], [1.0, value], [1.0, 1.0]])
+    with pytest.raises(ParseError, match=r"\bpoint 2\b"):
+        parse_profile(prof)
+
+
+def test_parse_rejects_integer_beyond_float_range():
+    prof = dict(VALID, points=[[0.0, 0.0], [10 ** 400, 0.0], [1.0, 1.0]])
+    with pytest.raises(ParseError):
+        parse_profile(prof)
+
+
 def test_parse_rejects_closed_with_tangents():
     prof = {"version": 1, "closed": True,
             "points": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
@@ -187,6 +205,25 @@ def test_samples_text_comments(tmp_path):
     npt.assert_allclose(load_samples(str(path)), [[0, 1], [2, 3], [4, 5]])
 
 
+@pytest.mark.parametrize("value", ["true", "false", '"0.02"', "null", "[1]"])
+def test_samples_json_rejects_non_number_and_names_sample(tmp_path, value):
+    path = tmp_path / "samples.json"
+    path.write_text("[[0.0, 1.0], [2.0, %s], [4.0, 5.0]]" % value)
+    with pytest.raises(ParseError, match=r"\bsample 1\b"):
+        load_samples(str(path))
+
+
+@pytest.mark.parametrize("text", ["[[0.0, 1.0], [2.0, 3.0, 4.0]]",
+                                  "[[0.0, 1.0], 2.0]",
+                                  "[[0.0, 1.0], [%s, 0.0]]" % (10 ** 400)],
+                         ids=["triple", "bare-number", "beyond-float"])
+def test_samples_json_rejects_malformed(tmp_path, text):
+    path = tmp_path / "samples.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        load_samples(str(path))
+
+
 def test_samples_empty_rejected(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n")
@@ -249,3 +286,92 @@ def test_compliance_report_no_assigned_samples(circle_analysis):
     assert d["verdict"] == "pass"
     assert d["worst_margin"] is None  # not a float: nothing was assigned
     json.loads(report_json(d))
+
+
+# ---------------------------------------------------------------------------
+# report_json writes what json.dumps(indent=2) writes
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, allow_nan=True)
+
+
+# few keys, so that rows share key paths with other key sets and orders
+KEYS = st.sampled_from(["", "a", "b", "\u00e9\u2028", 'q"', "%", "%s",
+                        "100%%", 0, 7, True, False, None, 1.5, -0.0, 0.0,
+                        math.nan, -math.inf])
+SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.sampled_from([2 ** 64, -(10 ** 30)]),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                     -1e308, np.float64(-0.0), np.float64(math.nan)]),
+    st.text(max_size=3), st.sampled_from(["%", "%s", '"\\', "\u00e9\n"]))
+TREES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(KEYS, inner, max_size=4)
+                   | st.lists(st.dictionaries(KEYS, inner, max_size=3),
+                              min_size=2, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES)
+@example({"%s": [-0.0, math.nan, math.inf, -math.inf, np.float64(-0.0)],
+          1: [[], {}, [[]], [{}]], "rows": [{"a": 1, "b": [1, 2]},
+                                          {"b": [3], "a": True},
+                                          {"a": None}, {}, []]})
+def test_report_json_is_json_dumps(tree):
+    assert report_json(tree) == _dumps(tree)
+
+
+def test_report_json_raises_json_type_error():
+    for bad in ({"a": [1.0, {2, 3}]}, {(1, 2): 0.0}):
+        with pytest.raises(TypeError) as want:
+            _dumps(bad)
+        with pytest.raises(TypeError, match="^%s$" % want.value):
+            report_json(bad)
+
+
+def _golden_reports():
+    for profile in sorted(GOLDEN.glob("*.json")):
+        if profile.name.endswith(".expected.json"):
+            continue
+        data, overrides = load_profile(str(profile))
+        analysis = analyze(data)
+        for grade in ("simple", "vertex", "narrowed"):
+            try:
+                region = build_region(analysis, grade, overrides)
+            except DataError:
+                continue
+            yield region_report(analysis, region)
+            for samples in sorted(GOLDEN.glob(profile.stem + ".*.txt")):
+                yield compliance_report_dict(
+                    check_containment(region, load_samples(str(samples))))
+
+
+def test_report_json_is_json_dumps_on_golden_reports():
+    reports = list(_golden_reports())
+    assert len(reports) >= 15
+    for report in reports:
+        assert report_json(report) == _dumps(report)
+
+
+def test_report_json_writes_columns_not_rows(monkeypatch, circle_analysis):
+    # one pass per key path: as many column writes for 2 rows as for 200
+    calls = []
+    encode = profile_io._encode
+    monkeypatch.setattr(profile_io, "_encode",
+                        lambda col, depth: calls.append(0) or encode(col, depth))
+    report = region_report(circle_analysis, build_region(circle_analysis))
+    counts = []
+    for rows in (2, 200):
+        calls.clear()
+        report_json(dict(report, chords=report["chords"][:1] * rows,
+                         nodes=report["nodes"][:1] * rows))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
