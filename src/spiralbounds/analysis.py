@@ -30,6 +30,7 @@ that knows which chords and nodes neighbour each other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ from .geometry import wrap_angle
 
 # Relative tolerance for "equal" discrete curvatures in classification.
 Q_TIE_TOL = 1e-12
+# Safety factor K of the per-node rounding bound on q (see node_data).
+Q_ERR_FACTOR = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +116,13 @@ class Chords:
 
 @dataclass(frozen=True, eq=False)
 class Nodes:
-    """Per node: turning angle rho, half-diagonal d, discrete curvature q."""
+    """Per node: turning angle rho, half-diagonal d, discrete curvature q,
+    and err, how far rounding the data can move q."""
 
     rho: np.ndarray
     d: np.ndarray
     q: np.ndarray
+    err: np.ndarray
 
     def __len__(self):
         return len(self.q)
@@ -177,20 +182,32 @@ def build_chords(data: SplineInput) -> Chords:
 
 
 def node_data(chords: Chords) -> Nodes:
-    """Turning angle, half-diagonal and discrete curvature at every node."""
+    """Turning angle, half-diagonal and discrete curvature at every node.
+
+    err_j = K eps S (1/c_{j-1} + 1/c_j) / d_j bounds how far rounding the
+    data moves q_j: a node moved by eps S, with S the largest coordinate
+    magnitude plus the largest c, turns the chords next to it by eps S/c.
+    Pseudo-chords contribute 0, and S is taken as max|mid| + 2 max c,
+    which is at least that.
+    """
     n = len(chords) + (not chords.closed)
     c = padded(chords.c, chords.closed)
     mu = padded(chords.mu, chords.closed, chords.tangents)
     c0, c1 = c[:n], c[1:n + 1]
     rho = wrap_angle(mu[1:n + 1] - mu[:n])
-    d = np.sqrt(np.maximum(c0 ** 2 + 2.0 * c0 * c1 * np.cos(rho) + c1 ** 2,
-                           0.0))
+    # d^2 = c0^2 + 2 c0 c1 cos(rho) + c1^2 as a sum of two squares, which
+    # does not cancel at a sharp turn
+    d = np.hypot((c0 + c1) * np.cos(0.5 * rho), (c0 - c1) * np.sin(0.5 * rho))
     folded = np.nonzero(d < 1e-12 * (c0 + c1))[0]
     if folded.size:
         raise DegenerateNodeError(
             "node %d folds back onto itself (half-diagonal ~ 0)"
             % (folded[0] + 1))
-    return Nodes(rho=rho, d=d, q=np.sin(rho) / d)
+    scale = Q_ERR_FACTOR * sys.float_info.epsilon * (
+        float(np.abs(chords.mid).max()) + 2.0 * float(chords.c.max()))
+    inv = padded(scale / chords.c, chords.closed)
+    err = (inv[:n] + inv[1:n + 1]) / d
+    return Nodes(rho=rho, d=d, q=np.sin(rho) / d, err=err)
 
 
 def xi_eta(chords: Chords, nodes: Nodes) -> Angles:
@@ -224,7 +241,9 @@ def classify(nodes: Nodes, violations: list[Lim180Violation],
     """Spiral vs piecewise-spiral split of the q sequence.
 
     Monotone (ties allowed) means spiral; otherwise every strict local
-    extremum becomes a vertex.  For closed data the sequence is cyclic.
+    extremum becomes a vertex.  Neighbours q_j, q_{j+1} tie when they
+    differ by at most Q_TIE_TOL max|q| or by err_j + err_{j+1}, their
+    rounding bounds.  For closed data the sequence is cyclic.
     Raises AdjacentVerticesError when two vertices have no node between
     them, which no construction here supports.
     """
@@ -233,11 +252,16 @@ def classify(nodes: Nodes, violations: list[Lim180Violation],
                               vertices=(), violations=tuple(violations))
     q = nodes.q
     n = len(q)
-    tol = Q_TIE_TOL * max(float(np.max(np.abs(q))), 1e-300)
-    # Plateaus of consecutive near-equal q, by their first node.
-    starts = np.concatenate([[0], np.nonzero(np.abs(np.diff(q)) > tol)[0] + 1])
+    # pair j is node j and node j + 1, like chord j; the seam pair of
+    # closed data comes last
+    m = n - (not closed)
+    tie = np.maximum(Q_TIE_TOL * max(float(np.max(np.abs(q))), 1e-300),
+                     padded(nodes.err, closed)[2:m + 2] + nodes.err[:m])
+    brk = np.abs(padded(q, closed)[2:m + 2] - q[:m]) > tie
+    # Plateaus of consecutive tied q, by their first node.
+    starts = np.concatenate([[0], np.nonzero(brk[:n - 1])[0] + 1])
     values = q[starts]
-    if closed and len(starts) > 1 and abs(values[-1] - values[0]) <= tol:
+    if closed and len(starts) > 1 and not brk[-1]:
         # One plateau wraps the seam; its first node in cyclic order is
         # the start of the tail part.
         starts = np.concatenate([[starts[-1] - n], starts[1:-1]])

@@ -21,8 +21,9 @@ from .analysis import analyze, discrete_curvature_plot
 from .compliance import check_containment
 from .errors import DataError, InputError
 from .experiments import rounding_experiment
-from .profile_io import (compliance_report_dict, load_profile, load_samples,
-                         region_report, report_json, save_columns)
+from .profile_io import (columns_text, compliance_report_dict, load_profile,
+                         load_samples, region_report, report_json,
+                         save_columns)
 from .regions import build_region
 from .splinefit import cubic_spline_fixture
 from .svg import render_svg
@@ -119,8 +120,7 @@ def cmd_spline_fixture(args) -> int:
     if args.output:
         save_columns(args.output, samples)
     else:
-        for x, y in samples:
-            print("%.17g %.17g" % (x, y))
+        sys.stdout.write(columns_text(samples))
     return 0
 
 

@@ -204,9 +204,23 @@ def load_samples(path) -> np.ndarray:
     return pts
 
 
+def columns_text(rows) -> str:
+    """Rows of numbers (samples, plot data) as text, to full precision.
+
+    One "%.17g" per value, space-separated, one line per row, as
+    np.savetxt(fmt="%.17g") writes them, but filled into one % template.
+    """
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    line = " ".join(["%.17g"] * arr.shape[1]) + "\n"
+    return (line * len(arr)) % tuple(arr.ravel().tolist())
+
+
 def save_columns(path, rows):
-    """Rows of numbers (samples, plot data) as text, to full precision."""
-    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g")
+    """Write columns_text(rows) to the file at path."""
+    with open(path, "w") as fh:
+        fh.write(columns_text(rows))
 
 
 def _curve_dict(curve):

@@ -2,16 +2,20 @@
 
 Three-point curvatures are checked against an independent circumcircle
 oracle, the tangent angles against their defining sine/cosine pairs and
-the transport identity, and the classifier against hand-worked q lists.
+the transport identity, and the classifier against hand-worked q lists;
+the rounding bound that decides ties is checked against 50-digit q.
 Invariance under rigid motions, scaling, and traversal reversal pins the
 coordinate-free character of every derived quantity.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spiralbounds.analysis import (
     Nodes,
@@ -20,6 +24,7 @@ from spiralbounds.analysis import (
     build_chords,
     classify,
     discrete_curvature_plot,
+    node_data,
     padded,
 )
 from spiralbounds.errors import (
@@ -268,7 +273,8 @@ def test_right_angle_is_admissible():
 
 def _nodes(q_list):
     q = np.array(q_list, dtype=float)
-    return Nodes(rho=np.zeros_like(q), d=np.ones_like(q), q=q)
+    return Nodes(rho=np.zeros_like(q), d=np.ones_like(q), q=q,
+                 err=np.zeros_like(q))
 
 
 def test_classify_monotone_is_spiral():
@@ -403,3 +409,75 @@ def test_discrete_curvature_plot_circle():
     assert plot.shape == (398, 2)
     npt.assert_allclose(plot[:, 1], 0.25, rtol=1e-6)
     assert np.all(np.diff(plot[:, 0]) > 0)  # abscissa is arc length
+
+
+# ---------------------------------------------------------------------------
+# Ties within rounding
+# ---------------------------------------------------------------------------
+
+
+def _arc_data(rng, n=24, radius=10.0, span=1.0):
+    """n nodes at random arc lengths on a circle arc, exact end tangents."""
+    theta = np.sort(rng.uniform(0.0, span, n))
+    pts = radius * np.column_stack([np.sin(theta), 1.0 - np.cos(theta)])
+    return SplineInput(pts, tau_start=theta[0], tau_end=theta[-1])
+
+
+def test_cocircular_nodes_tie_within_rounding():
+    # close nodes make q's rounding error far larger than 1e-12 |q|
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        cl = analyze(_arc_data(rng)).classification
+        assert cl.kind == "spiral"
+
+
+def _mp_q(pts, taus, closed):
+    """q at every node from the float points, in 50-digit arithmetic."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    p = [(mp.mpf(x), mp.mpf(y)) for x, y in pts.tolist()]
+    m = len(p) if closed else len(p) - 1
+    seg = [(p[(k + 1) % len(p)][0] - p[k][0], p[(k + 1) % len(p)][1] - p[k][1])
+           for k in range(m)]
+    c = [mp.sqrt(dx ** 2 + dy ** 2) / 2 for dx, dy in seg]
+    mu = [mp.atan2(dy, dx) for dx, dy in seg]
+    if closed:
+        c, mu = [c[-1]] + c, [mu[-1]] + mu
+    else:
+        c, mu = [mp.mpf(0)] + c + [mp.mpf(0)], [taus[0]] + mu + [taus[1]]
+    q = []
+    for j in range(len(p)):
+        rho = mu[j + 1] - mu[j]
+        rho -= 2 * mp.pi * mp.floor((rho + mp.pi) / (2 * mp.pi))
+        d = mp.sqrt(c[j] ** 2 + 2 * c[j] * c[j + 1] * mp.cos(rho)
+                    + c[j + 1] ** 2)
+        q.append(mp.sin(rho) / d)
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_q_rounding_bound_holds(draw):
+    n = draw.draw(st.integers(3, 10), label="nodes")
+    closed = draw.draw(st.booleans(), label="closed")
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    size = 10.0 ** rng.uniform(-3, 3)
+    pts = size * rng.normal(size=(n, 2)) + 10.0 ** rng.uniform(-3, 6)
+    # some nodes nearly on top of their predecessor (back = 1) or of the
+    # node before it, a sharp turn (back = 2)
+    near = draw.draw(st.lists(st.tuples(st.integers(1, n - 1),
+                                        st.integers(1, 2)), max_size=3),
+                     label="near")
+    for k, back in near:
+        offset = size * 10.0 ** rng.uniform(-11, -4) * rng.normal(size=2)
+        pts[k] = pts[k - back] + offset
+    taus = (None, None) if closed else tuple(rng.uniform(-3.0, 3.0, 2))
+    data = SplineInput(pts, *taus, closed=closed)
+    try:
+        nodes = node_data(build_chords(data))
+    except (DuplicatePointsError, DegenerateNodeError):
+        assume(False)
+    exact = _mp_q(pts, taus, closed)
+    for j, (q, err) in enumerate(zip(nodes.q.tolist(), nodes.err.tolist())):
+        assert abs(q - exact[j]) <= err, (j, q, float(exact[j]), err)

@@ -268,6 +268,28 @@ def test_spline_fixture_output_file(capsys, tmp_path, sparse_profile):
     assert np.loadtxt(str(dest)).shape == (40, 2)
 
 
+def test_spline_fixture_stdout_equals_output_file(capsys, tmp_path,
+                                                  sparse_profile):
+    dest = tmp_path / "fix.txt"
+    code, out, _ = run(capsys, "spline-fixture", sparse_profile)
+    assert code == 0
+    assert run(capsys, "spline-fixture", sparse_profile,
+               "-o", str(dest))[:2] == (0, "")
+    assert dest.read_text() == out
+    samples = cubic_spline_fixture(sparse_dataset())
+    assert out == "".join("%.17g %.17g\n" % (x, y) for x, y in samples)
+
+
+def test_spline_fixture_coincident_nodes_exit_3(capsys, tmp_path):
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [2.0, 0.5]])
+    profile = write_profile(tmp_path / "dup.json",
+                            SplineInput(pts, tau_start=0.0, tau_end=0.3))
+    code, out, err = run(capsys, "spline-fixture", profile)
+    assert code == 3
+    assert out == ""
+    assert "points 1 and 2 coincide" in err
+
+
 # ---------------------------------------------------------------------------
 # rounding-experiment
 # ---------------------------------------------------------------------------

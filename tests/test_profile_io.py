@@ -193,6 +193,19 @@ def test_samples_text_round_trip(tmp_path):
     npt.assert_allclose(load_samples(str(path)), pts, rtol=1e-15)
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.1, -0.0], [1e300, 5e-324], [math.nan, -math.inf], [3, 2 ** 60]],
+    [(1, 0.1), (2, 1 / 3)],
+    [0.5, -2.0, math.inf],
+    np.zeros((0, 2)),
+])
+def test_save_columns_writes_as_savetxt(tmp_path, rows):
+    ours, theirs = tmp_path / "ours.txt", tmp_path / "theirs.txt"
+    save_columns(str(ours), rows)
+    np.savetxt(str(theirs), np.asarray(rows, dtype=float), fmt="%.17g")
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
 def test_samples_json_array(tmp_path):
     path = tmp_path / "samples.json"
     path.write_text("[[0.0, 1.0], [2.0, 3.0]]")
