@@ -30,6 +30,7 @@ that knows which chords and nodes neighbour each other.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -45,13 +46,24 @@ Q_TIE_TOL = 1e-12
 Q_ERR_FACTOR = 8.0
 
 
+def is_finite_real(value) -> bool:
+    """Whether value is a finite real number, the one rule for numbers from
+    outside: a bool is not one, nor is an integer past the float range."""
+    try:
+        return (not isinstance(value, bool)
+                and isinstance(value, numbers.Real) and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class SplineInput:
     """Interpolation data: points plus boundary tangents (open) or closed flag.
 
     Tangents are angles in radians; unit-vector input is converted at the
-    file-parsing layer.  Non-finite points and tangents are rejected here,
-    since numpy comparisons against NaN quietly come out False later on.
+    file-parsing layer.  This is the one check of the data's shape: n >= 3
+    points, all values finite (numpy comparisons against NaN quietly come
+    out False later on), both tangents for open data, none for closed.
     """
 
     points: np.ndarray
@@ -60,16 +72,26 @@ class SplineInput:
     closed: bool = False
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise InputError("points must form an (n, 2) array")
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InputError("points must be (n, 2) floats: %s" % exc) from exc
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+            raise InputError("points must form an (n >= 3, 2) array, got "
+                             "shape %s" % (pts.shape,))
         bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
         if bad.size:
             raise InputError("point %d is not finite: %s"
                              % (bad[0] + 1, pts[bad[0]].tolist()))
-        for name, tau in (("start", self.tau_start), ("end", self.tau_end)):
-            if tau is not None and not math.isfinite(tau):
-                raise InputError("%s tangent is not finite: %r" % (name, tau))
+        taus = (self.tau_start, self.tau_end)
+        if self.closed and taus != (None, None):
+            raise InputError("closed data must not carry boundary tangents")
+        if not self.closed and None in taus:
+            raise MissingTangentsError("open data needs both tangents")
+        for name, tau in zip(("start", "end"), taus):
+            if tau is not None and not is_finite_real(tau):
+                raise InputError("%s tangent is not a finite number: %r"
+                                 % (name, tau))
         object.__setattr__(self, "points", pts)
 
 
@@ -159,15 +181,7 @@ def padded(col, closed: bool, ends=(0.0, 0.0)) -> np.ndarray:
 def build_chords(data: SplineInput) -> Chords:
     """Chords of the data polygon (N - 1 for open data, N for closed)."""
     pts = data.points
-    n = len(pts)
-    if n < 3:
-        raise InputError("need at least 3 points, got %d" % n)
-    if data.closed:
-        if data.tau_start is not None or data.tau_end is not None:
-            raise InputError("closed data must not carry boundary tangents")
-    elif data.tau_start is None or data.tau_end is None:
-        raise MissingTangentsError("open data needs both boundary tangents")
-    m = n if data.closed else n - 1
+    m = len(pts) - (not data.closed)
     seg = padded(pts, data.closed, pts[[0, -1]])[2:m + 2] - pts[:m]
     lengths = np.hypot(seg[:, 0], seg[:, 1])
     diag = math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .analysis import Analysis, SplineInput
+from .analysis import Analysis, SplineInput, is_finite_real
 from .compliance import ComplianceReport
 from .errors import EmptySamplesError, InputError, OverrideError, ParseError
 from .geometry import Arc, Biarc
@@ -52,26 +51,23 @@ PROFILE_VERSION = 1
 
 
 def _angle(value, degrees: bool, what: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_finite_real(value):
         return math.radians(value) if degrees else float(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        if not all(math.isfinite(v) for v in value):
-            raise ParseError("%s tangent vector is not finite: %r"
-                             % (what, value))
+            and all(map(is_finite_real, value))):
         if value[0] == 0 and value[1] == 0:
             raise ParseError("%s tangent vector is zero" % what)
         return math.atan2(float(value[1]), float(value[0]))
-    raise ParseError("%s tangent must be an angle or an [x, y] direction, "
-                     "got %r" % (what, value))
+    raise ParseError("%s tangent must be a finite angle or an [x, y] "
+                     "direction of finite numbers, got %r" % (what, value))
 
 
 def parse_profile(obj, degrees: bool = False):
     """Validate a decoded profile dict -> (SplineInput, overrides)."""
     if not isinstance(obj, dict):
         raise ParseError("profile must be a JSON object")
-    if obj.get("version") != PROFILE_VERSION:
+    if not (is_finite_real(obj.get("version"))
+            and obj["version"] == PROFILE_VERSION):
         raise ParseError("unsupported profile version %r (expected %d)"
                          % (obj.get("version"), PROFILE_VERSION))
     unknown = set(obj) - {"version", "points", "closed", "tangents",
@@ -79,33 +75,21 @@ def parse_profile(obj, degrees: bool = False):
     if unknown:
         raise ParseError("unknown profile keys: %s" % sorted(unknown))
 
-    raw_pts = obj.get("points")
-    if (not isinstance(raw_pts, list) or len(raw_pts) < 3
-            or not all(isinstance(p, (list, tuple)) and len(p) == 2
-                       for p in raw_pts)):
-        raise ParseError("'points' must list at least 3 [x, y] pairs")
-    _require_numbers(raw_pts, lambda i: "point %d" % (i + 1))
-    try:
-        points = np.asarray(raw_pts, dtype=float)
-    except OverflowError as exc:    # an integer beyond the float range
-        raise ParseError("point coordinates: %s" % exc) from exc
+    points = obj.get("points")
+    if not (isinstance(points, list)
+            and all(isinstance(p, (list, tuple)) for p in points)):
+        raise ParseError("'points' must list [x, y] pairs")
+    _require_numbers(points, lambda i: "point %d" % (i + 1))
 
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
         raise ParseError("'closed' must be a boolean")
     tangents = obj.get("tangents")
-    tau_start = tau_end = None
+    taus = (None, None)
     if tangents is not None:
-        if not isinstance(tangents, dict) or set(tangents) - {"start", "end"}:
+        if not isinstance(tangents, dict) or set(tangents) != {"start", "end"}:
             raise ParseError("'tangents' must be {'start': …, 'end': …}")
-        if closed:
-            raise ParseError("closed profiles must not carry tangents")
-        if "start" in tangents:
-            tau_start = _angle(tangents["start"], degrees, "start")
-        if "end" in tangents:
-            tau_end = _angle(tangents["end"], degrees, "end")
-    if not closed and (tau_start is None or tau_end is None):
-        raise ParseError("open profiles need tangents.start and tangents.end")
+        taus = [_angle(tangents[k], degrees, k) for k in ("start", "end")]
 
     raw_over = obj.get("curvature_overrides") or {}
     if not isinstance(raw_over, dict):
@@ -117,27 +101,28 @@ def parse_profile(obj, degrees: bool = False):
         raise ParseError(str(exc)) from exc
 
     try:
-        data = SplineInput(points=points, tau_start=tau_start,
-                           tau_end=tau_end, closed=closed)
-    except InputError as exc:   # non-finite points or tangents
+        data = SplineInput(points, *taus, closed=closed)
+    except InputError as exc:   # the data's shape: SplineInput's rules
         raise ParseError(str(exc)) from exc
     return data, overrides
 
 
 def _require_numbers(rows, name):
     """Raise ParseError unless every coordinate of the [x, y] rows is a
-    real number other than a boolean, the rule of checked_overrides.
+    number by is_finite_real's rule.
 
     numpy would read true as 1.0, "0.1" as 0.1 and null as NaN; name(i)
-    names row i in the error.
+    names row i in the error.  Rows of plain ints and floats skip this
+    test: their NaNs and out-of-range integers fail the float conversion
+    or finite test each caller runs next.
     """
     if set(map(type, chain.from_iterable(rows))) <= {int, float}:
         return
     for i, row in enumerate(rows):
         for value in row:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParseError("%s has a coordinate that is not a number: "
-                                 "%r" % (name(i), value))
+            if not is_finite_real(value):
+                raise ParseError("%s has a coordinate that is not a finite "
+                                 "number: %r" % (name(i), value))
 
 
 def _unique_keys(pairs):

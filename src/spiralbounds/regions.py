@@ -44,12 +44,11 @@ c|tan(xi/2) + tan(eta/2)|).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Analysis, padded
+from .analysis import Analysis, is_finite_real, padded
 from .errors import ClassificationError, DomainError, OverrideError
 from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, curves,
                        end_parameter, family, family_pieces, gap_maxima,
@@ -276,8 +275,7 @@ def checked_overrides(overrides) -> dict:
         for side, value in zip("ab", spec):
             if value is None:
                 continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not is_finite_real(value):
                 raise OverrideError("override %s for node %d must be a finite "
                                     "number, got %r" % (side, node, value))
             entry[side] = float(value)

@@ -6,8 +6,8 @@ splines over accumulated chord length with unit-tangent end derivatives,
 the standard recipe whose output a bounding region is meant to judge.
 
 The knots are s_0 = 0, s_{i+1} = s_i + 2 c_i with c_i from `build_chords`,
-so its duplicate-point and missing-tangent rules apply; h_i is the
-rounded step s_{i+1} - s_i, as in scipy, so every piece ends on its knot.
+so its duplicate-point rule applies; h_i is the rounded step
+s_{i+1} - s_i, as in scipy, so every piece ends on its knot.
 With Δ_i the divided difference of the points over chord i, the end
 slopes m_0, m_n are the unit end tangents and the interior slopes solve
 

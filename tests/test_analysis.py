@@ -111,11 +111,32 @@ def test_open_data_requires_both_tangents():
         build_chords(SplineInput(pts, tau_start=0.0))
 
 
+@pytest.mark.parametrize("bad, error, named", [
+    ({"points": np.zeros((4, 3))}, InputError, r"\(4, 3\)"),
+    ({"points": np.zeros(8)}, InputError, r"\(8,\)"),
+    ({"points": np.zeros((2, 2))}, InputError, r"\(2, 2\)"),
+    ({"points": [[0, 0], [1], [2, 2]]}, InputError, "floats"),
+    ({"points": [[0, 0], [10 ** 400, 0], [2, 2]]}, InputError, "floats"),
+    ({"tau_end": None}, MissingTangentsError, "both tangents"),
+    ({"closed": True}, InputError, "closed data"),
+], ids=["columns", "flat", "two-points", "ragged", "beyond-float",
+        "open-one-tangent", "closed-with-tangents"])
+def test_spline_input_checks_the_shape_when_built(bad, error, named):
+    # the one gate of the data's shape runs before any analysis
+    kw = {"points": ELBOW.points, "tau_start": 0.0, "tau_end": 1.0}
+    kw.update(bad)
+    with pytest.raises(error, match=named):
+        SplineInput(**kw)
+
+
 @pytest.mark.parametrize("bad, named", [
     ({"points": [[0, 0], [1, 0], [2, math.nan], [3, 1]]}, r"\bpoint 3\b"),
     ({"points": [[0, 0], [1, 0], [2, 0.5], [math.inf, 1]]}, r"\bpoint 4\b"),
     ({"tau_start": math.nan}, r"\bstart tangent\b"),
     ({"tau_end": -math.inf}, r"\bend tangent\b"),
+    ({"tau_start": 10 ** 400}, r"\bstart tangent\b"),
+    ({"tau_start": True}, r"\bstart tangent\b"),
+    ({"tau_end": False}, r"\bend tangent\b"),
 ])
 def test_non_finite_input_rejected_and_named(bad, named):
     # numpy comparisons against NaN are quietly False, so a NaN would
@@ -321,6 +342,18 @@ def test_classify_closed_monotone_has_seam_vertices():
         classify(_nodes([1, 2, 3, 4, 5, 6]), [], closed=True)
 
 
+@pytest.mark.parametrize("r", range(9))
+def test_classify_closed_plateau_across_the_seam(r):
+    # the min plateau runs 8, 9, 1, 2, 3 at r = 0: it wraps the seam and
+    # is named by its first node in cyclic order; rolling the data by r
+    # moves both vertices by r
+    cl = classify(_nodes(np.roll([1, 1, 1, 2, 3, 3, 2, 1, 1], r)), [],
+                  closed=True)
+    assert cl.kind == "piecewise"
+    assert set(cl.vertices) == {((5 - 1 + r) % 9 + 1, "max"),
+                                ((8 - 1 + r) % 9 + 1, "min")}
+
+
 def test_classify_closed_constant_is_spiral():
     cl = classify(_nodes([2, 2, 2, 2, 2]), [], closed=True)
     assert cl.kind == "spiral" and cl.direction == "constant"
@@ -409,6 +442,12 @@ def test_discrete_curvature_plot_circle():
     assert plot.shape == (398, 2)
     npt.assert_allclose(plot[:, 1], 0.25, rtol=1e-6)
     assert np.all(np.diff(plot[:, 0]) > 0)  # abscissa is arc length
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (5, 3), (6,)])
+def test_discrete_curvature_plot_rejects_bad_shape(shape):
+    with pytest.raises(InputError, match=r"\(n >= 3, 2\) sample array"):
+        discrete_curvature_plot(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ import pytest
 
 from spiralbounds.analysis import SplineInput
 from spiralbounds.cli import build_parser, main
+from spiralbounds.errors import EmptySamplesError, ParseError
+from spiralbounds.profile_io import load_samples
 from spiralbounds.splinefit import cubic_spline_fixture
 
 from conftest import sparse_dataset, write_profile
@@ -127,6 +129,30 @@ def test_analyze_non_number_coordinate_exits_3(capsys, tmp_path):
     assert re.search(r"\bpoint 2\b", err)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["analyze", "check"])
+@pytest.mark.parametrize("edit, named", [
+    ({"tangents": {"start": "BIG", "end": 0.5}}, r"\bstart tangent\b"),
+    ({"tangents": {"start": 0.1, "end": ["BIG", 1.0]}}, r"\bend tangent\b"),
+    ({"curvature_overrides": {"2": {"a": "BIG"}}}, r"\bnode 2\b"),
+    ({"version": True}, r"\bversion True\b"),
+    ({"points": [[0, 0, 0], [1, 1, 1], [2, 2, 2]]}, r"\(3, 3\)"),
+], ids=["angle", "vector", "override", "version", "shape"])
+def test_bad_profile_value_exits_3(capsys, tmp_path, command, edit, named):
+    # BIG stands for an integer literal past the float range, which json
+    # reads as a Python int that float() cannot convert
+    prof = json.loads((GOLDEN / "spiral-inc.json").read_text())
+    prof.update(edit)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(prof).replace('"BIG"', "1" + "0" * 400))
+    samples = [str(GOLDEN / "spiral-inc.pass.txt")] * (command == "check")
+    code, out, err = run(capsys, command, str(path), *samples)
+    assert (code, out) == (3, "")
+    assert re.search(named, err)
+
+
 def test_analyze_missing_file_exits_3(capsys):
     code, _, err = run(capsys, "analyze", "does-not-exist.json")
     assert code == 3
@@ -210,11 +236,31 @@ def test_check_non_number_sample_exits_3(capsys, tmp_path, circle_profile):
     assert re.search(r"\bsample 0\b", err)
 
 
+@pytest.mark.parametrize("name, text, error, named", [
+    ("missing.txt", None, ParseError, r"cannot read samples \S*missing\.txt"),
+    ("empty.txt", "", EmptySamplesError, r"empty\.txt is empty"),
+    ("blank.txt", " \n\n", EmptySamplesError, r"blank\.txt is empty"),
+    ("broken.json", "[[0, 1], [2,", ParseError,
+     r"broken\.json is not valid JSON"),
+    ("short.txt", "0 1\n# comment\n2\n", ParseError,
+     r"short\.txt line 3: expected 'x y'"),
+])
+def test_check_bad_sample_file_exits_3(capsys, tmp_path, circle_profile,
+                                       name, text, error, named):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(error, match=named):
+        load_samples(str(path))
+    code, out, err = run(capsys, "check", circle_profile, str(path))
+    assert (code, out) == (3, "")
+    assert re.search(named, err)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_check_bad_tol_exits_3(capsys, tol):
-    golden = Path(__file__).parent / "golden"
-    code, out, err = run(capsys, "check", str(golden / "spiral-inc.json"),
-                         str(golden / "spiral-inc.fail.txt"), "--tol", tol)
+    code, out, err = run(capsys, "check", str(GOLDEN / "spiral-inc.json"),
+                         str(GOLDEN / "spiral-inc.fail.txt"), "--tol", tol)
     assert code == 3
     assert out == ""
     assert "got %r" % float(tol) in err
@@ -228,6 +274,16 @@ def test_check_curvature_plot(capsys, tmp_path, sparse_profile,
     data = np.loadtxt(str(plot))
     assert data.shape[1] == 2
     assert data.shape[0] > 100
+
+
+def test_check_curvature_plot_of_two_samples_exits_3(capsys, tmp_path,
+                                                    circle_profile):
+    samples = tmp_path / "two.txt"
+    samples.write_text("0 0\n0.5 0.01\n")
+    code, out, err = run(capsys, "check", circle_profile, str(samples),
+                         "--curvature-plot", str(tmp_path / "q.txt"))
+    assert (code, out) == (3, "")
+    assert "(n >= 3, 2) sample array" in err
 
 
 def test_check_curvature_plot_error_exits_3_without_report(

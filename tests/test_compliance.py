@@ -214,7 +214,9 @@ def test_closed_data_leaves_no_sample_unassigned():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("tol", [
+    math.nan, math.inf, -math.inf, -1e-9,
+    pytest.param(10 ** 400, id="beyond-float"), True])
 def test_bad_tolerance_rejected_and_named(circle_analysis, tol):
     reg = simple_region(circle_analysis)
     with pytest.raises(InputError, match=r"got %s$" % repr(tol)):

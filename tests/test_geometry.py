@@ -132,6 +132,12 @@ def test_arc_rejects_bad_arguments():
         Arc(1.0, 3.2)
 
 
+@pytest.mark.parametrize("x", [2.5, -2.0001, [0.0, 1.0, 3.0]])
+def test_curve_eval_rejects_abscissa_off_the_chord(x):
+    with pytest.raises(DomainError, match=r"\bc=2\b"):
+        curve_eval(Arc(2.0, 0.3), x)
+
+
 def test_arc_mirror_negates_height():
     arc = Arc(1.7, 0.8)
     xs = np.linspace(-1.7, 1.7, 50)

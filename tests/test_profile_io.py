@@ -89,6 +89,10 @@ def test_parse_overrides():
     lambda p: p.update(curvature_overrides={"1": {"c": 0.0}}),
     lambda p: p.update(curvature_overrides={"1": {"a": "big"}}),
     lambda p: p.update(curvature_overrides=[1, 2]),
+    lambda p: p.update(version=True),
+    lambda p: p.update(tangents={"start": 10 ** 400, "end": 0.0}),
+    lambda p: p.update(tangents={"start": 0.0, "end": [1.0, 10 ** 400]}),
+    lambda p: p.update(closed=True, tangents={}),
 ])
 def test_parse_rejects_malformed(mutate):
     prof = json.loads(json.dumps(VALID))

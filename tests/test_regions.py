@@ -402,6 +402,8 @@ def test_override_empty_range_rejected():
     {3: {"a": True}},
     {"3": {"a": "x"}},
     {3: {"b": [1.0]}},
+    {3: {"a": 10 ** 400}},
+    {3: (None, -10 ** 400)},
 ])
 def test_override_bad_number_rejected_and_named(overrides):
     an, _ = spiral_analysis(65)
