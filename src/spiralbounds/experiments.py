@@ -31,8 +31,8 @@ def circle_dataset(n_points: int = 21, radius: float = 10.0,
     return SplineInput(points=pts, tau_start=0.0, tau_end=float(theta[-1]))
 
 
-def rounded_circle_dataset(decimals: int = 2, **kwargs) -> SplineInput:
-    base = circle_dataset(**kwargs)
+def rounded_circle_dataset(decimals: int = 2) -> SplineInput:
+    base = circle_dataset()
     return SplineInput(points=np.round(base.points, decimals),
                        tau_start=base.tau_start, tau_end=base.tau_end)
 

@@ -20,16 +20,17 @@ Sample files are either a JSON array of [x, y] pairs or plain text with
 one "x y" pair per line; '#' starts a comment.  A coordinate in JSON
 must be a number: a boolean, a string or null is a ParseError.
 
-Reports are JSON dictionaries built here so they round-trip losslessly.
-report_json writes them byte for byte as json.dumps(report, indent=2)
-does, but json's indent path is its pure-Python encoder, one generator
-frame per value, which took most of the time of analyzing a large
-profile.  Instead the writer works on columns: the values found at one
-key path across all rows (every chords[].lower.phi, say) are written
-together, floats by one map(float.__repr__) where all are finite.
-Dicts of one key tuple are filled into one % template, lists of one
-length into another, and the items of those lists form the next
-column, so the recursion is as deep as the report, not as long.
+Reports are JSON dictionaries with str keys, built here so they
+round-trip losslessly; report_json takes nothing else.  It writes them
+byte for byte as json.dumps(report, indent=2) does, but json's indent
+path is its pure-Python encoder, one generator frame per value, which
+took most of the time of analyzing a large profile.  Instead the
+writer works on columns: the values found at one key path across all
+rows (every chords[].lower.phi, say) are written together, floats by
+one map(float.__repr__) where all are finite.  Dicts of one key tuple
+are filled into one % template, lists of one length into another, and
+the items of those lists form the next column, so the recursion is as
+deep as the report, not as long.
 """
 
 from __future__ import annotations
@@ -277,44 +278,34 @@ def compliance_report_dict(report: ComplianceReport) -> dict:
 
 
 def report_json(report: dict) -> str:
-    """The report as json.dumps(report, indent=2, allow_nan=True) writes it."""
+    """The report, all keys str, as json.dumps(report, indent=2) writes it."""
     return _encode([report], 0)[0]
 
 
 def _encode(col, depth):
     """JSON text of each value of the column col, nested depth deep."""
-    writers = {_WRITERS.get(t) for t in set(map(type, col))}
-    if len(writers) == 1 and None not in writers:
-        return writers.pop()(col, depth)
-    return _by(_writer, col, lambda write, rows: write(rows, depth))
+    return _by(type, col, lambda t, rows: _writer(t)(rows, depth))
 
 
-def _writer(value):
-    """The column writer of a value, in the order json tests types."""
-    if isinstance(value, str):
-        return _strings
-    if value is None or value is True or value is False:
-        return _constants
-    if isinstance(value, int):
-        return _ints
-    if isinstance(value, float):
-        return _floats
-    if isinstance(value, (list, tuple)):
-        return _lists
-    if isinstance(value, dict):
-        return _dicts
+def _writer(t):
+    """The column writer of type t: that of the first class of its MRO
+    in _WRITERS, so numpy.float64 is a float and bool is not an int."""
+    for cls in t.__mro__:
+        if cls in _WRITERS:
+            return _WRITERS[cls]
     raise TypeError("Object of type %s is not JSON serializable"
-                    % type(value).__name__)
+                    % t.__name__)
 
 
 def _by(key, col, fill):
     """fill(k, rows) on the values of col grouped by k = key(value), as
     one list in col's order."""
+    keys = set(map(key, col))
+    if len(keys) == 1:
+        return fill(keys.pop(), col)
     groups = {}
     for i, value in enumerate(col):
         groups.setdefault(key(value), []).append(i)
-    if len(groups) == 1:
-        return fill(next(iter(groups)), col)
     out = [None] * len(col)
     for k, idx in groups.items():
         for i, text in zip(idx, fill(k, [col[i] for i in idx])):
@@ -360,6 +351,10 @@ def _dicts(col, depth):
     def fill(names, rows):
         if not names:
             return ["{}"] * len(rows)
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError("report keys must be str, not %s"
+                                % type(name).__name__)
         values = [_encode(c, depth + 1)
                   for c in zip(*(row.values() for row in rows))]
         tmpl = ("{" + ",".join(
@@ -367,24 +362,7 @@ def _dicts(col, depth):
             .replace("%", "%%") + ": %s" for name in names)
             + _newline(depth) + "}")
         return [tmpl % row for row in zip(*values)]
-
-    def fill_keys(keys, rows):
-        if all(type(k) is str for k in keys):
-            return fill(keys, rows)
-        # 1, 1.0 and True are equal keys, as are 0.0 and -0.0, each
-        # written its own way
-        return _by(lambda row: tuple(map(_key, row)), rows, fill)
-    return _by(tuple, col, fill_keys)
-
-
-def _key(key):
-    """A dict key as json names it."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode([key], 0)[0]
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % type(key).__name__)
+    return _by(tuple, col, fill)
 
 
 def _newline(depth):

@@ -250,19 +250,20 @@ def checked_overrides(overrides) -> dict:
 
     Takes {node: {'a': lo, 'b': hi}} or {node: (lo, hi)}, either bound
     None or left out, and returns {node: {'a': lo, 'b': hi}} with float
-    bounds, leaving out nodes without any.  Raises OverrideError, naming
-    the node, for a key that is not a node index, two keys naming one
-    node (3 and "03"), a malformed entry, a bound that is not a finite
-    real number and an empty range a > b.
+    bounds, leaving out nodes without any.  A node is named by an int
+    (not a bool) or a str of ASCII digits.  Raises OverrideError, naming
+    the key or node, for any other key, two keys naming one node (3 and
+    "03"), a malformed entry, a bound that is not a finite real number
+    and an empty range a > b.
     """
     out = {}
     seen = set()
     for key, spec in (overrides or {}).items():
-        try:
-            node = int(key)
-        except (TypeError, ValueError):
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()
+                or isinstance(key, int) and not isinstance(key, bool)):
             raise OverrideError("override key %r is not a node index"
-                                % (key,)) from None
+                                % (key,))
+        node = int(key)
         if node in seen:
             raise OverrideError("node %d has more than one override" % node)
         seen.add(node)

@@ -29,6 +29,7 @@ _STYLES = {
 }
 # One piece from the values r, r, f, x, y; a segment prints no r and f.
 _PIECES = ("A %.10g %.10g 0 0 %d %.10g %.10g", "L%.0s%.0s%.0s %.10g %.10g")
+SIZE = 800      # the picture's longer side, in pixels
 
 
 def _fmt(v: float) -> str:
@@ -72,7 +73,7 @@ def _paths(g: ChordColumns, style: dict, stroke: str) -> str:
     return _rows(np.column_stack([chord] + sides), np.column_stack(columns))
 
 
-def render_svg(analysis: Analysis, region: Region, path, size: int = 800):
+def render_svg(analysis: Analysis, region: Region, path):
     """Write the region, data points, tangents and width labels to `path`."""
     g = ChordColumns(region)
     pts = analysis.data.points
@@ -92,8 +93,8 @@ def render_svg(analysis: Analysis, region: Region, path, size: int = 800):
     lo = np.min([p.min(axis=0) for p in parts], axis=0)
     hi = np.max([p.max(axis=0) for p in parts], axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    pad = 0.05 * size
-    scale = (size - 2.0 * pad) / float(max(span))
+    pad = 0.05 * SIZE
+    scale = (SIZE - 2.0 * pad) / float(max(span))
     width_px = 2.0 * pad + scale * span[0]
     height_px = 2.0 * pad + scale * span[1]
     tx = pad - scale * lo[0]

@@ -129,6 +129,27 @@ def test_analyze_non_number_coordinate_exits_3(capsys, tmp_path):
     assert re.search(r"\bpoint 2\b", err)
 
 
+@pytest.mark.parametrize("points", [5, [[0, 0], 3, [1, 1], [2, 0]]])
+def test_analyze_points_not_pairs_exits_3(capsys, tmp_path, points):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"version": 1, "closed": True,
+                                "points": points}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert "'points'" in err
+
+
+def test_analyze_steep_boundary_exits_2(capsys, tmp_path):
+    # closed data so coarse that a boundary of chord 1 is not a graph
+    # over the chord
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"version": 1, "closed": True, "points": [
+        [-2, 2], [-2, -3], [3, -4], [1, -1], [-3, -3]]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert "chord 1: boundary tangent angle 1.69515 exceeds pi/2" in err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -183,6 +204,17 @@ def test_analyze_node_overridden_twice_exits_3(capsys, tmp_path, _circle,
     assert code == 3
     assert out == ""
     assert re.search(r"\bnode 1\b|key '1'", err)
+
+
+def test_analyze_override_key_not_node_number_exits_3(capsys, tmp_path):
+    # int(" 2 ") is 2, which would quietly apply the override to node 2
+    prof = json.loads((GOLDEN / "spiral-inc.json").read_text())
+    prof["curvature_overrides"] = {" 2 ": {"a": -1e9}}
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps(prof))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert "key ' 2 '" in err
 
 
 def test_override_tightens_from_profile(capsys, tmp_path, _circle):

@@ -318,8 +318,7 @@ def _dumps(obj):
 
 # few keys, so that rows share key paths with other key sets and orders
 KEYS = st.sampled_from(["", "a", "b", "\u00e9\u2028", 'q"', "%", "%s",
-                        "100%%", 0, 7, True, False, None, 1.5, -0.0, 0.0,
-                        math.nan, -math.inf])
+                        "100%%", "0", "1"])
 SCALARS = st.one_of(
     st.none(), st.booleans(),
     st.integers(), st.sampled_from([2 ** 64, -(10 ** 30)]),
@@ -339,7 +338,7 @@ TREES = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(TREES)
 @example({"%s": [-0.0, math.nan, math.inf, -math.inf, np.float64(-0.0)],
-          1: [[], {}, [[]], [{}]], "rows": [{"a": 1, "b": [1, 2]},
+          "1": [[], {}, [[]], [{}]], "rows": [{"a": 1, "b": [1, 2]},
                                           {"b": [3], "a": True},
                                           {"a": None}, {}, []]})
 def test_report_json_is_json_dumps(tree):
@@ -347,11 +346,18 @@ def test_report_json_is_json_dumps(tree):
 
 
 def test_report_json_raises_json_type_error():
-    for bad in ({"a": [1.0, {2, 3}]}, {(1, 2): 0.0}):
-        with pytest.raises(TypeError) as want:
-            _dumps(bad)
-        with pytest.raises(TypeError, match="^%s$" % want.value):
-            report_json(bad)
+    bad = {"a": [1.0, {2, 3}]}
+    with pytest.raises(TypeError) as want:
+        _dumps(bad)
+    with pytest.raises(TypeError, match="^%s$" % want.value):
+        report_json(bad)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+def test_report_json_rejects_key_that_is_not_str(key):
+    # every report names its fields by str; json.dumps would write 1 as "1"
+    with pytest.raises(TypeError, match=r"\bnot %s$" % type(key).__name__):
+        report_json({"rows": [{"a": 0.0}, {key: 0.0}]})
 
 
 def _golden_reports():

@@ -8,6 +8,7 @@ contradictions, and the conservative fallback for infeasible corners.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -413,7 +414,7 @@ def test_override_bad_number_rejected_and_named(overrides):
 
 @pytest.mark.parametrize("overrides", [
     {"3": {"a": -1.0}, "03": {"b": 2.0}},
-    {"3": {"a": -1.0}, " 3": {"b": 2.0}},
+    {3: {"a": -1.0}, "003": {"b": 2.0}},
     {3: (None, 1.0), "3": (None, 2.0)},
     {"3": {}, 3: {"a": 1.0}},
 ])
@@ -421,6 +422,15 @@ def test_override_same_node_twice_rejected_and_named(overrides):
     # keeping either entry would silently drop the other
     with pytest.raises(OverrideError, match=r"\bnode 3\b"):
         checked_overrides(overrides)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 3", " 3 ", "+3", "\u0663", 1.5,
+                                 True, "", None])
+def test_override_key_not_node_number_rejected_and_named(key):
+    # int() would read "1_0" as node 10, " 3 ", "+3" and "\u0663" as
+    # node 3, and 1.5 and True as node 1
+    with pytest.raises(OverrideError, match=re.escape(repr(key))):
+        checked_overrides({key: {"a": 0.0}})
 
 
 def test_override_contradiction_rejected():

@@ -17,9 +17,9 @@ from spiralbounds.svg import render_svg
 from logspiral import spiral_dataset
 
 
-def render(tmp_path, analysis, region, **kw):
+def render(tmp_path, analysis, region):
     path = tmp_path / "out.svg"
-    render_svg(analysis, region, str(path), **kw)
+    render_svg(analysis, region, str(path))
     return path.read_text()
 
 
@@ -80,9 +80,9 @@ def test_svg_no_bad_numbers(tmp_path, circle_analysis):
 
 def test_svg_viewbox_and_size(tmp_path, circle_analysis):
     reg = build_region(circle_analysis)
-    svg = render(tmp_path, circle_analysis, reg, size=400)
+    svg = render(tmp_path, circle_analysis, reg)
     m = re.search(r'viewBox="0 0 ([\d.]+) ([\d.]+)"', svg)
-    assert m and float(m.group(1)) == 400.0
+    assert m and float(m.group(1)) == 800.0
     assert float(m.group(2)) > 0
 
 
