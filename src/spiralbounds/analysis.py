@@ -319,21 +319,15 @@ def classify(nodes: Nodes, violations: list[Lim180Violation],
 
 
 def discrete_curvature_plot(samples) -> np.ndarray:
-    """(arc length, three-point curvature) rows for a sample polyline."""
+    """(arc length, three-point curvature) rows at the interior samples of
+    a polyline, read as open data: its chords and their nodes' q."""
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise InputError("need an (n >= 3, 2) sample array")
-    seg = pts[1:] - pts[:-1]
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    if np.any(lengths == 0.0):
-        raise DuplicatePointsError("repeated consecutive samples")
-    s = np.concatenate([[0.0], np.cumsum(lengths)])
-    dirs = np.arctan2(seg[:, 1], seg[:, 0])
-    rho = wrap_angle(dirs[1:] - dirs[:-1])
-    diag = pts[2:] - pts[:-2]
-    d = 0.5 * np.hypot(diag[:, 0], diag[:, 1])
-    q = np.sin(rho) / d
-    return np.column_stack([s[1:-1], q])
+    # the end tangents only set the end nodes' q, which are left out
+    chords = build_chords(SplineInput(pts, 0.0, 0.0))
+    s = np.cumsum(2.0 * chords.c)[:-1]
+    return np.column_stack([s, node_data(chords).q[1:-1]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,8 +104,6 @@ class _Chords(ChordColumns):
 
     def __init__(self, region: Region):
         super().__init__(region)
-        self.closed = region.closed
-        self.index = np.array([ch.index for ch in region.chords])
         self.reach = self.c * (1.0 + SPAN_SLACK)
 
     def spans(self, pts, i, j):
@@ -138,13 +136,10 @@ class _Chords(ChordColumns):
     def nodes(self):
         """Node positions: every chord's start, and the last chord's end
         for open data."""
-        start = np.column_stack([self.ox - self.c * self.cos,
-                                 self.oy - self.c * self.sin])
+        start = np.column_stack([self.sx, self.sy])
         if self.closed:
             return start
-        end = (self.ox[-1] + self.c[-1] * self.cos[-1],
-               self.oy[-1] + self.c[-1] * self.sin[-1])
-        return np.vstack([start, end])
+        return np.vstack([start, (self.ex[-1], self.ey[-1])])
 
 
 def _grid_pairs(g: _Chords, pts, h):

@@ -14,7 +14,8 @@ Tangents are required for open data and forbidden for closed data; each
 one is either an angle in radians (degrees with the CLI flag) or a
 non-normalized direction vector.  Curvature overrides tighten the
 per-node curvature bounds of the narrowed construction; keys are 1-based
-node indices.
+node indices.  They are checked for every grade, their node range when
+the region is built, but only the narrowed grade uses them.
 
 Sample files are either a JSON array of [x, y] pairs or plain text with
 one "x y" pair per line; '#' starts a comment.  A coordinate in JSON

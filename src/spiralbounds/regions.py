@@ -78,18 +78,26 @@ class Region:
 class ChordColumns:
     """A region's chords as columns, gathered once.
 
-    c and the midpoints (ox, oy) per chord, the cos and sin of the chord
-    direction (the rotation of ChordFrame.axes) and `table`, the pieces()
-    of the lower and upper boundary of every chord, shaped (8, m, 2).
+    Per chord: its 1-based index, width, c, the midpoint (ox, oy), the
+    cos and sin of the chord direction (the rotation of ChordFrame.axes),
+    the start and end nodes (sx, sy) and (ex, ey), and in `table` the
+    pieces() of the lower and upper boundary, shaped (8, m, 2).  `closed`
+    says whether the last chord ends at the first one's start.
     """
 
     def __init__(self, region: Region):
         chords = region.chords
+        self.closed = region.closed
+        self.index = np.array([ch.index for ch in chords])
+        self.width = np.array([ch.width for ch in chords])
         self.c = np.array([ch.frame.half_length for ch in chords])
         self.ox, self.oy = np.array([ch.frame.origin for ch in chords]).T
         direction = [ch.frame.direction for ch in chords]
         self.cos = np.array([math.cos(d) for d in direction])
         self.sin = np.array([math.sin(d) for d in direction])
+        dx, dy = self.c * self.cos, self.c * self.sin
+        self.sx, self.sy = self.ox - dx, self.oy - dy
+        self.ex, self.ey = self.ox + dx, self.oy + dy
         self.table = piece_table([curve for ch in chords
                                   for curve in (ch.lower, ch.upper)]
                                  ).reshape(8, -1, 2)
@@ -245,7 +253,7 @@ def vertex_region(analysis: Analysis) -> Region:
                  np.where(at_start, -xi_prev - rho[:m], xi))
 
 
-def checked_overrides(overrides) -> dict:
+def checked_overrides(overrides, n_nodes=None) -> dict:
     """Validate curvature overrides: the one rule for every entry point.
 
     Takes {node: {'a': lo, 'b': hi}} or {node: (lo, hi)}, either bound
@@ -253,8 +261,8 @@ def checked_overrides(overrides) -> dict:
     bounds, leaving out nodes without any.  A node is named by an int
     (not a bool) or a str of ASCII digits.  Raises OverrideError, naming
     the key or node, for any other key, two keys naming one node (3 and
-    "03"), a malformed entry, a bound that is not a finite real number
-    and an empty range a > b.
+    "03"), a malformed entry, a bound that is not a finite real number,
+    an empty range a > b and, given n_nodes, a node outside 1..n_nodes.
     """
     out = {}
     seen = set()
@@ -267,6 +275,10 @@ def checked_overrides(overrides) -> dict:
         if node in seen:
             raise OverrideError("node %d has more than one override" % node)
         seen.add(node)
+        if n_nodes is not None and not 1 <= node <= n_nodes:
+            raise OverrideError(
+                "curvature override for node %d, but nodes run 1..%d"
+                % (node, n_nodes))
         if isinstance(spec, dict) and not set(spec) - {"a", "b"}:
             spec = (spec.get("a"), spec.get("b"))
         elif not (isinstance(spec, tuple) and len(spec) == 2):
@@ -321,11 +333,7 @@ def _node_bounds(analysis: Analysis, table: NarrowedAngles, overrides):
 
     lo_over = np.zeros(n_nodes, dtype=bool)
     hi_over = np.zeros(n_nodes, dtype=bool)
-    for idx, spec in checked_overrides(overrides).items():
-        if not 1 <= idx <= n_nodes:
-            raise OverrideError(
-                "curvature override for node %d, but nodes run 1..%d"
-                % (idx, n_nodes))
+    for idx, spec in checked_overrides(overrides, n_nodes).items():
         lo, hi = spec.get("a", -math.inf), spec.get("b", math.inf)
         if table.mirrored:   # negated curvatures: floor and ceiling swap
             lo, hi = -hi, -lo
@@ -393,10 +401,11 @@ def build_region(analysis: Analysis, grade: str = "auto",
                  overrides=None) -> Region:
     """Construct a region of the requested grade ('auto' picks by data).
 
-    Curvature overrides act on the narrowed construction only; other
-    grades ignore them.
+    Curvature overrides are checked for every grade, node range included,
+    but only the narrowed construction uses them.
     """
     _require_admissible(analysis)
+    checked_overrides(overrides, len(analysis.nodes))
     if grade == "auto":
         grade = ("narrowed" if analysis.classification.kind == "spiral"
                  else "vertex")

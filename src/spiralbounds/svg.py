@@ -44,8 +44,6 @@ def _rows(templates, values) -> str:
 
 def _paths(g: ChordColumns, style: dict, stroke: str) -> str:
     """The chord, lower and upper path of every chord, one line each."""
-    sx, sy = g.ox - g.c * g.cos, g.oy - g.c * g.sin
-    ex, ey = g.ox + g.c * g.cos, g.oy + g.c * g.sin
     # the joins, (m, 2) per coordinate: lower boundary, upper boundary
     cos, sin = g.cos[:, None], g.sin[:, None]
     xj = g.table[1]
@@ -55,10 +53,10 @@ def _paths(g: ChordColumns, style: dict, stroke: str) -> str:
     k1, k2 = g.table[4], g.table[7]
     with np.errstate(divide="ignore"):
         r1, r2 = 1.0 / np.abs(k1), 1.0 / np.abs(k2)
-    columns = [sx, sy, ex, ey]
+    columns = [g.sx, g.sy, g.ex, g.ey]
     for s in (0, 1):
-        columns += [sx, sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
-                    jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, ex, ey]
+        columns += [g.sx, g.sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
+                    jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, g.ex, g.ey]
 
     def line(cls, d):
         return ('<path class="%s" d="M %%.10g %%.10g %s" %s '
@@ -69,7 +67,7 @@ def _paths(g: ChordColumns, style: dict, stroke: str) -> str:
     sides = [np.array([line(cls, _PIECES[a] + " " + _PIECES[b])
                        for a in (0, 1) for b in (0, 1)])[straight[:, s]]
              for s, cls in enumerate(("lower", "upper"))]
-    chord = np.full(len(sx), line("chord", "L %.10g %.10g"))
+    chord = np.full(len(g.c), line("chord", "L %.10g %.10g"))
     return _rows(np.column_stack([chord] + sides), np.column_stack(columns))
 
 
@@ -86,10 +84,10 @@ def render_svg(analysis: Analysis, region: Region, path):
 
     # half extents of each chord's box, which holds its nodes
     h = g.lens_height()
-    ex = g.c * np.abs(g.cos) + h * np.abs(g.sin)
-    ey = g.c * np.abs(g.sin) + h * np.abs(g.cos)
-    parts = [np.column_stack([g.ox - ex, g.oy - ey]),
-             np.column_stack([g.ox + ex, g.oy + ey])] + tangents
+    bx = g.c * np.abs(g.cos) + h * np.abs(g.sin)
+    by = g.c * np.abs(g.sin) + h * np.abs(g.cos)
+    parts = [np.column_stack([g.ox - bx, g.oy - by]),
+             np.column_stack([g.ox + bx, g.oy + by])] + tangents
     lo = np.min([p.min(axis=0) for p in parts], axis=0)
     hi = np.max([p.max(axis=0) for p in parts], axis=0)
     span = np.maximum(hi - lo, 1e-12)
@@ -125,8 +123,7 @@ def render_svg(analysis: Analysis, region: Region, path):
     out.append(_rows(['<text class="width-label" x="%.10g" y="%.10g" '
                       'font-size="11" fill="#555555">%.4g</text>'] * len(g.c),
                      np.column_stack([tx + scale * g.ox,
-                                      ty - scale * g.oy - 4.0,
-                                      [ch.width for ch in region.chords]])))
+                                      ty - scale * g.oy - 4.0, g.width])))
     out.append('</svg>')
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

@@ -365,6 +365,22 @@ def test_classify_curvature_ties_use_relative_tolerance():
     assert cl.kind == "spiral" and cl.direction == "constant"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "plateaus are compared by their first q, and ties within the rounding "
+    "bounds are not transitive; the fix belongs to ROADMAP direction 3"))
+def test_classify_tie_chain_is_not_a_spiral():
+    # each neighbour pair ties within err_j + err_{j+1} = 2e-6, yet node 3
+    # sits 3e-6 above node 1 and 2.5e-6 above nodes 4 and 5: the data
+    # rises and then falls
+    q = 1.0 + np.array([0.0, 1.5e-6, 3e-6, 0.5e-6, 0.5e-6])
+    nodes = Nodes(rho=np.zeros_like(q), d=np.ones_like(q), q=q,
+                  err=np.full_like(q, 1e-6))
+    cl = classify(nodes, [])
+    assert cl.kind == "piecewise"
+    assert len(cl.vertices) == 1
+    assert cl.vertices[0][1] == "max" and cl.vertices[0][0] in (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # Invariance properties
 # ---------------------------------------------------------------------------

@@ -206,6 +206,20 @@ def test_analyze_node_overridden_twice_exits_3(capsys, tmp_path, _circle,
     assert re.search(r"\bnode 1\b|key '1'", err)
 
 
+@pytest.mark.parametrize("grade", ["simple", "vertex", "narrowed"])
+def test_analyze_override_past_last_node_exits_3_at_every_grade(
+        capsys, tmp_path, grade):
+    # overrides are checked for every grade, though only the narrowed
+    # grade uses them
+    prof = json.loads((GOLDEN / "spiral-inc.json").read_text())
+    prof["curvature_overrides"] = {"99": {"a": 1e9}}
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(prof))
+    code, out, err = run(capsys, "analyze", str(path), "--grade", grade)
+    assert (code, out) == (3, "")
+    assert "nodes run 1..9" in err
+
+
 def test_analyze_override_key_not_node_number_exits_3(capsys, tmp_path):
     # int(" 2 ") is 2, which would quietly apply the override to node 2
     prof = json.loads((GOLDEN / "spiral-inc.json").read_text())
@@ -331,7 +345,20 @@ def test_check_curvature_plot_error_exits_3_without_report(
                          "--curvature-plot", str(plot))
     assert code == 3
     assert out == ""
-    assert "repeated consecutive samples" in err
+    assert "points 100 and 101 coincide" in err
+
+
+def test_check_curvature_plot_of_folded_samples_exits_2(capsys, tmp_path):
+    # the third sample turns straight back: its three-point circle has no
+    # finite curvature
+    samples = tmp_path / "fold.txt"
+    samples.write_text("0 0\n1 0.01\n2 0.05\n1 0.01\n")
+    plot = tmp_path / "q.txt"
+    code, out, err = run(capsys, "check", str(GOLDEN / "spiral-inc.json"),
+                         str(samples), "--curvature-plot", str(plot))
+    assert (code, out) == (2, "")
+    assert "node 3 folds back onto itself" in err
+    assert not plot.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ contradictions, and the conservative fallback for infeasible corners.
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spiralbounds.analysis import SplineInput, analyze
+from spiralbounds.analysis import Classification, SplineInput, analyze
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
 from spiralbounds.geometry import Arc, Biarc, curve_eval
+from spiralbounds.profile_io import load_profile
 from spiralbounds.regions import (
     _boundaries,
     build_region,
@@ -30,8 +32,12 @@ from spiralbounds.regions import (
     vertex_region,
 )
 
+from arcspline import arc_spline_dataset, random_arc_spline
 from logspiral import LogSpiral, spiral_dataset
 from conftest import reference_narrowed, sparse_dataset
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def spiral_analysis(seed, **kw):
@@ -187,6 +193,17 @@ def test_vertex_region_mirror_symmetry():
     an2 = analyze(SplineInput(pts[::-1].copy(), closed=True))
     reg2 = vertex_region(an2)
     assert reg2.width == pytest.approx(reg.width, rel=1e-9)
+
+
+def test_vertex_region_rejects_vertices_at_both_ends_of_a_chord():
+    # classify never puts vertices next to each other, but a library
+    # caller can hand vertex_region such a classification
+    data, _ = load_profile(str(GOLDEN / "oval.json"))
+    an = dataclasses.replace(analyze(data), classification=Classification(
+        "piecewise", None, ((2, "max"), (3, "min")), ()))
+    with pytest.raises(ClassificationError,
+                       match=r"vertices at both ends of chord 2$"):
+        vertex_region(an)
 
 
 def test_vertex_widths_bound_the_dense_gap():
@@ -385,6 +402,15 @@ def test_override_unknown_node_rejected():
         narrowed_region(an, overrides={99: {"a": 0.0}})
 
 
+@pytest.mark.parametrize("grade", ["simple", "vertex", "narrowed"])
+def test_build_region_checks_override_nodes_at_every_grade(grade):
+    # only the narrowed grade uses overrides, but every grade checks them
+    an, _ = spiral_analysis(65)
+    nodes = r"node 99, but nodes run 1\.\.%d" % len(an.nodes)
+    with pytest.raises(OverrideError, match=nodes):
+        build_region(an, grade, {99: {"a": 1e9}})
+
+
 def test_override_unknown_key_rejected():
     an, _ = spiral_analysis(65)
     with pytest.raises(OverrideError):
@@ -478,6 +504,32 @@ def test_overrides_on_decreasing_spiral():
     reg = narrowed_region(an, overrides={2: {"a": -1e9}})
     for b, r in zip(base.chords, reg.chords):
         npt.assert_allclose(r.width, b.width, rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Arc-spline oracle
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pieces=st.integers(1, 7),
+       n_nodes=st.integers(3, 24), increasing=st.booleans())
+def test_spiral_regions_contain_arc_splines(seed, pieces, n_nodes,
+                                            increasing):
+    # monotone arc splines jump in curvature, cross inflections and run
+    # along a boundary circle wherever one arc holds three nodes: the
+    # regions must hold them at the default tol, with no slack to spare
+    from spiralbounds.compliance import check_containment
+    rng = np.random.default_rng(seed)
+    spline = random_arc_spline(rng, pieces, increasing)
+    pts, t0, t1, _ = arc_spline_dataset(rng, spline, n_nodes)
+    an = analyze(SplineInput(pts, t0, t1))
+    assume(an.classification.kind == "spiral")
+    dense = spline.point(np.linspace(0.0, spline.total, 4001))
+    for region in (simple_region(an), narrowed_region(an)):
+        rep = check_containment(region, dense)
+        assert rep.passed, (region.grade, rep.worst_margin, rep.tol)
+        assert rep.unassigned_count == 0
 
 
 # ---------------------------------------------------------------------------
