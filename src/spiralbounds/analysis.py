@@ -178,19 +178,33 @@ def padded(col, closed: bool, ends=(0.0, 0.0)) -> np.ndarray:
     return np.concatenate([[ends[0]], col, [ends[1]]])
 
 
-def build_chords(data: SplineInput) -> Chords:
-    """Chords of the data polygon (N - 1 for open data, N for closed)."""
+def chord_vectors(data: SplineInput):
+    """The chords of the data polygon as vectors, (m, 2), and their
+    lengths (m = N - 1 for open data, N for closed).
+
+    The duplicate-point rule: a chord no longer than 1e-12 of the data's
+    extent is a DuplicatePointsError naming its points.
+    """
     pts = data.points
     m = len(pts) - (not data.closed)
     seg = padded(pts, data.closed, pts[[0, -1]])[2:m + 2] - pts[:m]
     lengths = np.hypot(seg[:, 0], seg[:, 1])
-    diag = math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
+    # per column: numpy reduces an (N, 2) array along axis 0 ten times
+    # slower
+    diag = math.hypot(*(np.ptp(col) for col in pts.T))
     short = np.nonzero(lengths <= 1e-12 * max(diag, 1e-300))[0]
     if short.size:
+        k = int(short[0])
         raise DuplicatePointsError(
-            "points %d and %d coincide" % (short[0] + 1, short[0] + 2))
+            "points %d and %d coincide" % (k + 1, k + 2), index=k)
+    return seg, lengths
+
+
+def build_chords(data: SplineInput) -> Chords:
+    """Chords of the data polygon (N - 1 for open data, N for closed)."""
+    seg, lengths = chord_vectors(data)
     return Chords(c=0.5 * lengths, mu=np.arctan2(seg[:, 1], seg[:, 0]),
-                  mid=pts[:m] + 0.5 * seg, closed=data.closed,
+                  mid=data.points[:len(seg)] + 0.5 * seg, closed=data.closed,
                   tangents=None if data.closed
                   else (data.tau_start, data.tau_end))
 
@@ -214,9 +228,10 @@ def node_data(chords: Chords) -> Nodes:
     d = np.hypot((c0 + c1) * np.cos(0.5 * rho), (c0 - c1) * np.sin(0.5 * rho))
     folded = np.nonzero(d < 1e-12 * (c0 + c1))[0]
     if folded.size:
+        k = int(folded[0])
         raise DegenerateNodeError(
-            "node %d folds back onto itself (half-diagonal ~ 0)"
-            % (folded[0] + 1))
+            "node %d folds back onto itself (half-diagonal ~ 0)" % (k + 1),
+            index=k)
     scale = Q_ERR_FACTOR * sys.float_info.epsilon * (
         float(np.abs(chords.mid).max()) + 2.0 * float(chords.c.max()))
     inv = padded(scale / chords.c, chords.closed)
@@ -324,10 +339,20 @@ def discrete_curvature_plot(samples) -> np.ndarray:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise InputError("need an (n >= 3, 2) sample array")
-    # the end tangents only set the end nodes' q, which are left out
-    chords = build_chords(SplineInput(pts, 0.0, 0.0))
-    s = np.cumsum(2.0 * chords.c)[:-1]
-    return np.column_stack([s, node_data(chords).q[1:-1]])
+    # the end tangents only set the end nodes' q, which are left out;
+    # errors name samples from 0, as the compliance report does
+    try:
+        chords = build_chords(SplineInput(pts, 0.0, 0.0))
+        q = node_data(chords).q[1:-1]
+    except DuplicatePointsError as exc:
+        raise DuplicatePointsError(
+            "samples %d and %d coincide" % (exc.index, exc.index + 1),
+            index=exc.index) from None
+    except DegenerateNodeError as exc:
+        raise DegenerateNodeError(
+            "sample %d folds back onto itself" % exc.index,
+            index=exc.index) from None
+    return np.column_stack([np.cumsum(2.0 * chords.c)[:-1], q])
 
 
 @dataclass(frozen=True, eq=False)

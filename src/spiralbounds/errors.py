@@ -20,7 +20,11 @@ class ParseError(InputError):
 
 
 class DuplicatePointsError(InputError):
-    """Consecutive data points coincide."""
+    """Consecutive data points coincide; `index` is the first, from 0."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class MissingTangentsError(InputError):
@@ -44,7 +48,12 @@ class DomainError(DataError):
 
 
 class DegenerateNodeError(DataError):
-    """A node where the three-point circle is undefined (cusp-like fold)."""
+    """A node where the three-point circle is undefined (cusp-like fold);
+    `index` is the node, from 0."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class AdjacentVerticesError(DataError):

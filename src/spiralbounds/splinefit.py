@@ -5,9 +5,10 @@ part of the bounding constructions.  It fits x(s), y(s) as clamped cubic
 splines over accumulated chord length with unit-tangent end derivatives,
 the standard recipe whose output a bounding region is meant to judge.
 
-The knots are s_0 = 0, s_{i+1} = s_i + 2 c_i with c_i from `build_chords`,
-so its duplicate-point rule applies; h_i is the rounded step
-s_{i+1} - s_i, as in scipy, so every piece ends on its knot.
+The knots are s_0 = 0, s_{i+1} = s_i + |P_{i+1} - P_i|, the chord
+lengths from `chord_vectors`, so its duplicate-point rule applies; h_i
+is the rounded step s_{i+1} - s_i, as in scipy, so every piece ends on
+its knot.
 With Δ_i the divided difference of the points over chord i, the end
 slopes m_0, m_n are the unit end tangents and the interior slopes solve
 
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .analysis import SplineInput, build_chords
+from .analysis import SplineInput, chord_vectors
 from .errors import DuplicatePointsError, InputError
 
 
@@ -44,7 +45,8 @@ def cubic_spline_fixture(data: SplineInput, samples_per_chord: int = 64):
                          "with boundary tangents")
     if samples_per_chord < 2:
         raise InputError("need at least 2 samples per chord")
-    s = np.concatenate([[0.0], np.cumsum(2.0 * build_chords(data).c)])
+    seg, lengths = chord_vectors(data)
+    s = np.concatenate([[0.0], np.cumsum(lengths)])
     h = np.diff(s)
     short = np.nonzero(h <= 0.0)[0]
     if short.size:
@@ -54,7 +56,7 @@ def cubic_spline_fixture(data: SplineInput, samples_per_chord: int = 64):
     n = len(h)
     # coordinate rows, so that per-knot factors broadcast without strides
     p = data.points.T
-    delta = (p[:, 1:] - p[:, :-1]) / h
+    delta = seg.T / h
     m = np.empty_like(p)
     m[:, 0] = math.cos(data.tau_start), math.sin(data.tau_start)
     m[:, -1] = math.cos(data.tau_end), math.sin(data.tau_end)

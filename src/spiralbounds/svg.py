@@ -9,6 +9,12 @@ curvature k, with r = 1/|k| and f = (k > 0) (a left turn sweeps a
 positive angle in model coordinates), or `L x y` where k = 0.  Each
 chord's box [-c, c] x [-H, H], H its lens height, sizes the picture.
 Width labels live outside the group, positioned in pixel space.
+
+The file is written block by block: the lines of BLOCK chords (or
+nodes) are filled with one `%` and written at once, so memory is bounded
+by the region's columns plus one block, whatever the file's size.
+Everything that can raise is computed before the file is opened, so
+nothing is written when the region cannot be drawn.
 """
 
 from __future__ import annotations
@@ -30,20 +36,35 @@ _STYLES = {
 # One piece from the values r, r, f, x, y; a segment prints no r and f.
 _PIECES = ("A %.10g %.10g 0 0 %d %.10g %.10g", "L%.0s%.0s%.0s %.10g %.10g")
 SIZE = 800      # the picture's longer side, in pixels
+BLOCK = 1024    # chords (or nodes) formatted per write
 
 
 def _fmt(v: float) -> str:
     return "%.10g" % v
 
 
-def _rows(templates, values) -> str:
-    """Lines of templates, filled in turn with the values row by row."""
-    return ("\n".join(np.ravel(templates))
-            % tuple(np.ravel(values).tolist()))
+def _write_rows(fh, columns, templates, kind=None):
+    """Write one line per row of the columns, BLOCK rows at a time.
+
+    Row i fills templates[kind[i]] with its values, or `templates`
+    itself when kind is None; each template ends its line.
+    """
+    n = len(columns[0])
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        if kind is None:
+            text = templates * (hi - lo)
+        else:
+            text = "".join([templates[k] for k in kind[lo:hi].tolist()])
+        rows = np.column_stack([col[lo:hi] for col in columns])
+        fh.write(text % tuple(rows.ravel().tolist()))
 
 
-def _paths(g: ChordColumns, style: dict, stroke: str) -> str:
-    """The chord, lower and upper path of every chord, one line each."""
+def _path_rows(g: ChordColumns):
+    """The values of every chord's chord, lower and upper path, as
+    columns, and each chord's template: 4 times the lower boundary's
+    straight pieces plus the upper's, a straight first piece counting 2
+    and a straight second piece 1."""
     # the joins, (m, 2) per coordinate: lower boundary, upper boundary
     cos, sin = g.cos[:, None], g.sin[:, None]
     xj = g.table[1]
@@ -57,18 +78,21 @@ def _paths(g: ChordColumns, style: dict, stroke: str) -> str:
     for s in (0, 1):
         columns += [g.sx, g.sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
                     jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, g.ex, g.ey]
+    straight = 2 * ~np.isfinite(r1) + ~np.isfinite(r2)
+    return columns, 4 * straight[:, 0] + straight[:, 1]
 
+
+def _path_templates(style: dict, stroke: str) -> list:
+    """A chord's three path lines, indexed like _path_rows' kind."""
     def line(cls, d):
         return ('<path class="%s" d="M %%.10g %%.10g %s" %s '
-                'stroke-width="%s"/>' % (cls, d, style[cls], stroke))
+                'stroke-width="%s"/>\n' % (cls, d, style[cls], stroke))
 
-    # per side the four templates, indexed by which pieces are straight
-    straight = 2 * ~np.isfinite(r1) + ~np.isfinite(r2)
-    sides = [np.array([line(cls, _PIECES[a] + " " + _PIECES[b])
-                       for a in (0, 1) for b in (0, 1)])[straight[:, s]]
-             for s, cls in enumerate(("lower", "upper"))]
-    chord = np.full(len(g.c), line("chord", "L %.10g %.10g"))
-    return _rows(np.column_stack([chord] + sides), np.column_stack(columns))
+    lower, upper = ([line(cls, _PIECES[a] + " " + _PIECES[b])
+                     for a in (0, 1) for b in (0, 1)]
+                    for cls in ("lower", "upper"))
+    chord = line("chord", "L %.10g %.10g")
+    return [chord + lo + up for lo in lower for up in upper]
 
 
 def render_svg(analysis: Analysis, region: Region, path):
@@ -100,30 +124,29 @@ def render_svg(analysis: Analysis, region: Region, path):
 
     stroke = _fmt(1.5 / scale)       # ~1.5 px expressed in model units
     dash = "%s %s" % (_fmt(4.0 / scale), _fmt(4.0 / scale))
-
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append('<svg xmlns="http://www.w3.org/2000/svg" '
-               'width="%s" height="%s" viewBox="0 0 %s %s">'
-               % (_fmt(width_px), _fmt(height_px),
-                  _fmt(width_px), _fmt(height_px)))
-    out.append('<g transform="translate(%s %s) scale(%s %s)">'
-               % (_fmt(tx), _fmt(ty), _fmt(scale), _fmt(-scale)))
     style = {cls: _STYLES[cls] % {"dash": dash} for cls in _STYLES}
-    out.append(_paths(g, style, stroke))
-    for seg in tangents:
-        out.append('<line class="tangent" x1="%s" y1="%s" x2="%s" y2="%s" '
-                   '%s stroke-width="%s"/>'
-                   % (_fmt(seg[0, 0]), _fmt(seg[0, 1]),
-                      _fmt(seg[1, 0]), _fmt(seg[1, 1]),
-                      style["tangent"], stroke))
-    out.append(_rows(['<circle class="node" cx="%%.10g" cy="%%.10g" r="%s" '
-                      'fill="#333333"/>' % _fmt(3.0 / scale)] * len(pts), pts))
-    out.append('</g>')
-    out.append(_rows(['<text class="width-label" x="%.10g" y="%.10g" '
-                      'font-size="11" fill="#555555">%.4g</text>'] * len(g.c),
-                     np.column_stack([tx + scale * g.ox,
-                                      ty - scale * g.oy - 4.0, g.width])))
-    out.append('</svg>')
+    paths, kind = _path_rows(g)
+    labels = [tx + scale * g.ox, ty - scale * g.oy - 4.0, g.width]
+
     with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                 '<svg xmlns="http://www.w3.org/2000/svg" '
+                 'width="%s" height="%s" viewBox="0 0 %s %s">\n'
+                 '<g transform="translate(%s %s) scale(%s %s)">\n'
+                 % (_fmt(width_px), _fmt(height_px), _fmt(width_px),
+                    _fmt(height_px), _fmt(tx), _fmt(ty), _fmt(scale),
+                    _fmt(-scale)))
+        _write_rows(fh, paths, _path_templates(style, stroke), kind)
+        for seg in tangents:
+            fh.write('<line class="tangent" x1="%s" y1="%s" x2="%s" y2="%s" '
+                     '%s stroke-width="%s"/>\n'
+                     % (_fmt(seg[0, 0]), _fmt(seg[0, 1]),
+                        _fmt(seg[1, 0]), _fmt(seg[1, 1]),
+                        style["tangent"], stroke))
+        _write_rows(fh, pts.T, '<circle class="node" cx="%%.10g" '
+                    'cy="%%.10g" r="%s" fill="#333333"/>\n'
+                    % _fmt(3.0 / scale))
+        fh.write('</g>\n')
+        _write_rows(fh, labels, '<text class="width-label" x="%.10g" '
+                    'y="%.10g" font-size="11" fill="#555555">%.4g</text>\n')
+        fh.write('</svg>\n')

@@ -335,7 +335,8 @@ def test_check_curvature_plot_of_two_samples_exits_3(capsys, tmp_path,
 def test_check_curvature_plot_error_exits_3_without_report(
         capsys, tmp_path, circle_profile):
     # samples inside the region, but one point repeats: the verdict would
-    # be a pass, and the plot of the samples' curvature cannot be made
+    # be a pass, and the plot of the samples' curvature cannot be made;
+    # samples are named from 0, as in the compliance report
     t = np.linspace(0.0, math.radians(60.0), 300)
     pts = np.column_stack([10 * np.sin(t), 10 * (1 - np.cos(t))])
     samples = tmp_path / "repeat.txt"
@@ -345,7 +346,7 @@ def test_check_curvature_plot_error_exits_3_without_report(
                          "--curvature-plot", str(plot))
     assert code == 3
     assert out == ""
-    assert "points 100 and 101 coincide" in err
+    assert "samples 99 and 100 coincide" in err
 
 
 def test_check_curvature_plot_of_folded_samples_exits_2(capsys, tmp_path):
@@ -357,7 +358,7 @@ def test_check_curvature_plot_of_folded_samples_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(GOLDEN / "spiral-inc.json"),
                          str(samples), "--curvature-plot", str(plot))
     assert (code, out) == (2, "")
-    assert "node 3 folds back onto itself" in err
+    assert "sample 2 folds back onto itself" in err
     assert not plot.exists()
 
 

@@ -10,6 +10,11 @@ list positions dropped (`chords[].width`) and its magnitude taken over
 every expected file, so a value that is rounding noise in one case (the
 circle's widths) is judged against what the field holds elsewhere.
 
+The SVG that `analyze --svg` writes is pinned the same way, for every
+golden profile at each grade it admits: the text between numbers must
+match exactly and the numbers to rtol 1e-9, plus an atol of 1e-12 times
+the largest number in the expected file.
+
 Regenerate the expectations, after a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +24,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +46,20 @@ CASES = {
     "check-pass": (["check", "spiral-inc.json", "spiral-inc.pass.txt"], 0),
     "check-fail": (["check", "spiral-inc.json", "spiral-inc.fail.txt"], 1),
 }
+
+# profile: the grades it admits, each pinned as <profile>-<grade>.expected.svg
+SVG_GRADES = {
+    "circle": ("simple", "vertex", "narrowed"),
+    "oval": ("vertex",),
+    "overrides": ("simple", "vertex", "narrowed"),
+    "spiral-dec": ("simple", "vertex", "narrowed"),
+    "spiral-inc": ("simple", "vertex", "narrowed"),
+}
+SVG_CASES = {"%s-%s" % (profile, grade): (profile, grade)
+             for profile, grades in SVG_GRADES.items() for grade in grades}
+# a number not glued to a word, "#" or "/": colours and the namespace
+# URL are text
+NUMBER = re.compile(r"(?<![\w#./])-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
 
 
 def _stdout(args):
@@ -117,6 +137,35 @@ def test_cli_output_is_indented_json(name):
                               allow_nan=True) + "\n"
 
 
+def _svg(name, path):
+    """Write the SVG of case `name` to path; returns the exit code."""
+    profile, grade = SVG_CASES[name]
+    code, _ = _stdout(["analyze", profile + ".json", "--grade", grade,
+                       "--svg", str(path)])
+    return code
+
+
+def _compare_svg(got, want, name):
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    assert len(got_lines) == len(want_lines), "%s: line count differs" % name
+    atol = 1e-12 * max(abs(float(v)) for v in NUMBER.findall(want))
+    for i, (g, w) in enumerate(zip(got_lines, want_lines), 1):
+        where = "%s line %d" % (name, i)
+        assert NUMBER.split(g) == NUMBER.split(w), "%s: %r != %r" % (
+            where, g, w)
+        for a, b in zip(NUMBER.findall(g), NUMBER.findall(w)):
+            assert math.isclose(float(a), float(b), rel_tol=1e-9,
+                                abs_tol=atol), "%s: %s != %s" % (where, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(SVG_CASES))
+def test_svg_matches_golden(name, tmp_path):
+    path = tmp_path / "region.svg"
+    assert _svg(name, path) == 0
+    want = (GOLDEN / (name + ".expected.svg")).read_text()
+    _compare_svg(path.read_text(), want, name)
+
+
 if __name__ == "__main__":
     for name, (args, exit_code) in CASES.items():
         code, doc = _run(args)
@@ -124,3 +173,6 @@ if __name__ == "__main__":
             sys.exit("%s: exit %d, expected %d" % (name, code, exit_code))
         (GOLDEN / (name + ".expected.json")).write_text(
             json.dumps(doc, indent=2, allow_nan=True) + "\n")
+    for name in SVG_CASES:
+        if _svg(name, GOLDEN / (name + ".expected.svg")) != 0:
+            sys.exit("%s: analyze --svg failed" % name)

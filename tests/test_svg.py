@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 
 from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.geometry import Biarc, biarc_from_a, curve_eval, pieces
+from spiralbounds import svg as svg_module
 from spiralbounds.regions import build_region
 from spiralbounds.svg import render_svg
 
-from logspiral import spiral_dataset
+from logspiral import LogSpiral, spiral_dataset
 
 
 def render(tmp_path, analysis, region):
@@ -249,3 +251,56 @@ def test_svg_boundaries_inside_view_box(tmp_path, name):
 def test_svg_byte_stable(tmp_path):
     an, reg = _case("narrowed-increasing")
     assert render(tmp_path, an, reg) == render(tmp_path, an, reg)
+
+
+# ---------------------------------------------------------------------------
+# The file is written block by block
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def long_spiral():
+    """A narrowed region of five blocks: the open log spiral
+    r = 50 exp(-0.05 t) through nodes at uniform steps of t in [0, 6]."""
+    spiral = LogSpiral(scale=50.0, growth=-0.05, center=(0.0, 0.0))
+    t = np.linspace(0.0, 6.0, 5 * svg_module.BLOCK + 1)
+    an = analyze(SplineInput(spiral.point(t), spiral.tangent_angle(0.0),
+                             spiral.tangent_angle(6.0)))
+    return an, build_region(an, "narrowed")
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["long-spiral"])
+def test_svg_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch,
+                                              long_spiral, name):
+    an, reg = long_spiral if name == "long-spiral" else _case(name)
+    whole = render(tmp_path, an, reg)
+    monkeypatch.setattr(svg_module, "BLOCK", 3)
+    assert render(tmp_path, an, reg) == whole
+
+
+def test_svg_memory_is_bounded_by_the_file(tmp_path, long_spiral):
+    # the text is formatted a block at a time, so no copy of the whole
+    # file is ever held: the peak is the region's columns plus one block
+    an, reg = long_spiral
+    path = tmp_path / "out.svg"
+    tracemalloc.start()
+    try:
+        render_svg(an, reg, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reg.chords) >= 4 * svg_module.BLOCK
+    assert peak < 2 * path.stat().st_size
+
+
+def test_svg_region_that_cannot_be_drawn_writes_nothing(tmp_path):
+    # everything that can raise comes before the file is opened: the last
+    # chord's boundary is no curve, and a file already there is kept
+    an, reg = _case("narrowed-increasing")
+    reg = dataclasses.replace(reg, chords=reg.chords[:-1] + [
+        dataclasses.replace(reg.chords[-1], lower=None)])
+    path = tmp_path / "out.svg"
+    path.write_text("before")
+    with pytest.raises(AttributeError):
+        render_svg(an, reg, str(path))
+    assert path.read_text() == "before"
