@@ -30,7 +30,9 @@ from pathlib import Path
 
 import pytest
 
+from spiralbounds import compliance
 from spiralbounds.cli import main
+from spiralbounds.profile_io import load_profile, load_samples
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -45,6 +47,9 @@ CASES = {
     "overrides": (["analyze", "overrides.json"], 0),
     "check-pass": (["check", "spiral-inc.json", "spiral-inc.pass.txt"], 0),
     "check-fail": (["check", "spiral-inc.json", "spiral-inc.fail.txt"], 1),
+    # 300 chords, 3 log-spiral samples each, some pushed in or out, one
+    # beyond the start and one far outside node 150: the grid path
+    "check-grid": (["check", "spiral-grid.json", "spiral-grid.txt"], 1),
 }
 
 # profile: the grades it admits, each pinned as <profile>-<grade>.expected.svg
@@ -135,6 +140,14 @@ def test_cli_output_is_indented_json(name):
     _, text = _stdout(CASES[name][0])
     assert text == json.dumps(json.loads(text), indent=2,
                               allow_nan=True) + "\n"
+
+
+def test_grid_case_takes_the_grid():
+    # check_containment files chords in a grid only above CHUNK pairs
+    data, _ = load_profile(GOLDEN / "spiral-grid.json")
+    samples = load_samples(GOLDEN / "spiral-grid.txt")
+    chords = len(data.points) - 1   # open data
+    assert len(samples) * chords > compliance.CHUNK
 
 
 def _svg(name, path):
