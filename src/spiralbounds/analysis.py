@@ -56,6 +56,15 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def check_finite_rows(pts, name, first=0):
+    """Reject an (n, 2) array with a non-finite row, naming the first
+    one as `name` counted from `first`: points from 1, samples from 0."""
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise InputError("%s %d is not finite: %s"
+                         % (name, bad[0] + first, pts[bad[0]].tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class SplineInput:
     """Interpolation data: points plus boundary tangents (open) or closed flag.
@@ -79,10 +88,7 @@ class SplineInput:
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
             raise InputError("points must form an (n >= 3, 2) array, got "
                              "shape %s" % (pts.shape,))
-        bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
-        if bad.size:
-            raise InputError("point %d is not finite: %s"
-                             % (bad[0] + 1, pts[bad[0]].tolist()))
+        check_finite_rows(pts, "point", 1)
         taus = (self.tau_start, self.tau_end)
         if self.closed and taus != (None, None):
             raise InputError("closed data must not carry boundary tangents")
@@ -339,6 +345,7 @@ def discrete_curvature_plot(samples) -> np.ndarray:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise InputError("need an (n >= 3, 2) sample array")
+    check_finite_rows(pts, "sample")
     # the end tangents only set the end nodes' q, which are left out;
     # errors name samples from 0, as the compliance report does
     try:

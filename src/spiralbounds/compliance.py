@@ -25,6 +25,17 @@ chord; they are scored against every chord with one broadcast span
 test, CHUNK (sample, chord) elements at a time.  When all pairs fit in
 one chunk the grid is skipped and the broadcast test does everything.
 
+Cell keys run x-major with room for two rows below and above the
+chords' cells, so the cells (x, y - 1), (x, y) and (x, y + 1) have
+consecutive keys and a sample's 3x3 cells are three key ranges, one per
+column.  A sample more than one cell away from every chord's cell has
+no chord nearby and is left to the broadcast test; for the rest, a
+range's rows lie within that room and never reach the next column.
+
+Every path hands the scoring its pairs with each sample's pairs in one
+run and the samples ascending, so the best score and the tie rule are
+reductions over runs, not a sort.
+
 A sample in no chord's span lies beyond the data only if its nearest
 node is an open end of the data; it is then unassigned and does not
 affect the verdict.  Otherwise it sits in the outer wedge at a node:
@@ -40,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import is_finite_real
+from .analysis import check_finite_rows, is_finite_real
 from .errors import EmptySamplesError, InputError
 from .geometry import height
 from .regions import ChordColumns, Region
@@ -49,8 +60,8 @@ from .regions import ChordColumns, Region
 SPAN_SLACK = 1e-12
 # (sample, chord) pairs held at once; larger chunks cost memory, not time.
 CHUNK = 1 << 16
-# Offsets of the 3x3 cells around a cell.
-NEIGHBOURS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+# Above every chord index: the tie rule's stand-in for a pair not tied.
+_NO_CHORD = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +128,11 @@ class _Chords(ChordColumns):
     def best(self, pts, i, j):
         """Per sample of the pairs (i, j), the chord with the best score.
 
+        Each sample's pairs must form one run of i, with the samples in
+        ascending order, and name no chord twice (see _best_of_runs): the
+        grid's per-sample blocks, the full scan's row-major nonzero and
+        the wedges' pairs all do.
+
         Returns the samples, their chords, and per sample x (clipped to
         [-c, c]), y, lower and upper margin and score.
         """
@@ -127,9 +143,7 @@ class _Chords(ChordColumns):
         lower, upper = height(self.table[:, j], x[:, None]).T
         m_lo, m_up = y - lower, upper - y
         score = np.minimum(m_lo, m_up)
-        order = np.lexsort((j, -score, i))
-        run = i[order]
-        first = order[np.concatenate(([True], run[1:] != run[:-1]))]
+        first = _best_of_runs(i, j, score)
         return i[first], j[first], (x[first], y[first], m_lo[first],
                                     m_up[first], score[first])
 
@@ -142,17 +156,45 @@ class _Chords(ChordColumns):
         return np.vstack([start, (self.ex[-1], self.ey[-1])])
 
 
+def _best_of_runs(i, j, score):
+    """Per run of equal i, the position of the pair with the best score.
+
+    A tie goes to the lower j, which must not repeat within a run.  Both
+    rules are reductions over the runs, O(pairs) with no sort.
+    """
+    new = np.empty(len(i), dtype=bool)
+    new[0] = True
+    np.not_equal(i[1:], i[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    # run lengths; np.diff's wrapper costs more than this on short runs
+    size = np.empty_like(start)
+    size[:-1] = start[1:] - start[:-1]
+    size[-1] = len(i) - start[-1]
+    top = score == np.maximum.reduceat(score, start).repeat(size)
+    first = np.flatnonzero(top)
+    if len(first) > len(start):   # a run has more than one best pair
+        low = np.minimum.reduceat(np.where(top, j, _NO_CHORD), start)
+        first = np.flatnonzero(top & (j == low.repeat(size)))
+    return first
+
+
 def _grid_pairs(g: _Chords, pts, h):
     """Each sample paired with the chords filed in its 3x3 cells.
 
+    The block is three ranges of consecutive keys, one per column x - 1,
+    x, x + 1, and each range is one lookup.  Pairs come x-major, then by
+    y, then in the chords' filing order.
+
     Yields (sample, chord) index arrays of at most CHUNK pairs (or one
-    sample's), every sample's pairs in one block.
+    sample's), every sample's pairs in one block, samples ascending.
     """
     corner = np.array([g.ox.min(), g.oy.min()])
     cells = np.floor((np.column_stack([g.ox, g.oy]) - corner) / h
                      ).astype(np.int64)
     top = cells.max(axis=0)
-    ny = top[1] + 5   # keys stay distinct for cell rows -2 .. top + 2
+    # a near sample's ranges span cell rows -2 .. top + 2 at most, and ny
+    # counts those rows: no range runs into the next column
+    ny = top[1] + 5
 
     def key(cell):
         return (cell[..., 0] + 2) * ny + cell[..., 1] + 2
@@ -160,21 +202,27 @@ def _grid_pairs(g: _Chords, pts, h):
     keys = key(cells)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    step = CHUNK // len(NEIGHBOURS)
+    # the key of cell (x + dx, y - 1) for dx = -1, 0, 1, less key(x, y)
+    columns = np.array([-1, 0, 1]) * ny - 1
+    # samples per batch: as many as have CHUNK cells around them; more
+    # would fill blocks to CHUNK pairs, and best's temporaries with them
+    step = CHUNK // 9
     for a in range(0, len(pts), step):
         f = np.floor((pts[a:a + step] - corner) / h)
         near = np.flatnonzero(np.all((f >= -1) & (f <= top + 1), axis=1))
-        around = key(f[near].astype(np.int64)[:, None, :] + NEIGHBOURS)
-        first = np.searchsorted(keys, around, "left")
-        count = np.searchsorted(keys, around, "right") - first
-        ends = np.cumsum(count.sum(axis=1))
+        low = key(f[near].astype(np.int64))[:, None] + columns
+        # keys are integers: the range [low, low + 2] ends before low + 3
+        first, end = np.searchsorted(keys, np.stack([low, low + 3]))
+        count = end - first
+        per = count.sum(axis=1)
+        ends = np.cumsum(per)
         s = 0
         while s < len(near):
             e = max(s + 1, int(np.searchsorted(
                 ends, (ends[s - 1] if s else 0) + CHUNK, "right")))
             n = count[s:e].ravel()
             offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-            yield (np.repeat(np.repeat(a + near[s:e], len(NEIGHBOURS)), n),
+            yield (np.repeat(a + near[s:e], per[s:e]),
                    order[np.repeat(first[s:e].ravel(), n) + offset])
             s = e
 
@@ -186,10 +234,7 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
         raise EmptySamplesError("no curve samples to test")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise EmptySamplesError("curve samples must form an (n, 2) array")
-    bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
-    if bad.size:
-        raise InputError("sample %d is not finite: %s"
-                         % (bad[0], pts[bad[0]].tolist()))
+    check_finite_rows(pts, "sample")
     if tol is not None and not (is_finite_real(tol) and tol >= 0.0):
         raise InputError("tolerance must be finite and >= 0, got %r"
                          % (tol,))

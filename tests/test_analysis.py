@@ -466,6 +466,13 @@ def test_discrete_curvature_plot_rejects_bad_shape(shape):
         discrete_curvature_plot(np.zeros(shape))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_discrete_curvature_plot_names_a_non_finite_sample(bad):
+    # from 0, as the compliance report and the plot's other errors count
+    with pytest.raises(InputError, match=r"^sample 1 is not finite"):
+        discrete_curvature_plot([[0, 0], [1, bad], [2, 0], [3, 1]])
+
+
 # ---------------------------------------------------------------------------
 # Ties within rounding
 # ---------------------------------------------------------------------------

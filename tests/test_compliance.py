@@ -352,3 +352,31 @@ def test_index_finds_the_better_chord_of_another_turn():
     samples = np.column_stack([r * np.cos(th), r * np.sin(th)])
     assert len(samples) * len(region.chords) > compliance.CHUNK
     _assert_matches_reference(region, samples)
+
+
+# ---------------------------------------------------------------------------
+# Each sample's best chord: one reduction per run of its pairs
+# ---------------------------------------------------------------------------
+
+
+def test_best_of_runs_gives_a_tie_to_the_lower_chord():
+    # samples 0, 2 and 5: equal best scores in the first run and in the
+    # final one, where the lower chord comes last; one pair for sample 2
+    i = np.array([0, 0, 0, 2, 5, 5, 5])
+    j = np.array([4, 1, 3, 7, 2, 6, 0])
+    score = np.array([1.0, 1.0, 0.5, -3.0, 2.0, -1.0, 2.0])
+    npt.assert_array_equal(compliance._best_of_runs(i, j, score), [1, 3, 6])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=1,
+                         max_size=5), min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_best_of_runs_matches_a_sort(runs, rnd):
+    # scores from three values tie often; chords in no order in a run
+    i = np.repeat(np.arange(len(runs)) * 3, [len(r) for r in runs])
+    j = np.concatenate([rnd.sample(range(10), len(r)) for r in runs])
+    score = np.concatenate(runs)
+    order = np.lexsort((j, -score, i))
+    first = order[np.concatenate(([True], i[order][1:] != i[order][:-1]))]
+    npt.assert_array_equal(compliance._best_of_runs(i, j, score), first)
