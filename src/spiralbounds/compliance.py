@@ -110,19 +110,20 @@ class ComplianceReport:
         return self.violations.size == 0
 
 
-class _Chords(ChordColumns):
-    """The region's chords as columns, with the search around them."""
+class _Chords:
+    """The search around a region's chord columns."""
 
-    def __init__(self, region: Region):
-        super().__init__(region)
-        self.reach = self.c * (1.0 + SPAN_SLACK)
+    def __init__(self, cols: ChordColumns):
+        self.cols = cols
+        self.reach = cols.c * (1.0 + SPAN_SLACK)
 
     def spans(self, pts, i, j):
         """Whether sample i projects onto chord j; i and j broadcast."""
+        g = self.cols
         # x alone: most grid pairs fail this test, and sharing best's
         # x-and-y projection here made check_containment 25-31 % slower
-        x = ((pts[i, 0] - self.ox[j]) * self.cos[j]
-             + (pts[i, 1] - self.oy[j]) * self.sin[j])
+        x = ((pts[i, 0] - g.ox[j]) * g.cos[j]
+             + (pts[i, 1] - g.oy[j]) * g.sin[j])
         return np.abs(x) <= self.reach[j]
 
     def best(self, pts, i, j):
@@ -136,11 +137,12 @@ class _Chords(ChordColumns):
         Returns the samples, their chords, and per sample x (clipped to
         [-c, c]), y, lower and upper margin and score.
         """
-        dx, dy = pts[i, 0] - self.ox[j], pts[i, 1] - self.oy[j]
-        co, si, c = self.cos[j], self.sin[j], self.c[j]
+        g = self.cols
+        dx, dy = pts[i, 0] - g.ox[j], pts[i, 1] - g.oy[j]
+        co, si, c = g.cos[j], g.sin[j], g.c[j]
         x = np.clip(dx * co + dy * si, -c, c)
         y = dy * co - dx * si
-        lower, upper = height(self.table[:, j], x[:, None]).T
+        lower, upper = height(g.table[:, j], x[:, None]).T
         m_lo, m_up = y - lower, upper - y
         score = np.minimum(m_lo, m_up)
         first = _best_of_runs(i, j, score)
@@ -150,10 +152,11 @@ class _Chords(ChordColumns):
     def nodes(self):
         """Node positions: every chord's start, and the last chord's end
         for open data."""
-        start = np.column_stack([self.sx, self.sy])
-        if self.closed:
+        g = self.cols
+        start = np.column_stack([g.sx, g.sy])
+        if g.closed:
             return start
-        return np.vstack([start, (self.ex[-1], self.ey[-1])])
+        return np.vstack([start, (g.ex[-1], g.ey[-1])])
 
 
 def _best_of_runs(i, j, score):
@@ -178,7 +181,7 @@ def _best_of_runs(i, j, score):
     return first
 
 
-def _grid_pairs(g: _Chords, pts, h):
+def _grid_pairs(g: ChordColumns, pts, h):
     """Each sample paired with the chords filed in its 3x3 cells.
 
     The block is three ranges of consecutive keys, one per column x - 1,
@@ -238,7 +241,8 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     if tol is not None and not (is_finite_real(tol) and tol >= 0.0):
         raise InputError("tolerance must be finite and >= 0, got %r"
                          % (tol,))
-    g = _Chords(region)
+    g = ChordColumns(region)
+    search = _Chords(g)
     if tol is None:
         tol = 1e-9 * g.c.max()
     n, m = len(pts), len(g.c)
@@ -248,27 +252,27 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
 
     def measure(i, j):
         """Keep per sample the best chord of the pairs (i, j)."""
-        i, j, values = g.best(pts, i, j)
+        i, j, values = search.best(pts, i, j)
         chord[i] = j
         out[:, i] = values
 
     todo = np.arange(n)
     if n * m > CHUNK:
-        h = 2.0 * np.max(g.reach + g.lens_height())
+        h = 2.0 * np.max(search.reach + g.lens_height())
         for i, j in _grid_pairs(g, pts, h):
-            span = g.spans(pts, i, j)
+            span = search.spans(pts, i, j)
             if span.any():
                 measure(i[span], j[span])
         todo = np.flatnonzero(~(out[4] > -0.25 * h))
     step = max(1, CHUNK // m)
     for a in range(0, len(todo), step):
         rows = todo[a:a + step]
-        ri, j = np.nonzero(g.spans(pts, rows[:, None], np.arange(m)))
+        ri, j = np.nonzero(search.spans(pts, rows[:, None], np.arange(m)))
         if ri.size:
             measure(rows[ri], j)
     # the node wedges: samples in no chord's span
     todo = np.flatnonzero(chord < 0)
-    nodes = g.nodes()
+    nodes = search.nodes()
     step = max(1, CHUNK // len(nodes))
     for a in range(0, len(todo), step):
         rows = todo[a:a + step]

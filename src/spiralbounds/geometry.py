@@ -78,7 +78,7 @@ def wrap_angle(theta):
     return float(w) if np.ndim(theta) == 0 else w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChordFrame:
     """Local frame of a chord: origin at the midpoint, x axis along it."""
 
@@ -101,7 +101,7 @@ class ChordFrame:
         return np.asarray(points, dtype=float) @ self.axes.T + self.origin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """Circular arc through (-c, 0) and (c, 0) with start tangent angle phi."""
 
@@ -117,7 +117,7 @@ class Arc:
                 "over its chord" % self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Biarc:
     """Two tangent circular arcs from (-c, 0) to (c, 0).
 

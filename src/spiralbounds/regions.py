@@ -44,18 +44,19 @@ c|tan(xi/2) + tan(eta/2)|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import Analysis, is_finite_real, padded
+from .analysis import Analysis, Chords, is_finite_real, padded
 from .errors import ClassificationError, DomainError, OverrideError
 from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, curves,
                        end_parameter, family, family_pieces, gap_maxima,
                        piece_table, start_parameter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionChord:
     """One chord of a bounding region, curves in the chord's local frame."""
 
@@ -67,27 +68,67 @@ class RegionChord:
     width_estimate: float  # small-angle estimate c^2 |q_j - q_{j+1}| / 2
 
 
+class _Boundaries(NamedTuple):
+    """The arrays a build made its region from, read by ChordColumns.
+
+    `chords` is the analysis's chord columns and `width` the widths.  A
+    lens grade keeps `phi`, the start angles of its lower and upper arcs
+    as (2, m); the narrowed grade keeps `table`, the pieces() of its
+    lower and upper boundaries as (8, 2, m, 1).
+    """
+
+    chords: Chords
+    width: np.ndarray
+    phi: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     grade: str  # "simple" | "vertex" | "narrowed"
     closed: bool
     chords: list[RegionChord]
     width: float
+    # set by the build; dataclasses.replace resets it, so a region with
+    # edited chords is read from its chords
+    _boundaries: _Boundaries | None = field(init=False, default=None,
+                                            repr=False, compare=False)
 
 
 class ChordColumns:
-    """A region's chords as columns, gathered once.
+    """A region's chords as columns.
 
     Per chord: its 1-based index, width, c, the midpoint (ox, oy), the
     cos and sin of the chord direction (the rotation of ChordFrame.axes),
     the start and end nodes (sx, sy) and (ex, ey), and in `table` the
     pieces() of the lower and upper boundary, shaped (8, m, 2).  `closed`
     says whether the last chord ends at the first one's start.
+
+    A built region is read from the arrays its build kept, a region
+    assembled by hand from its RegionChord objects.  Nothing is cached:
+    each construction pays for its own columns.
     """
 
     def __init__(self, region: Region):
-        chords = region.chords
         self.closed = region.closed
+        kept = region._boundaries
+        if kept is None:
+            self._gather(region.chords)
+        else:
+            chords = kept.chords
+            self.index = np.arange(1, len(chords) + 1)
+            self.width = kept.width
+            self.c = chords.c
+            self.ox, self.oy = chords.mid.T
+            self.cos, self.sin = np.cos(chords.mu), np.sin(chords.mu)
+            self.table = (_lens_table(chords.c, kept.phi)
+                          if kept.table is None
+                          else kept.table[..., 0].transpose(0, 2, 1))
+        dx, dy = self.c * self.cos, self.c * self.sin
+        self.sx, self.sy = self.ox - dx, self.oy - dy
+        self.ex, self.ey = self.ox + dx, self.oy + dy
+
+    def _gather(self, chords):
         self.index = np.array([ch.index for ch in chords])
         self.width = np.array([ch.width for ch in chords])
         self.c = np.array([ch.frame.half_length for ch in chords])
@@ -95,9 +136,6 @@ class ChordColumns:
         direction = [ch.frame.direction for ch in chords]
         self.cos = np.array([math.cos(d) for d in direction])
         self.sin = np.array([math.sin(d) for d in direction])
-        dx, dy = self.c * self.cos, self.c * self.sin
-        self.sx, self.sy = self.ox - dx, self.oy - dy
-        self.ex, self.ey = self.ox + dx, self.oy + dy
         self.table = piece_table([curve for ch in chords
                                   for curve in (ch.lower, ch.upper)]
                                  ).reshape(8, -1, 2)
@@ -109,6 +147,16 @@ class ChordColumns:
         chord = np.zeros_like(lower)
         chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
         return np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
+
+
+def _lens_table(c, phi):
+    """pieces() of the arcs A(x; c, phi), phi shaped (2, m), as (8, m, 2):
+    the pieces (phi, k) and (-phi, k), k = -sin(phi)/c, joined at x = 0."""
+    phi = phi.T
+    s, co = np.sin(phi), np.cos(phi)
+    k = -s / c[:, None]
+    cc = np.broadcast_to(c[:, None], phi.shape)
+    return np.stack([cc, np.zeros_like(phi), s, co, k, -s, co, k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +216,10 @@ def _require_graphs(*angles):
                           "(data too coarse)" % (k + 1, angles[j][k]))
 
 
-def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
-    """Assemble the region from per-chord boundary curves and widths."""
+def _finish(grade: str, analysis: Analysis, lower, upper, widths,
+            **kept) -> Region:
+    """Assemble the region from per-chord boundary curves and widths;
+    `kept` is the phi or table of the _Boundaries it keeps."""
     chords = analysis.chords
     m = len(chords)
     q = analysis.nodes.q
@@ -184,8 +234,11 @@ def _finish(grade: str, analysis: Analysis, lower, upper, widths) -> Region:
                for k, (c, mu, mid, lo, up, w, est) in enumerate(zip(
                    chords.c.tolist(), chords.mu.tolist(), origins, lower,
                    upper, widths.tolist(), estimates.tolist()), start=1)]
-    return Region(grade=grade, closed=chords.closed, chords=entries,
-                  width=float(np.max(widths)))
+    region = Region(grade=grade, closed=chords.closed, chords=entries,
+                    width=float(np.max(widths)))
+    object.__setattr__(region, "_boundaries",
+                       _Boundaries(chords, widths, **kept))
+    return region
 
 
 def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:
@@ -194,12 +247,14 @@ def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:
     Ordering by phi orders the arcs pointwise; their gap peaks at
     mid-chord, which gives the width in closed form.
     """
-    lo, hi = np.minimum(phi_one, phi_two), np.maximum(phi_one, phi_two)
+    phi = np.empty((2, len(phi_one)))   # lower, upper: the region keeps it
+    lo = np.minimum(phi_one, phi_two, out=phi[0])
+    hi = np.maximum(phi_one, phi_two, out=phi[1])
     widths = analysis.chords.c * np.abs(np.tan(0.5 * hi) - np.tan(0.5 * lo))
     _require_graphs(lo, hi)   # only the vertex grade's substitutes can fail
     c = analysis.chords.c.tolist()
     return _finish(grade, analysis, list(map(Arc, c, lo.tolist())),
-                   list(map(Arc, c, hi.tolist())), widths)
+                   list(map(Arc, c, hi.tolist())), widths, phi=phi)
 
 
 def simple_region(analysis: Analysis) -> Region:
@@ -360,9 +415,10 @@ def curvature_ranges(analysis: Analysis, overrides=None) -> CurvatureRanges:
 
 
 def _boundaries(c, lower, upper, mirrored):
-    """Both boundary curves of every chord and the chord widths.  `lower`
-    holds alpha, beta, the start curvature and its override flag per
-    chord (increasing orientation), `upper` the end curvature."""
+    """Both boundary curves of every chord and their pieces() as
+    (8, 2, m, 1), lower then upper.  `lower` holds alpha, beta, the start
+    curvature and its override flag per chord (increasing orientation),
+    `upper` the end curvature."""
     _require_graphs(*lower[:2], *upper[:2])
     p_lo, p_up = start_parameter(c, *lower[:3]), end_parameter(c, *upper[:3])
     bad_lo = np.isnan(p_lo) & lower[3]
@@ -376,10 +432,11 @@ def _boundaries(c, lower, upper, mirrored):
              (*upper[:2], np.where(np.isnan(p_up), math.inf, p_up))]
     if mirrored:   # family() is odd in alpha and beta: the sides swap
         sides = [(-al, -be, p) for al, be, p in sides[::-1]]
-    (lo, lo_arc), (up, up_arc) = [family(*(v[:, None] for v in (c, al, be, p)))
-                                  for al, be, p in sides]
-    return (curves(lo, lo_arc), curves(up, up_arc),
-            gap_maxima(family_pieces(lo), family_pieces(up)))
+    # both sides in one call, shaped (2, m, 1)
+    members, arc = family(c[:, None], *(np.stack(v)[..., None]
+                                        for v in zip(*sides)))
+    both = curves(members, arc)
+    return both[:len(c)], both[len(c):], np.array(family_pieces(members))
 
 
 def narrowed_region(analysis: Analysis, overrides=None) -> Region:
@@ -388,13 +445,15 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
     ranges = _node_bounds(analysis, table, overrides)
     closed = analysis.data.closed
     m = len(analysis.chords)
-    return _finish("narrowed", analysis, *_boundaries(
+    lower, upper, pieces = _boundaries(
         analysis.chords.c,
         (table.alpha_lo, table.beta_hi, ranges.lower[:m],
          ranges.lower_overridden[:m]),
         (table.alpha_hi, table.beta_lo, padded(ranges.upper, closed)[2:m + 2],
          padded(ranges.upper_overridden, closed, (False, False))[2:m + 2]),
-        table.mirrored))
+        table.mirrored)
+    return _finish("narrowed", analysis, lower, upper,
+                   gap_maxima(pieces[:, 0], pieces[:, 1]), table=pieces)
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

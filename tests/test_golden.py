@@ -18,6 +18,10 @@ the largest number in the expected file.
 Regenerate the expectations, after a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the expectations that these comparisons reject (or
+that are missing), so its diff shows what the change moved and nothing
+else.
 """
 
 import contextlib
@@ -26,6 +30,7 @@ import json
 import math
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -97,12 +102,18 @@ def _magnitudes(doc, field, out):
     return out
 
 
-@pytest.fixture(scope="module")
-def scale():
+def _scale():
+    """Per field, its largest magnitude over every expected file."""
     out = {}
     for name in CASES:
-        _magnitudes(_expected(name), "", out)
+        if (GOLDEN / (name + ".expected.json")).exists():
+            _magnitudes(_expected(name), "", out)
     return out
+
+
+@pytest.fixture(scope="module")
+def scale():
+    return _scale()
 
 
 def _compare(got, want, field, where, scale):
@@ -179,13 +190,38 @@ def test_svg_matches_golden(name, tmp_path):
     _compare_svg(path.read_text(), want, name)
 
 
-if __name__ == "__main__":
+def _rejects(compare, *args):
+    try:
+        compare(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+def _regenerate():
+    """Rewrite the expectations that the tests above reject."""
+    scale = _scale()
     for name, (args, exit_code) in CASES.items():
         code, doc = _run(args)
         if code != exit_code:
             sys.exit("%s: exit %d, expected %d" % (name, code, exit_code))
-        (GOLDEN / (name + ".expected.json")).write_text(
-            json.dumps(doc, indent=2, allow_nan=True) + "\n")
-    for name in SVG_CASES:
-        if _svg(name, GOLDEN / (name + ".expected.svg")) != 0:
-            sys.exit("%s: analyze --svg failed" % name)
+        path = GOLDEN / (name + ".expected.json")
+        if not path.exists() or _rejects(_compare, doc, _expected(name), "",
+                                         name, scale):
+            path.write_text(json.dumps(doc, indent=2, allow_nan=True) + "\n")
+            print("rewrote", path.name)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SVG_CASES:
+            out = Path(tmp) / "region.svg"
+            if _svg(name, out) != 0:
+                sys.exit("%s: analyze --svg failed" % name)
+            got = out.read_text()
+            path = GOLDEN / (name + ".expected.svg")
+            if not path.exists() or _rejects(_compare_svg, got,
+                                             path.read_text(), name):
+                path.write_text(got)
+                print("rewrote", path.name)
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -17,11 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spiralbounds import geometry
 from spiralbounds.analysis import Classification, SplineInput, analyze
+from spiralbounds.compliance import check_containment
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
 from spiralbounds.geometry import Arc, Biarc, curve_eval
-from spiralbounds.profile_io import load_profile
+from spiralbounds.profile_io import load_profile, load_samples
 from spiralbounds.regions import (
+    ChordColumns,
     _boundaries,
     build_region,
     checked_overrides,
@@ -31,6 +34,7 @@ from spiralbounds.regions import (
     simple_region,
     vertex_region,
 )
+from spiralbounds.svg import render_svg
 
 from arcspline import arc_spline_dataset, random_arc_spline
 from logspiral import LogSpiral, spiral_dataset
@@ -693,3 +697,123 @@ def test_widths_keep_the_symmetries_of_the_data(seed, increasing, n_nodes, s):
         npt.assert_allclose(mirrored[grade], w, rtol=1e-9, atol=0.0)
         npt.assert_allclose(reversed_[grade], w[::-1], rtol=1e-9, atol=0.0)
         npt.assert_allclose(scaled[grade], s * w, rtol=1e-9, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Chord columns: read from the build's arrays, gathered only by hand
+# ---------------------------------------------------------------------------
+
+COLUMNS = ("index", "width", "c", "ox", "oy", "cos", "sin", "sx", "sy",
+           "ex", "ey", "table")
+# profile: the grades it admits
+GOLDEN_GRADES = {
+    "circle": ("simple", "vertex", "narrowed"),          # open, constant
+    "oval": ("vertex",),                                 # closed, vertices
+    "overrides": ("simple", "vertex", "narrowed"),       # overrides
+    "spiral-dec": ("simple", "vertex", "narrowed"),      # mirrored
+    "spiral-inc": ("simple", "vertex", "narrowed"),
+}
+
+
+def _golden_region(profile, grade):
+    data, overrides = load_profile(str(GOLDEN / (profile + ".json")))
+    an = analyze(data)
+    return an, build_region(an, grade, overrides)
+
+
+def assert_columns_are_the_gather(region):
+    # dataclasses.replace drops what the build kept, so the copy's
+    # columns come from its RegionChord objects
+    by_hand = dataclasses.replace(region)
+    assert region._boundaries is not None and by_hand._boundaries is None
+    built, gathered = ChordColumns(region), ChordColumns(by_hand)
+    assert built.closed == gathered.closed == region.closed
+    assert built.table.shape == (8, len(region.chords), 2)
+    for name in COLUMNS:
+        npt.assert_array_equal(getattr(built, name), getattr(gathered, name),
+                               err_msg=name)
+
+
+@pytest.mark.parametrize("profile,grade", [
+    (profile, grade) for profile, grades in sorted(GOLDEN_GRADES.items())
+    for grade in grades])
+def test_columns_of_golden_regions_are_the_gather(profile, grade):
+    _, region = _golden_region(profile, grade)
+    assert_columns_are_the_gather(region)
+
+
+def test_golden_column_cases_cover_mirror_closed_and_overrides():
+    an, _ = _golden_region("spiral-dec", "narrowed")
+    assert an.classification.direction == "decreasing"
+    assert _golden_region("oval", "vertex")[1].closed
+    data, overrides = load_profile(str(GOLDEN / "overrides.json"))
+    ranges = curvature_ranges(analyze(data), overrides)
+    assert ranges.lower_overridden.any() or ranges.upper_overridden.any()
+
+
+@pytest.mark.parametrize("grade", ["simple", "vertex", "narrowed"])
+def test_columns_of_closed_spiral_regions_are_the_gather(grade):
+    # closed data is a spiral only when cocircular: a ring at irregular
+    # angles, every grade on the closed-data path
+    t = np.sort(np.random.default_rng(3).uniform(0.0, 2 * math.pi, 11))
+    an = analyze(SplineInput(3.0 * np.column_stack([np.cos(t), np.sin(t)]),
+                             closed=True))
+    assert an.classification.kind == "spiral"
+    assert_columns_are_the_gather(build_region(an, grade))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pieces=st.integers(1, 7),
+       n_nodes=st.integers(3, 24), increasing=st.booleans())
+def test_columns_of_arc_spline_regions_are_the_gather(seed, pieces, n_nodes,
+                                                      increasing):
+    rng = np.random.default_rng(seed)
+    spline = random_arc_spline(rng, pieces, increasing)
+    pts, t0, t1, _ = arc_spline_dataset(rng, spline, n_nodes)
+    an = analyze(SplineInput(pts, t0, t1))
+    assume(an.classification.kind == "spiral")
+    for grade in ("simple", "vertex", "narrowed"):
+        assert_columns_are_the_gather(build_region(an, grade))
+
+
+@pytest.mark.parametrize("grade", ["simple", "vertex", "narrowed"])
+def test_check_and_svg_of_a_built_region_call_no_pieces(
+        grade, monkeypatch, tmp_path):
+    # spiral-grid: 300 chords, enough samples for the containment grid
+    an, region = _golden_region("spiral-grid", grade)
+    samples = load_samples(str(GOLDEN / "spiral-grid.txt"))
+    calls = []
+    real = geometry.pieces
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr(geometry, "pieces", counted)
+    check_containment(region, samples)
+    render_svg(an, region, str(tmp_path / "region.svg"))
+    assert calls == []
+    # the counter sees the gather of a region assembled by hand
+    ChordColumns(dataclasses.replace(region))
+    assert len(calls) == 2 * len(region.chords)
+
+
+def test_check_and_svg_follow_replaced_chords(tmp_path):
+    # a region whose chords were replaced is read from those chords, as
+    # the benchmark's permissive stand-in region relies on
+    an, narrowed = _golden_region("spiral-inc", "narrowed")
+    simple = build_region(an, "simple")
+    swapped = dataclasses.replace(narrowed, chords=simple.chords)
+    samples = load_samples(str(GOLDEN / "spiral-inc.fail.txt"))
+    want, got = (check_containment(r, samples) for r in (simple, swapped))
+    assert not np.array_equal(
+        check_containment(narrowed, samples).margin_lower, want.margin_lower)
+    for name in ("chord_index", "x_local", "y_local", "margin_lower",
+                 "margin_upper"):
+        npt.assert_array_equal(getattr(got, name), getattr(want, name))
+    pictures = []
+    for r in (simple, swapped, narrowed):
+        path = tmp_path / "region.svg"
+        render_svg(an, r, str(path))
+        pictures.append(path.read_text())
+    assert pictures[0] == pictures[1] != pictures[2]
