@@ -22,22 +22,22 @@ one "x y" pair per line; '#' starts a comment.  A coordinate in JSON
 must be a number: a boolean, a string or null is a ParseError.
 
 Reports are JSON dictionaries with str keys, built here so they
-round-trip losslessly; report_json takes nothing else.  It writes them
-byte for byte as json.dumps(report, indent=2) does, but json's indent
-path is its pure-Python encoder, one generator frame per value, which
-took most of the time of analyzing a large profile.  Instead the
-writer works on columns: the values found at one key path across all
-rows (every chords[].lower.phi, say) are written together, floats by
-one map(float.__repr__) where all are finite.  Dicts of one key tuple
-are filled into one % template, lists of one length into another, and
-the items of those lists form the next column, so the recursion is as
-deep as the report, not as long.
+round-trip losslessly; report_json takes nothing else.  It writes a
+report byte for byte as json.dumps(report, indent=2) writes it with
+each Rows made a list.  json's indent path costs a generator frame per
+value, so the long lists (nodes, chords, violations) are Rows: row
+dicts kept as columns, written BLOCK rows at a time without making the
+dicts.  Each kind of row is a % template, laid out once by json.dumps
+of a row of placeholders; fill() puts a block's values, each column
+formatted by one map(float.__repr__), into the templates with one %.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -46,10 +46,10 @@ import numpy as np
 from .analysis import Analysis, SplineInput, is_finite_real
 from .compliance import ComplianceReport
 from .errors import EmptySamplesError, InputError, OverrideError, ParseError
-from .geometry import Arc, Biarc
-from .regions import Region, checked_overrides
+from .regions import ChordColumns, Region, checked_overrides
 
 PROFILE_VERSION = 1
+BLOCK = 1024    # rows formatted at once, in reports and SVG files
 
 
 def _angle(value, degrees: bool, what: str) -> float:
@@ -191,17 +191,23 @@ def load_samples(path) -> np.ndarray:
     return pts
 
 
+def fill(templates, values, kind) -> str:
+    """Row i filled into templates[kind[i]], taking its values in turn
+    from the rows' values in row order, all rows by one %."""
+    return "".join([templates[k] for k in kind]) % tuple(values)
+
+
 def columns_text(rows) -> str:
     """Rows of numbers (samples, plot data) as text, to full precision.
 
     One "%.17g" per value, space-separated, one line per row, as
-    np.savetxt(fmt="%.17g") writes them, but filled into one % template.
+    np.savetxt(fmt="%.17g") writes them.
     """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    line = " ".join(["%.17g"] * arr.shape[1]) + "\n"
-    return (line * len(arr)) % tuple(arr.ravel().tolist())
+    return fill([" ".join(["%.17g"] * arr.shape[1]) + "\n"],
+                arr.ravel().tolist(), [0] * len(arr))
 
 
 def save_columns(path, rows):
@@ -210,36 +216,83 @@ def save_columns(path, rows):
         fh.write(columns_text(rows))
 
 
-def _curve_dict(curve):
-    if isinstance(curve, Arc):
-        return {"type": "arc", "c": curve.c, "phi": curve.phi}
-    assert isinstance(curve, Biarc)
-    return {"type": "biarc", "c": curve.c, "alpha": curve.alpha,
-            "beta": curve.beta, "a": curve.a, "b": curve.b, "p": curve.p,
-            "join": list(curve.join)}
+class Rows(Sequence):
+    """One report list kept as int and float columns: row i holds a value
+    of each, laid out as _LAYOUTS[layout][kind[i]] (kind 0 by default)."""
+
+    def __init__(self, layout, columns, kind=None):
+        self.layout, self.columns = layout, columns
+        self.kind = np.zeros(len(columns[0]), int) if kind is None else kind
+
+    def __len__(self):
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        values = (json.dumps(col[i].item()) for col in self.columns)
+        return json.loads(_templates(self.layout, 0)[self.kind[i]][1:]
+                          % tuple(values))
+
+    def json(self, depth):
+        """The text of the rows' list, depth deep, BLOCK rows at a time."""
+        if not len(self):
+            return "[]"
+        templates, parts = _templates(self.layout, depth + 1), []
+        for lo in range(0, len(self), BLOCK):
+            text = {id(col): col[lo:lo + BLOCK] for col in self.columns}
+            for key, col in text.items():   # each column once
+                text[key] = (_floats(col.tolist()) if col.dtype.kind == "f"
+                             else list(map(int.__repr__, col.tolist())))
+            parts.append(fill(templates, chain.from_iterable(zip(*[
+                text[id(c)] for c in self.columns])),
+                self.kind[lo:lo + BLOCK].tolist()))
+        return "".join(["[", parts[0][1:], *parts[1:], _newline(depth) + "]"])
+
+
+@functools.cache
+def _templates(layout, depth):
+    """Per kind of the layout, "," and its row laid out depth deep, a %s
+    in each value's place; _PHI's %s is followed by a %.0s for each of
+    the 6 biarc values that an arc's row skips."""
+    nl = _newline(depth)
+    return tuple("," + nl + json.dumps(row, indent=2).replace("%", "%%")
+                 .replace("\n", nl).replace('"\\u0000"', "%s")
+                 .replace('"\\u0001"', "%s" + "%.0s" * 6)
+                 for row in _LAYOUTS[layout])
+
+
+_V, _PHI = "\0", "\1"   # a value's place; an arc's phi in "chords"
+_CHORD = {"index": _V, "half_length": _V, "direction": _V,
+          "midpoint": [_V, _V], "xi": _V, "eta": _V, "width": _V,
+          "width_estimate": _V}
+_ARC = {"type": "arc", "c": _V, "phi": _V}
+_BIARC = {"type": "biarc", "c": _V, "alpha": _V, "beta": _V, "a": _V,
+          "b": _V, "p": _V, "join": [_V, _V]}
+_LAYOUTS = {
+    "nodes": [dict.fromkeys(["index", "turning", "half_diagonal",
+                             "curvature"], _V)],
+    "violations": [dict.fromkeys(["sample", "chord", "x_local", "margin"],
+                                 _V)],
+    "lens": [dict(_CHORD, lower=_ARC, upper=_ARC)],
+    # kind: 2 if the lower curve is a biarc, plus 1 if the upper one is
+    "chords": [dict(_CHORD, lower=lower, upper=upper)
+               for lower in (dict(_ARC, phi=_PHI), _BIARC)
+               for upper in (dict(_ARC, phi=_PHI), _BIARC)],
+}
 
 
 def region_report(analysis: Analysis, region: Region) -> dict:
-    """JSON-ready report of the analysis and the constructed region."""
-    cls = analysis.classification
-    nd, ch, ang = analysis.nodes, analysis.chords, analysis.angles
-    nodes = [{"index": j, "turning": rho, "half_diagonal": d, "curvature": q}
-             for j, (rho, d, q) in enumerate(zip(
-                 nd.rho.tolist(), nd.d.tolist(), nd.q.tolist()), start=1)]
-    chord_rows = [{
-        "index": reg.index,
-        "half_length": c,
-        "direction": mu,
-        "midpoint": mid,
-        "xi": xi,
-        "eta": eta,
-        "width": reg.width,
-        "width_estimate": reg.width_estimate,
-        "lower": _curve_dict(reg.lower),
-        "upper": _curve_dict(reg.upper),
-    } for reg, c, mu, mid, xi, eta in zip(
-        region.chords, ch.c.tolist(), ch.mu.tolist(), ch.mid.tolist(),
-        ang.xi.tolist(), ang.eta.tolist())]
+    """JSON-ready report of the analysis and the constructed region; its
+    `nodes` and `chords` are Rows, read from their columns."""
+    cls, nd, ang = analysis.classification, analysis.nodes, analysis.angles
+    g = ChordColumns(region)
+    head = [g.index, g.c, g.direction, g.ox, g.oy, ang.xi, ang.eta, g.width,
+            g.estimate]
+    if g.phi is not None:
+        chords = Rows("lens", head + [g.c, g.phi[0], g.c, g.phi[1]])
+    else:
+        chords = Rows("chords", head + [g.c, *(f[0] for f in g.fields), g.c,
+                                        *(f[1] for f in g.fields)],
+                      2 * ~g.arc[0] + ~g.arc[1])
     return {
         "version": PROFILE_VERSION,
         "grade": region.grade,
@@ -253,123 +306,70 @@ def region_report(analysis: Analysis, region: Region) -> dict:
             {"node": v.node, "side": v.side, "value": v.value}
             for v in analysis.violations],
         "width": region.width,
-        "nodes": nodes,
-        "chords": chord_rows,
+        "nodes": Rows("nodes", [np.arange(1, len(nd) + 1), nd.rho, nd.d,
+                              nd.q]),
+        "chords": chords,
     }
 
 
 def compliance_report_dict(report: ComplianceReport) -> dict:
-    idx = report.violations
-    worst = report.worst_margin
+    idx, worst = report.violations, report.worst_margin
+    shown = idx[:50]
     return {
         "verdict": "pass" if report.passed else "fail",
         "tol": report.tol,
         "samples": int(len(report.chord_index)),
         "unassigned": report.unassigned_count,
         "worst_margin": None if math.isinf(worst) else worst,
-        "violations": [
-            {"sample": int(i),
-             "chord": int(report.chord_index[i]),
-             "x_local": float(report.x_local[i]),
-             "margin": float(min(report.margin_lower[i],
-                                 report.margin_upper[i]))}
-            for i in idx[:50]],
+        "violations": Rows("violations", [
+            shown, report.chord_index[shown], report.x_local[shown],
+            np.minimum(report.margin_lower[shown],
+                       report.margin_upper[shown])]),
         "violation_count": int(idx.size),
     }
 
 
 def report_json(report: dict) -> str:
-    """The report, all keys str, as json.dumps(report, indent=2) writes it."""
-    return _encode([report], 0)[0]
+    """The report, all keys str, as json.dumps(report, indent=2) writes
+    it, each Rows as the list of its rows."""
+    return _json(report, 0)
 
 
-def _encode(col, depth):
-    """JSON text of each value of the column col, nested depth deep."""
-    return _by(type, col, lambda t, rows: _writer(t)(rows, depth))
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            float: lambda v: _floats([v])[0]}
 
 
-def _writer(t):
-    """The column writer of type t: that of the first class of its MRO
-    in _WRITERS, so numpy.float64 is a float and bool is not an int."""
-    for cls in t.__mro__:
-        if cls in _WRITERS:
-            return _WRITERS[cls]
-    raise TypeError("Object of type %s is not JSON serializable"
-                    % t.__name__)
+def _json(value, depth):
+    """json.dumps's text of the value, nested depth deep."""
+    if isinstance(value, Rows):
+        return value.json(depth)
+    if isinstance(value, dict):
+        bad = [type(k).__name__ for k in value if not isinstance(k, str)]
+        if bad:
+            raise TypeError("report keys must be str, not %s" % bad[0])
+        items, ends = [encode_basestring_ascii(key) + ": " + _json(
+            v, depth + 1) for key, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = (_floats(value) if all(isinstance(v, float)
+                                             for v in value)
+                       else [_json(v, depth + 1) for v in value]), "[]"
+    elif type(value) in _SCALARS:
+        return _SCALARS[type(value)](value)
+    else:   # None, bool, subclasses, and json's TypeError for the rest
+        return json.dumps(value)
+    inner = _newline(depth + 1)
+    return ("".join([ends[0], inner, ("," + inner).join(items),
+                     _newline(depth), ends[1]]) if items else ends)
 
 
-def _by(key, col, fill):
-    """fill(k, rows) on the values of col grouped by k = key(value), as
-    one list in col's order."""
-    keys = set(map(key, col))
-    if len(keys) == 1:
-        return fill(keys.pop(), col)
-    groups = {}
-    for i, value in enumerate(col):
-        groups.setdefault(key(value), []).append(i)
-    out = [None] * len(col)
-    for k, idx in groups.items():
-        for i, text in zip(idx, fill(k, [col[i] for i in idx])):
-            out[i] = text
-    return out
+def _floats(col):
+    text = list(map(float.__repr__, col))
+    return (text if all(map(math.isfinite, col))
+            else [_TOKENS.get(t, t) for t in text])
 
 
-def _strings(col, depth):
-    return list(map(encode_basestring_ascii, col))
-
-
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _constants(col, depth):
-    return list(map(_CONSTANTS.__getitem__, col))
-
-
-def _ints(col, depth):
-    return list(map(int.__repr__, col))
-
-
-def _floats(col, depth):
-    if all(map(math.isfinite, col)):
-        return list(map(float.__repr__, col))
-    return [float.__repr__(v) if math.isfinite(v) else "NaN" if v != v
-            else "Infinity" if v > 0 else "-Infinity" for v in col]
-
-
-def _lists(col, depth):
-    def fill(n, rows):
-        if not n:
-            return ["[]"] * len(rows)
-        # the items of every list of one length form a single column
-        items = _encode(list(chain.from_iterable(rows)), depth + 1)
-        tmpl = ("[" + ",".join([_newline(depth + 1) + "%s"] * n)
-                + _newline(depth) + "]")
-        return [tmpl % row for row in zip(*[iter(items)] * n)]
-    return _by(len, col, fill)
-
-
-def _dicts(col, depth):
-    def fill(names, rows):
-        if not names:
-            return ["{}"] * len(rows)
-        for name in names:
-            if not isinstance(name, str):
-                raise TypeError("report keys must be str, not %s"
-                                % type(name).__name__)
-        values = [_encode(c, depth + 1)
-                  for c in zip(*(row.values() for row in rows))]
-        tmpl = ("{" + ",".join(
-            _newline(depth + 1) + encode_basestring_ascii(name)
-            .replace("%", "%%") + ": %s" for name in names)
-            + _newline(depth) + "}")
-        return [tmpl % row for row in zip(*values)]
-    return _by(tuple, col, fill)
+_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _newline(depth):
     return "\n" + "  " * depth
-
-
-_WRITERS = {str: _strings, type(None): _constants, bool: _constants,
-            int: _ints, float: _floats, list: _lists, tuple: _lists,
-            dict: _dicts}

@@ -69,18 +69,16 @@ class RegionChord:
 
 
 class _Boundaries(NamedTuple):
-    """The arrays a build made its region from, read by ChordColumns.
-
-    `chords` is the analysis's chord columns and `width` the widths.  A
-    lens grade keeps `phi`, the start angles of its lower and upper arcs
-    as (2, m); the narrowed grade keeps `table`, the pieces() of its
-    lower and upper boundaries as (8, 2, m, 1).
-    """
+    """The arrays a build made its region from, read by ChordColumns: the
+    analysis's `chords`, the widths and width estimates, and a lens
+    grade's `phi`, its arcs' start angles as (2, m), or the narrowed
+    grade's `family`, family() of its boundaries shaped (2, m, 1)."""
 
     chords: Chords
     width: np.ndarray
+    estimate: np.ndarray
     phi: np.ndarray | None = None
-    table: np.ndarray | None = None
+    family: tuple[Biarc, np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +96,14 @@ class Region:
 class ChordColumns:
     """A region's chords as columns.
 
-    Per chord: its 1-based index, width, c, the midpoint (ox, oy), the
-    cos and sin of the chord direction (the rotation of ChordFrame.axes),
-    the start and end nodes (sx, sy) and (ex, ey), and in `table` the
-    pieces() of the lower and upper boundary, shaped (8, m, 2).  `closed`
-    says whether the last chord ends at the first one's start.
+    Per chord: its 1-based index, width, width estimate, c, direction,
+    midpoint (ox, oy), the direction's cos and sin (the rotation of
+    ChordFrame.axes), start and end nodes (sx, sy) and (ex, ey), and in
+    `table` the pieces() of the lower and upper boundary as (8, m, 2).
+    Lens arcs are `phi`, their start angles as (2, m); else `fields`
+    holds the Biarc fields alpha, beta, a, b, p, join x and y as
+    [side][chord], `arc` marking the Arcs: their phi, then NaN.
+    `closed` says whether the last chord ends at the first one's start.
 
     A built region is read from the arrays its build kept, a region
     assembled by hand from its RegionChord objects.  Nothing is cached:
@@ -112,30 +113,41 @@ class ChordColumns:
     def __init__(self, region: Region):
         self.closed = region.closed
         kept = region._boundaries
+        self.phi = None
         if kept is None:
             self._gather(region.chords)
         else:
             chords = kept.chords
             self.index = np.arange(1, len(chords) + 1)
-            self.width = kept.width
-            self.c = chords.c
+            self.width, self.estimate = kept.width, kept.estimate
+            self.c, self.direction = chords.c, chords.mu
             self.ox, self.oy = chords.mid.T
-            self.cos, self.sin = np.cos(chords.mu), np.sin(chords.mu)
-            self.table = (_lens_table(chords.c, kept.phi)
-                          if kept.table is None
-                          else kept.table[..., 0].transpose(0, 2, 1))
+            if kept.family is None:
+                self.phi, self.table = kept.phi, _lens_table(self.c, kept.phi)
+            else:
+                m, arc = kept.family
+                self.arc = arc[..., 0]
+                self.fields = [m.alpha[..., 0]] + [
+                    np.where(self.arc, math.nan, v[..., 0])
+                    for v in (m.beta, m.a, m.b, m.p, *m.join)]
+                self.table = np.moveaxis(family_pieces(m), 1, 2)[..., 0]
+        self.cos, self.sin = np.cos(self.direction), np.sin(self.direction)
         dx, dy = self.c * self.cos, self.c * self.sin
         self.sx, self.sy = self.ox - dx, self.oy - dy
         self.ex, self.ey = self.ox + dx, self.oy + dy
 
     def _gather(self, chords):
         self.index = np.array([ch.index for ch in chords])
-        self.width = np.array([ch.width for ch in chords])
-        self.c = np.array([ch.frame.half_length for ch in chords])
-        self.ox, self.oy = np.array([ch.frame.origin for ch in chords]).T
-        direction = [ch.frame.direction for ch in chords]
-        self.cos = np.array([math.cos(d) for d in direction])
-        self.sin = np.array([math.sin(d) for d in direction])
+        (self.width, self.estimate, self.c, self.direction, self.ox,
+         self.oy) = np.array([(ch.width, ch.width_estimate,
+                               ch.frame.half_length, ch.frame.direction,
+                               *ch.frame.origin) for ch in chords]).T
+        self.fields = np.array([
+            (cv.phi,) + (math.nan,) * 6 if isinstance(cv, Arc)
+            else (cv.alpha, cv.beta, cv.a, cv.b, cv.p, *cv.join)
+            for cv in [ch.lower for ch in chords] + [ch.upper for ch in chords]
+        ]).T.reshape(7, 2, -1)
+        self.arc = np.isnan(self.fields[1])   # a Biarc's beta is a number
         self.table = piece_table([curve for ch in chords
                                   for curve in (ch.lower, ch.upper)]
                                  ).reshape(8, -1, 2)
@@ -219,7 +231,7 @@ def _require_graphs(*angles):
 def _finish(grade: str, analysis: Analysis, lower, upper, widths,
             **kept) -> Region:
     """Assemble the region from per-chord boundary curves and widths;
-    `kept` is the phi or table of the _Boundaries it keeps."""
+    `kept` is the rest of the _Boundaries it keeps."""
     chords = analysis.chords
     m = len(chords)
     q = analysis.nodes.q
@@ -237,7 +249,7 @@ def _finish(grade: str, analysis: Analysis, lower, upper, widths,
     region = Region(grade=grade, closed=chords.closed, chords=entries,
                     width=float(np.max(widths)))
     object.__setattr__(region, "_boundaries",
-                       _Boundaries(chords, widths, **kept))
+                       _Boundaries(chords, widths, estimates, **kept))
     return region
 
 
@@ -415,10 +427,10 @@ def curvature_ranges(analysis: Analysis, overrides=None) -> CurvatureRanges:
 
 
 def _boundaries(c, lower, upper, mirrored):
-    """Both boundary curves of every chord and their pieces() as
-    (8, 2, m, 1), lower then upper.  `lower` holds alpha, beta, the start
-    curvature and its override flag per chord (increasing orientation),
-    `upper` the end curvature."""
+    """Both boundary curves of every chord, and the family() members and
+    arc mask they came from, shaped (2, m, 1), lower then upper.
+    `lower` holds alpha, beta, the start curvature and its override flag
+    per chord (increasing orientation), `upper` the end curvature."""
     _require_graphs(*lower[:2], *upper[:2])
     p_lo, p_up = start_parameter(c, *lower[:3]), end_parameter(c, *upper[:3])
     bad_lo = np.isnan(p_lo) & lower[3]
@@ -433,10 +445,9 @@ def _boundaries(c, lower, upper, mirrored):
     if mirrored:   # family() is odd in alpha and beta: the sides swap
         sides = [(-al, -be, p) for al, be, p in sides[::-1]]
     # both sides in one call, shaped (2, m, 1)
-    members, arc = family(c[:, None], *(np.stack(v)[..., None]
-                                        for v in zip(*sides)))
-    both = curves(members, arc)
-    return both[:len(c)], both[len(c):], np.array(family_pieces(members))
+    fam = family(c[:, None], *(np.stack(v)[..., None] for v in zip(*sides)))
+    both = curves(*fam)
+    return both[:len(c)], both[len(c):], fam
 
 
 def narrowed_region(analysis: Analysis, overrides=None) -> Region:
@@ -445,7 +456,7 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
     ranges = _node_bounds(analysis, table, overrides)
     closed = analysis.data.closed
     m = len(analysis.chords)
-    lower, upper, pieces = _boundaries(
+    lower, upper, fam = _boundaries(
         analysis.chords.c,
         (table.alpha_lo, table.beta_hi, ranges.lower[:m],
          ranges.lower_overridden[:m]),
@@ -453,7 +464,8 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
          padded(ranges.upper_overridden, closed, (False, False))[2:m + 2]),
         table.mirrored)
     return _finish("narrowed", analysis, lower, upper,
-                   gap_maxima(pieces[:, 0], pieces[:, 1]), table=pieces)
+                   gap_maxima(*np.swapaxes(family_pieces(fam[0]), 0, 1)),
+                   family=fam)
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

@@ -25,6 +25,7 @@ import numpy as np
 
 from .analysis import Analysis
 from .geometry import height
+from .profile_io import BLOCK, fill
 from .regions import ChordColumns, Region
 
 _STYLES = {
@@ -36,7 +37,6 @@ _STYLES = {
 # One piece from the values r, r, f, x, y; a segment prints no r and f.
 _PIECES = ("A %.10g %.10g 0 0 %d %.10g %.10g", "L%.0s%.0s%.0s %.10g %.10g")
 SIZE = 800      # the picture's longer side, in pixels
-BLOCK = 1024    # chords (or nodes) formatted per write
 
 
 def _fmt(v: float) -> str:
@@ -44,20 +44,11 @@ def _fmt(v: float) -> str:
 
 
 def _write_rows(fh, columns, templates, kind=None):
-    """Write one line per row of the columns, BLOCK rows at a time.
-
-    Row i fills templates[kind[i]] with its values, or `templates`
-    itself when kind is None; each template ends its line.
-    """
-    n = len(columns[0])
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        if kind is None:
-            text = templates * (hi - lo)
-        else:
-            text = "".join([templates[k] for k in kind[lo:hi].tolist()])
-        rows = np.column_stack([col[lo:hi] for col in columns])
-        fh.write(text % tuple(rows.ravel().tolist()))
+    """Write fill()'s lines of the columns, BLOCK rows at a time."""
+    for lo in range(0, len(columns[0]), BLOCK):
+        block = np.column_stack([col[lo:lo + BLOCK] for col in columns])
+        fh.write(fill(templates, block.ravel().tolist(),
+                      kind[lo:lo + BLOCK] if kind else [0] * len(block)))
 
 
 def _path_rows(g: ChordColumns):
@@ -79,7 +70,7 @@ def _path_rows(g: ChordColumns):
         columns += [g.sx, g.sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
                     jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, g.ex, g.ey]
     straight = 2 * ~np.isfinite(r1) + ~np.isfinite(r2)
-    return columns, 4 * straight[:, 0] + straight[:, 1]
+    return columns, (4 * straight[:, 0] + straight[:, 1]).tolist()
 
 
 def _path_templates(style: dict, stroke: str) -> list:
@@ -99,12 +90,10 @@ def render_svg(analysis: Analysis, region: Region, path):
     """Write the region, data points, tangents and width labels to `path`."""
     g = ChordColumns(region)
     pts = analysis.data.points
-    tangents = []
-    if not analysis.data.closed:
+    tangents = [] if analysis.data.closed else [
+        np.array([p, p + c * np.array([math.cos(tau), math.sin(tau)])])
         for p, tau, c in ((pts[0], analysis.data.tau_start, g.c[0]),
-                          (pts[-1], analysis.data.tau_end, g.c[-1])):
-            tangents.append(np.array([p, p + c * np.array(
-                [math.cos(tau), math.sin(tau)])]))
+                          (pts[-1], analysis.data.tau_end, g.c[-1]))]
 
     # half extents of each chord's box, which holds its nodes
     h = g.lens_height()
@@ -137,16 +126,15 @@ def render_svg(analysis: Analysis, region: Region, path):
                     _fmt(height_px), _fmt(tx), _fmt(ty), _fmt(scale),
                     _fmt(-scale)))
         _write_rows(fh, paths, _path_templates(style, stroke), kind)
-        for seg in tangents:
-            fh.write('<line class="tangent" x1="%s" y1="%s" x2="%s" y2="%s" '
-                     '%s stroke-width="%s"/>\n'
-                     % (_fmt(seg[0, 0]), _fmt(seg[0, 1]),
-                        _fmt(seg[1, 0]), _fmt(seg[1, 1]),
-                        style["tangent"], stroke))
-        _write_rows(fh, pts.T, '<circle class="node" cx="%%.10g" '
-                    'cy="%%.10g" r="%s" fill="#333333"/>\n'
-                    % _fmt(3.0 / scale))
+        _write_rows(fh, np.reshape(tangents, (-1, 4)).T, [
+            '<line class="tangent" x1="%%.10g" y1="%%.10g" x2="%%.10g" '
+            'y2="%%.10g" %s stroke-width="%s"/>\n'
+            % (style["tangent"], stroke)])
+        _write_rows(fh, pts.T, ['<circle class="node" cx="%%.10g" '
+                                'cy="%%.10g" r="%s" fill="#333333"/>\n'
+                                % _fmt(3.0 / scale)])
         fh.write('</g>\n')
-        _write_rows(fh, labels, '<text class="width-label" x="%.10g" '
-                    'y="%.10g" font-size="11" fill="#555555">%.4g</text>\n')
+        _write_rows(fh, labels, ['<text class="width-label" x="%.10g" '
+                                 'y="%.10g" font-size="11" fill="#555555">'
+                                 '%.4g</text>\n'])
         fh.write('</svg>\n')

@@ -1,5 +1,6 @@
 """Profile parsing, sample files, and report serialization."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,14 +8,16 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spiralbounds import profile_io
-from spiralbounds.analysis import analyze
+from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.compliance import check_containment
 from spiralbounds.errors import DataError, EmptySamplesError, ParseError
+from spiralbounds.geometry import Arc
 from spiralbounds.profile_io import (
+    Rows,
     compliance_report_dict,
     load_profile,
     load_samples,
@@ -23,8 +26,9 @@ from spiralbounds.profile_io import (
     report_json,
     save_columns,
 )
-from spiralbounds.regions import build_region
+from spiralbounds.regions import Region, build_region
 
+from arcspline import arc_spline_dataset, random_arc_spline
 from conftest import profile_dict, sparse_dataset, write_profile
 
 VALID = {
@@ -360,6 +364,13 @@ def test_report_json_rejects_key_that_is_not_str(key):
         report_json({"rows": [{"a": 0.0}, {key: 0.0}]})
 
 
+def _plain(report):
+    """The report with each Rows made the list of its rows, as json.dumps
+    takes it."""
+    return {key: list(value) if isinstance(value, Rows) else value
+            for key, value in report.items()}
+
+
 def _golden_reports():
     for profile in sorted(GOLDEN.glob("*.json")):
         if profile.name.endswith(".expected.json"):
@@ -377,24 +388,148 @@ def _golden_reports():
                     check_containment(region, load_samples(str(samples))))
 
 
+def _curve_types(report):
+    return {(ch["lower"]["type"], ch["upper"]["type"])
+            for ch in report.get("chords", [])}
+
+
 def test_report_json_is_json_dumps_on_golden_reports():
     reports = list(_golden_reports())
     assert len(reports) >= 15
+    assert {r.get("grade") for r in reports} >= {"simple", "vertex",
+                                                  "narrowed"}
+    types = set()
     for report in reports:
-        assert report_json(report) == _dumps(report)
+        assert report_json(report) == _dumps(_plain(report))
+        types |= _curve_types(report)
+    # every row template of the narrowed chords: arc or biarc below/above
+    assert types == {(lo, up) for lo in ("arc", "biarc")
+                     for up in ("arc", "biarc")}
 
 
-def test_report_json_writes_columns_not_rows(monkeypatch, circle_analysis):
-    # one pass per key path: as many column writes for 2 rows as for 200
-    calls = []
-    encode = profile_io._encode
-    monkeypatch.setattr(profile_io, "_encode",
-                        lambda col, depth: calls.append(0) or encode(col, depth))
-    report = region_report(circle_analysis, build_region(circle_analysis))
-    counts = []
-    for rows in (2, 200):
-        calls.clear()
-        report_json(dict(report, chords=report["chords"][:1] * rows,
-                         nodes=report["nodes"][:1] * rows))
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+def test_report_json_writes_rows_block_by_block(monkeypatch):
+    # blocks of 3 rows split every list, the first row's comma included
+    reports = list(_golden_reports())
+    want = [report_json(report) for report in reports]
+    monkeypatch.setattr(profile_io, "BLOCK", 3)
+    assert max(len(r.get("chords", ())) for r in reports) > 3 * 3
+    assert [report_json(report) for report in reports] == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pieces=st.integers(1, 7),
+       n_nodes=st.integers(3, 24), increasing=st.booleans())
+def test_report_json_is_json_dumps_on_arc_spline_reports(seed, pieces,
+                                                         n_nodes, increasing):
+    rng = np.random.default_rng(seed)
+    spline = random_arc_spline(rng, pieces, increasing)
+    pts, t0, t1, _ = arc_spline_dataset(rng, spline, n_nodes)
+    an = analyze(SplineInput(pts, t0, t1))
+    assume(an.classification.kind == "spiral")
+    report = region_report(an, build_region(an, "narrowed"))
+    assert report_json(report) == _dumps(_plain(report))
+
+
+def _curve_dict(curve):
+    if isinstance(curve, Arc):
+        return {"type": "arc", "c": curve.c, "phi": curve.phi}
+    return {"type": "biarc", "c": curve.c, "alpha": curve.alpha,
+            "beta": curve.beta, "a": curve.a, "b": curve.b, "p": curve.p,
+            "join": list(curve.join)}
+
+
+def _chord_dicts(analysis, region):
+    """The chord rows made one dict per RegionChord object."""
+    ch, ang = analysis.chords, analysis.angles
+    return [{"index": reg.index, "half_length": c, "direction": mu,
+             "midpoint": mid, "xi": xi, "eta": eta, "width": reg.width,
+             "width_estimate": reg.width_estimate,
+             "lower": _curve_dict(reg.lower),
+             "upper": _curve_dict(reg.upper)}
+            for reg, c, mu, mid, xi, eta in zip(
+                region.chords, ch.c.tolist(), ch.mu.tolist(),
+                ch.mid.tolist(), ang.xi.tolist(), ang.eta.tolist())]
+
+
+def _unread(*args):
+    raise AssertionError("region.chords was read")
+
+
+class _Unread:
+    __getattr__ = __iter__ = __len__ = __getitem__ = __bool__ = _unread
+
+
+def _golden_regions():
+    for profile in ("circle", "oval", "overrides", "spiral-dec",
+                    "spiral-inc"):
+        data, overrides = load_profile(str(GOLDEN / (profile + ".json")))
+        an = analyze(data)
+        for grade in ("simple", "vertex", "narrowed"):
+            try:
+                yield an, build_region(an, grade, overrides)
+            except DataError:
+                pass
+
+
+def test_region_report_of_a_built_region_reads_only_the_kept_arrays():
+    cases = list(_golden_regions())
+    assert len(cases) == 13
+    for an, region in cases:
+        text = report_json(region_report(an, region))
+        object.__setattr__(region, "chords", _Unread())
+        with pytest.raises(AssertionError):
+            list(region.chords)
+        assert report_json(region_report(an, region)) == text
+
+
+def test_region_report_rows_are_the_chord_objects():
+    # a copy by dataclasses.replace and a region assembled by hand, with
+    # arcs and biarcs mixed on both sides, are read from their chords
+    for an, region in _golden_regions():
+        want = report_json(region_report(an, region))
+        copy = dataclasses.replace(region)
+        assert copy._boundaries is None
+        report = region_report(an, copy)
+        assert list(report["chords"]) == _chord_dicts(an, region)
+        assert report_json(report) == _dumps(_plain(report)) == want
+    an = analyze(load_profile(str(GOLDEN / "spiral-inc.json"))[0])
+    narrowed, simple = (build_region(an, g) for g in ("narrowed", "simple"))
+    chords = [dataclasses.replace(ch, lower=other.lower) if k % 2 else
+              dataclasses.replace(ch, upper=other.upper)
+              for k, (ch, other) in enumerate(zip(narrowed.chords,
+                                                  simple.chords))]
+    by_hand = Region(grade="narrowed", closed=False, chords=chords,
+                     width=narrowed.width)
+    report = region_report(an, by_hand)
+    assert _curve_types(_plain(report)) >= {("biarc", "arc"),
+                                            ("arc", "biarc")}
+    assert list(report["chords"]) == _chord_dicts(an, by_hand)
+    assert report_json(report) == _dumps(_plain(report))
+
+
+@pytest.mark.parametrize("grade", ["simple", "vertex", "narrowed"])
+def test_region_report_of_closed_spiral_data(grade):
+    # closed data is a spiral only when cocircular, and no golden profile
+    # is: a ring at irregular angles, built and copied
+    t = np.sort(np.random.default_rng(3).uniform(0.0, 2 * math.pi, 11))
+    an = analyze(SplineInput(3.0 * np.column_stack([np.cos(t), np.sin(t)]),
+                             closed=True))
+    region = build_region(an, grade)
+    report = region_report(an, region)
+    assert report["closed"] and len(report["chords"]) == 11
+    assert list(report["chords"]) == _chord_dicts(an, region)
+    text = report_json(report)
+    assert text == _dumps(_plain(report))
+    assert report_json(region_report(an, dataclasses.replace(region))) == text
+
+
+def test_rows_index_like_a_list():
+    report = region_report(*next(_golden_regions()))
+    rows = report["chords"]
+    plain = list(rows)
+    assert len(rows) == len(plain) == 20
+    assert rows[-1] == plain[-1] and rows[1] == plain[1]
+    assert type(rows[0]["index"]) is int
+    assert type(rows[0]["width"]) is float
+    with pytest.raises(IndexError):
+        rows[len(plain)]

@@ -703,8 +703,8 @@ def test_widths_keep_the_symmetries_of_the_data(seed, increasing, n_nodes, s):
 # Chord columns: read from the build's arrays, gathered only by hand
 # ---------------------------------------------------------------------------
 
-COLUMNS = ("index", "width", "c", "ox", "oy", "cos", "sin", "sx", "sy",
-           "ex", "ey", "table")
+COLUMNS = ("index", "width", "estimate", "c", "direction", "ox", "oy",
+           "cos", "sin", "sx", "sy", "ex", "ey", "table")
 # profile: the grades it admits
 GOLDEN_GRADES = {
     "circle": ("simple", "vertex", "narrowed"),          # open, constant
@@ -732,6 +732,15 @@ def assert_columns_are_the_gather(region):
     for name in COLUMNS:
         npt.assert_array_equal(getattr(built, name), getattr(gathered, name),
                                err_msg=name)
+    # the boundaries: the gather keeps every curve's fields, an Arc's phi
+    # as its alpha and NaN past it
+    assert gathered.phi is None
+    if built.phi is not None:
+        assert gathered.arc.all()
+        npt.assert_array_equal(gathered.fields[0], built.phi)
+        return
+    npt.assert_array_equal(gathered.arc, built.arc)
+    npt.assert_array_equal(gathered.fields, built.fields)
 
 
 @pytest.mark.parametrize("profile,grade", [
