@@ -110,53 +110,35 @@ class ComplianceReport:
         return self.violations.size == 0
 
 
-class _Chords:
-    """The search around a region's chord columns."""
+def _spans(g: ChordColumns, pts, i, j):
+    """Whether sample i projects onto chord j; i and j broadcast."""
+    # x alone: most grid pairs fail this test, and sharing _best's
+    # x-and-y projection here made check_containment 25-31 % slower
+    x = (pts[i, 0] - g.ox[j]) * g.cos[j] + (pts[i, 1] - g.oy[j]) * g.sin[j]
+    return np.abs(x) <= g.c[j] * (1.0 + SPAN_SLACK)
 
-    def __init__(self, cols: ChordColumns):
-        self.cols = cols
-        self.reach = cols.c * (1.0 + SPAN_SLACK)
 
-    def spans(self, pts, i, j):
-        """Whether sample i projects onto chord j; i and j broadcast."""
-        g = self.cols
-        # x alone: most grid pairs fail this test, and sharing best's
-        # x-and-y projection here made check_containment 25-31 % slower
-        x = ((pts[i, 0] - g.ox[j]) * g.cos[j]
-             + (pts[i, 1] - g.oy[j]) * g.sin[j])
-        return np.abs(x) <= self.reach[j]
+def _best(g: ChordColumns, pts, i, j):
+    """Per sample of the pairs (i, j), the chord with the best score.
 
-    def best(self, pts, i, j):
-        """Per sample of the pairs (i, j), the chord with the best score.
+    Each sample's pairs must form one run of i, with the samples in
+    ascending order, and name no chord twice (see _best_of_runs): the
+    grid's per-sample blocks, the full scan's row-major nonzero and the
+    wedges' pairs all do.
 
-        Each sample's pairs must form one run of i, with the samples in
-        ascending order, and name no chord twice (see _best_of_runs): the
-        grid's per-sample blocks, the full scan's row-major nonzero and
-        the wedges' pairs all do.
-
-        Returns the samples, their chords, and per sample x (clipped to
-        [-c, c]), y, lower and upper margin and score.
-        """
-        g = self.cols
-        dx, dy = pts[i, 0] - g.ox[j], pts[i, 1] - g.oy[j]
-        co, si, c = g.cos[j], g.sin[j], g.c[j]
-        x = np.clip(dx * co + dy * si, -c, c)
-        y = dy * co - dx * si
-        lower, upper = height(g.table[:, j], x[:, None]).T
-        m_lo, m_up = y - lower, upper - y
-        score = np.minimum(m_lo, m_up)
-        first = _best_of_runs(i, j, score)
-        return i[first], j[first], (x[first], y[first], m_lo[first],
-                                    m_up[first], score[first])
-
-    def nodes(self):
-        """Node positions: every chord's start, and the last chord's end
-        for open data."""
-        g = self.cols
-        start = np.column_stack([g.sx, g.sy])
-        if g.closed:
-            return start
-        return np.vstack([start, (g.ex[-1], g.ey[-1])])
+    Returns the samples, their chords, and per sample x (clipped to
+    [-c, c]), y, lower and upper margin and score.
+    """
+    dx, dy = pts[i, 0] - g.ox[j], pts[i, 1] - g.oy[j]
+    co, si, c = g.cos[j], g.sin[j], g.c[j]
+    x = np.clip(dx * co + dy * si, -c, c)
+    y = dy * co - dx * si
+    lower, upper = height(g.table[:, j], x[:, None]).T
+    m_lo, m_up = y - lower, upper - y
+    score = np.minimum(m_lo, m_up)
+    first = _best_of_runs(i, j, score)
+    return i[first], j[first], (x[first], y[first], m_lo[first],
+                                m_up[first], score[first])
 
 
 def _best_of_runs(i, j, score):
@@ -242,7 +224,6 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
         raise InputError("tolerance must be finite and >= 0, got %r"
                          % (tol,))
     g = ChordColumns(region)
-    search = _Chords(g)
     if tol is None:
         tol = 1e-9 * g.c.max()
     n, m = len(pts), len(g.c)
@@ -252,27 +233,29 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
 
     def measure(i, j):
         """Keep per sample the best chord of the pairs (i, j)."""
-        i, j, values = search.best(pts, i, j)
+        i, j, values = _best(g, pts, i, j)
         chord[i] = j
         out[:, i] = values
 
     todo = np.arange(n)
     if n * m > CHUNK:
-        h = 2.0 * np.max(search.reach + g.lens_height())
+        h = 2.0 * np.max(g.c * (1.0 + SPAN_SLACK) + g.lens_height())
         for i, j in _grid_pairs(g, pts, h):
-            span = search.spans(pts, i, j)
+            span = _spans(g, pts, i, j)
             if span.any():
                 measure(i[span], j[span])
         todo = np.flatnonzero(~(out[4] > -0.25 * h))
     step = max(1, CHUNK // m)
     for a in range(0, len(todo), step):
         rows = todo[a:a + step]
-        ri, j = np.nonzero(search.spans(pts, rows[:, None], np.arange(m)))
+        ri, j = np.nonzero(_spans(g, pts, rows[:, None], np.arange(m)))
         if ri.size:
             measure(rows[ri], j)
-    # the node wedges: samples in no chord's span
+    # the node wedges: samples in no chord's span, at the chords' nodes
     todo = np.flatnonzero(chord < 0)
-    nodes = search.nodes()
+    nodes = np.column_stack([g.sx, g.sy])
+    if not g.closed:
+        nodes = np.vstack([nodes, (g.ex[-1], g.ey[-1])])
     step = max(1, CHUNK // len(nodes))
     for a in range(0, len(todo), step):
         rows = todo[a:a + step]

@@ -48,10 +48,17 @@ A(x; c, alpha), and omega = 0 collapses the family to A(x; c, alpha)
 for every p.
 
 family(c, alpha, beta, p) builds members for arrays of chords at once;
-the biarc_from_* factories check and wrap it.  One rule gives p from a
-start curvature.  Traversed backwards (turned by pi), a chord swaps
-alpha and beta and its member has start curvature -b and parameter 1/p,
-so the end rule is the start rule on (beta, alpha, -b), with p -> 1/p.
+the biarc_from_* factories check and wrap it.  A lens arc A(x; c, phi)
+is the member (alpha, beta, a, b, p) = (phi, -phi, -sin(phi)/c,
+-sin(phi)/c, inf), omega = 0, joined at mid-chord; arcs(c, phi) builds
+it without family().  curves() turns members into Arc and Biarc objects
+and members(), its inverse, turns objects back, so every boundary is
+one record, member fields plus an arc mask, read by family_pieces().
+
+One rule gives p from a start curvature.  Traversed backwards (turned
+by pi), a chord swaps alpha and beta and its member has start curvature
+-b and parameter 1/p, so the end rule is the start rule on
+(beta, alpha, -b), with p -> 1/p.
 """
 
 from __future__ import annotations
@@ -92,10 +99,12 @@ class ChordFrame:
         co, si = math.cos(self.direction), math.sin(self.direction)
         return np.array([[co, -si], [si, co]])
 
+    # perfbench/micro.py times to_local; the package rotates columns
     def to_local(self, points):
         """Map global points (2,) or (n, 2) to chord coordinates."""
         return (np.asarray(points, dtype=float) - self.origin) @ self.axes
 
+    # to_local's inverse, kept with it until perfbench/ stops timing it
     def to_global(self, points):
         """Map chord coordinates back to the global plane."""
         return np.asarray(points, dtype=float) @ self.axes.T + self.origin
@@ -136,29 +145,8 @@ class Biarc:
     join: tuple[float, float]
 
 
-def pieces(curve):
-    """Parameters of the two circle pieces of an Arc or a Biarc.
-
-    Returns (c, x_join, then sin, cos of the end angle and curvature of
-    the piece through (-c, 0), then the same for the piece through
-    (c, 0)); the first piece covers x <= x_join.
-    """
-    c = curve.c
-    if isinstance(curve, Arc):
-        s, co = math.sin(curve.phi), math.cos(curve.phi)
-        return (c, 0.0, s, co, -s / c, -s, co, -s / c)
-    return (c, curve.join[0], math.sin(curve.alpha), math.cos(curve.alpha),
-            curve.a, math.sin(curve.beta), math.cos(curve.beta), curve.b)
-
-
-def piece_table(curves):
-    """pieces() of many curves as columns shaped (n, 1), which broadcast
-    against an (n, m) grid of abscissae, one row per curve."""
-    return np.array([pieces(curve) for curve in curves]).T[..., None]
-
-
 def height(cols, x):
-    """Height over x of the curves whose pieces() are `cols`, |x| <= c."""
+    """Height over x of the curves with family_pieces() cols, |x| <= c."""
     c, xj, s1, c1, k1, s2, c2, k2 = cols
     first = x <= xj
     u = np.where(first, x + c, x - c)
@@ -198,10 +186,13 @@ def curve_eval(curve, x):
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > c * (1.0 + ABSCISSA_SLACK)):
         raise DomainError("abscissa outside [-c, c] for c=%g" % c)
-    y = height(pieces(curve), np.clip(xa, -c, c))
+    # a Biarc is its own member, an Arc its arcs() member
+    member = arcs(c, curve.phi) if isinstance(curve, Arc) else curve
+    y = height(family_pieces(member), np.clip(xa, -c, c))
     return float(y) if np.ndim(x) == 0 else y
 
 
+# perfbench/micro.py times these names; kept for it alone
 arc_eval = biarc_eval = curve_eval
 
 
@@ -225,21 +216,52 @@ def family(c, alpha, beta, p):
     return Biarc(c, alpha, beta, a, b, p, (xj, yj)), arc
 
 
+def arcs(c, phi):
+    """The arcs A(x; c, phi) as family() members, one per element of phi
+    (c broadcasts against it), joined at mid-chord at height c tan(phi/2).
+    Their curvature -sin(phi)/c keeps the sign of zero phi gives it."""
+    phi = np.asarray(phi, dtype=float)
+    c = np.broadcast_to(c, phi.shape)
+    k = -np.sin(phi) / c
+    return Biarc(c, phi, -phi, k, k, np.full(phi.shape, math.inf),
+                 (np.zeros(phi.shape), c * np.tan(0.5 * phi)))
+
+
 def family_pieces(members):
-    """pieces() of family() members, as columns of the same shape."""
+    """The two circle pieces of family() members as columns of their
+    shape: c, join abscissa x_j, then sin, cos of the end angle and the
+    curvature of the piece through (-c, 0), covering x <= x_j, then of
+    the piece through (c, 0)."""
     return (members.c, members.join[0],
             np.sin(members.alpha), np.cos(members.alpha), members.a,
             np.sin(members.beta), np.cos(members.beta), members.b)
 
 
+def member_fields(members):
+    """c, alpha, beta, a, b, p and the join's x and y of members."""
+    return (members.c, members.alpha, members.beta, members.a, members.b,
+            members.p, *members.join)
+
+
 def curves(members, arc):
     """family() members as Arc and Biarc objects, in row order."""
-    rows = zip(*(np.ravel(v).tolist() for v in (
-        members.c, members.alpha, members.beta, members.a, members.b,
-        members.p, *members.join, arc)))
+    rows = zip(*(np.ravel(v).tolist()
+                 for v in (*member_fields(members), arc)))
     return [Arc(c, alpha) if degenerate
             else Biarc(c, alpha, beta, a, b, p, (xj, yj))
             for c, alpha, beta, a, b, p, xj, yj, degenerate in rows]
+
+
+def members(curves):
+    """Arc and Biarc objects as family() members shaped (n,) and their
+    arc mask, the inverse of curves(); an Arc is its arcs() member."""
+    rows = np.array([
+        (cv.c, cv.phi) + (math.nan,) * 6 if isinstance(cv, Arc)
+        else member_fields(cv) for cv in curves], dtype=float).reshape(-1, 8).T
+    arc = np.isnan(rows[2])   # a Biarc's beta is a number
+    fields = [np.where(arc, u, v)
+              for u, v in zip(member_fields(arcs(*rows[:2])), rows)]
+    return Biarc(*fields[:6], tuple(fields[6:])), arc
 
 
 def start_parameter(c, alpha, beta, a):
@@ -274,6 +296,7 @@ def _member(c, alpha, beta, p, request=None):
     return curves(*family(c, alpha, beta, p))[0]
 
 
+# kept for perfbench/micro.py and the tests; the package uses family()
 def biarc_from_p(c, alpha, beta, p):
     """Member of the biarc family for parameter p in [0, inf].
 
@@ -284,6 +307,7 @@ def biarc_from_p(c, alpha, beta, p):
     return _member(c, alpha, beta, p)
 
 
+# kept for perfbench/micro.py and the tests; the package uses family()
 def biarc_from_a(c, alpha, beta, a):
     """Biarc with prescribed start curvature a; a = -sign(alpha + beta) inf
     selects the p = 0 member, a = -sin(alpha)/c the p = inf member."""
@@ -291,6 +315,7 @@ def biarc_from_a(c, alpha, beta, a):
                    "start curvature a=%g (needs a*c <= -sin(alpha))" % a)
 
 
+# kept for perfbench/micro.py and the tests; the package uses family()
 def biarc_from_b(c, alpha, beta, b):
     """Biarc with prescribed end curvature b (math.inf allowed as a tag)."""
     return _member(c, alpha, beta, float(end_parameter(c, alpha, beta, b)),

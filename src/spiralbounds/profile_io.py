@@ -30,6 +30,8 @@ dicts kept as columns, written BLOCK rows at a time without making the
 dicts.  Each kind of row is a % template, laid out once by json.dumps
 of a row of placeholders; fill() puts a block's values, each column
 formatted by one map(float.__repr__), into the templates with one %.
+The arc mask, not the grade, picks the chords' layout: short "lens"
+rows where every boundary is an arc, else a "chords" kind per row.
 """
 
 from __future__ import annotations
@@ -287,8 +289,9 @@ def region_report(analysis: Analysis, region: Region) -> dict:
     g = ChordColumns(region)
     head = [g.index, g.c, g.direction, g.ox, g.oy, ang.xi, ang.eta, g.width,
             g.estimate]
-    if g.phi is not None:
-        chords = Rows("lens", head + [g.c, g.phi[0], g.c, g.phi[1]])
+    if g.arc.all():   # arcs only: each boundary is its c and phi
+        chords = Rows("lens", head + [g.c, g.fields[0, 0], g.c,
+                                      g.fields[0, 1]])
     else:
         chords = Rows("chords", head + [g.c, *(f[0] for f in g.fields), g.c,
                                         *(f[1] for f in g.fields)],

@@ -25,6 +25,11 @@ negated angles, lower and upper swapped.  Reversing the point order
 would not do: reversal negates the curvature sequence AND walks it
 backwards, so it preserves the direction of monotonicity.
 
+Every grade's boundaries are biarc-family members: a lens arc
+A(x; c, phi) is the member with omega = 0 and p = inf,
+geometry.arcs(c, phi).  ChordColumns reads them as one record, member
+fields plus an arc mask, for check, SVG and report alike.
+
 A narrowed lower boundary is the member with the start node's floor
 curvature, the upper one the member with the end node's ceiling.  Where
 no member has it (p is NaN) the boundary is the lens arc, p = 0 below
@@ -51,9 +56,9 @@ import numpy as np
 
 from .analysis import Analysis, Chords, is_finite_real, padded
 from .errors import ClassificationError, DomainError, OverrideError
-from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, curves,
+from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, arcs, curves,
                        end_parameter, family, family_pieces, gap_maxima,
-                       piece_table, start_parameter)
+                       member_fields, members, start_parameter)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,13 +77,19 @@ class _Boundaries(NamedTuple):
     """The arrays a build made its region from, read by ChordColumns: the
     analysis's `chords`, the widths and width estimates, and a lens
     grade's `phi`, its arcs' start angles as (2, m), or the narrowed
-    grade's `family`, family() of its boundaries shaped (2, m, 1)."""
+    grade's `family`, family() of its boundaries and arc mask, (2, m)."""
 
     chords: Chords
     width: np.ndarray
     estimate: np.ndarray
     phi: np.ndarray | None = None
     family: tuple[Biarc, np.ndarray] | None = None
+
+    def record(self):
+        """family() members and arc mask of the boundaries, (2, m)."""
+        if self.family is not None:
+            return self.family
+        return arcs(self.chords.c, self.phi), np.ones(self.phi.shape, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,59 +109,47 @@ class ChordColumns:
 
     Per chord: its 1-based index, width, width estimate, c, direction,
     midpoint (ox, oy), the direction's cos and sin (the rotation of
-    ChordFrame.axes), start and end nodes (sx, sy) and (ex, ey), and in
-    `table` the pieces() of the lower and upper boundary as (8, m, 2).
-    Lens arcs are `phi`, their start angles as (2, m); else `fields`
-    holds the Biarc fields alpha, beta, a, b, p, join x and y as
-    [side][chord], `arc` marking the Arcs: their phi, then NaN.
-    `closed` says whether the last chord ends at the first one's start.
+    ChordFrame.axes), start and end nodes (sx, sy) and (ex, ey).  Per
+    boundary, as [side][chord], lower side first: `arc` marks the arcs,
+    `fields` holds the Biarc fields alpha, beta, a, b, p, join x and y
+    (an arc's phi, then NaN), and `table` the family_pieces() as
+    (8, m, 2).  `closed` says whether the last chord ends at the first
+    one's start.
 
-    A built region is read from the arrays its build kept, a region
-    assembled by hand from its RegionChord objects.  Nothing is cached:
-    each construction pays for its own columns.
+    Every grade's boundaries are one record, family() members and their
+    arc mask: a built region's come from what its build kept, those of a
+    region assembled by hand from members() of its RegionChord curves.
+    Nothing is cached: each construction pays for its own columns.
     """
 
     def __init__(self, region: Region):
         self.closed = region.closed
         kept = region._boundaries
-        self.phi = None
         if kept is None:
-            self._gather(region.chords)
+            chords = region.chords
+            self.index = np.array([ch.index for ch in chords])
+            (self.width, self.estimate, self.c, self.direction, self.ox,
+             self.oy) = np.array([(ch.width, ch.width_estimate,
+                                   ch.frame.half_length, ch.frame.direction,
+                                   *ch.frame.origin) for ch in chords]).T
+            record, arc = members([ch.lower for ch in chords]
+                                  + [ch.upper for ch in chords])
         else:
             chords = kept.chords
             self.index = np.arange(1, len(chords) + 1)
             self.width, self.estimate = kept.width, kept.estimate
             self.c, self.direction = chords.c, chords.mu
             self.ox, self.oy = chords.mid.T
-            if kept.family is None:
-                self.phi, self.table = kept.phi, _lens_table(self.c, kept.phi)
-            else:
-                m, arc = kept.family
-                self.arc = arc[..., 0]
-                self.fields = [m.alpha[..., 0]] + [
-                    np.where(self.arc, math.nan, v[..., 0])
-                    for v in (m.beta, m.a, m.b, m.p, *m.join)]
-                self.table = np.moveaxis(family_pieces(m), 1, 2)[..., 0]
+            record, arc = kept.record()
+        self.arc = np.reshape(arc, (2, -1))
+        self.fields = np.reshape(member_fields(record)[1:], (7, 2, -1))
+        self.fields[1:, self.arc] = math.nan
+        self.table = np.moveaxis(
+            np.reshape(family_pieces(record), (8, 2, -1)), 1, 2)
         self.cos, self.sin = np.cos(self.direction), np.sin(self.direction)
         dx, dy = self.c * self.cos, self.c * self.sin
         self.sx, self.sy = self.ox - dx, self.oy - dy
         self.ex, self.ey = self.ox + dx, self.oy + dy
-
-    def _gather(self, chords):
-        self.index = np.array([ch.index for ch in chords])
-        (self.width, self.estimate, self.c, self.direction, self.ox,
-         self.oy) = np.array([(ch.width, ch.width_estimate,
-                               ch.frame.half_length, ch.frame.direction,
-                               *ch.frame.origin) for ch in chords]).T
-        self.fields = np.array([
-            (cv.phi,) + (math.nan,) * 6 if isinstance(cv, Arc)
-            else (cv.alpha, cv.beta, cv.a, cv.b, cv.p, *cv.join)
-            for cv in [ch.lower for ch in chords] + [ch.upper for ch in chords]
-        ]).T.reshape(7, 2, -1)
-        self.arc = np.isnan(self.fields[1])   # a Biarc's beta is a number
-        self.table = piece_table([curve for ch in chords
-                                  for curve in (ch.lower, ch.upper)]
-                                 ).reshape(8, -1, 2)
 
     def lens_height(self):
         """Largest |y| of each chord's lens: the larger gap between a
@@ -159,16 +158,6 @@ class ChordColumns:
         chord = np.zeros_like(lower)
         chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
         return np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
-
-
-def _lens_table(c, phi):
-    """pieces() of the arcs A(x; c, phi), phi shaped (2, m), as (8, m, 2):
-    the pieces (phi, k) and (-phi, k), k = -sin(phi)/c, joined at x = 0."""
-    phi = phi.T
-    s, co = np.sin(phi), np.cos(phi)
-    k = -s / c[:, None]
-    cc = np.broadcast_to(c[:, None], phi.shape)
-    return np.stack([cc, np.zeros_like(phi), s, co, k, -s, co, k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,10 +416,10 @@ def curvature_ranges(analysis: Analysis, overrides=None) -> CurvatureRanges:
 
 
 def _boundaries(c, lower, upper, mirrored):
-    """Both boundary curves of every chord, and the family() members and
-    arc mask they came from, shaped (2, m, 1), lower then upper.
-    `lower` holds alpha, beta, the start curvature and its override flag
-    per chord (increasing orientation), `upper` the end curvature."""
+    """The family() members of both boundaries of every chord and their
+    arc mask, shaped (2, m), lower then upper.  `lower` holds alpha,
+    beta, the start curvature and its override flag per chord
+    (increasing orientation), `upper` the end curvature."""
     _require_graphs(*lower[:2], *upper[:2])
     p_lo, p_up = start_parameter(c, *lower[:3]), end_parameter(c, *upper[:3])
     bad_lo = np.isnan(p_lo) & lower[3]
@@ -444,10 +433,7 @@ def _boundaries(c, lower, upper, mirrored):
              (*upper[:2], np.where(np.isnan(p_up), math.inf, p_up))]
     if mirrored:   # family() is odd in alpha and beta: the sides swap
         sides = [(-al, -be, p) for al, be, p in sides[::-1]]
-    # both sides in one call, shaped (2, m, 1)
-    fam = family(c[:, None], *(np.stack(v)[..., None] for v in zip(*sides)))
-    both = curves(*fam)
-    return both[:len(c)], both[len(c):], fam
+    return family(c, *(np.stack(v) for v in zip(*sides)))
 
 
 def narrowed_region(analysis: Analysis, overrides=None) -> Region:
@@ -456,16 +442,18 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
     ranges = _node_bounds(analysis, table, overrides)
     closed = analysis.data.closed
     m = len(analysis.chords)
-    lower, upper, fam = _boundaries(
+    fam = _boundaries(
         analysis.chords.c,
         (table.alpha_lo, table.beta_hi, ranges.lower[:m],
          ranges.lower_overridden[:m]),
         (table.alpha_hi, table.beta_lo, padded(ranges.upper, closed)[2:m + 2],
          padded(ranges.upper_overridden, closed, (False, False))[2:m + 2]),
         table.mirrored)
-    return _finish("narrowed", analysis, lower, upper,
-                   gap_maxima(*np.swapaxes(family_pieces(fam[0]), 0, 1)),
-                   family=fam)
+    both = curves(*fam)
+    # one row per chord, a trailing axis for gap_maxima's candidates
+    lower, upper = np.swapaxes(family_pieces(fam[0]), 0, 1)[..., None]
+    return _finish("narrowed", analysis, both[:m], both[m:],
+                   gap_maxima(lower, upper), family=fam)
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

@@ -12,8 +12,8 @@ from spiralbounds.compliance import SPAN_SLACK
 from spiralbounds.errors import InfeasibleCurvatureError, OverrideError
 from spiralbounds.experiments import circle_dataset
 from spiralbounds.geometry import (Arc, Biarc, biarc_from_a, biarc_from_b,
-                                   biarc_from_p, curve_eval, gap_maxima,
-                                   piece_table)
+                                   biarc_from_p, curve_eval, family_pieces,
+                                   gap_maxima, members)
 from spiralbounds.regions import _node_bounds, narrowed_angle_ranges
 
 from logspiral import LogSpiral
@@ -22,6 +22,12 @@ from logspiral import LogSpiral
 def arc_curvature(arc) -> float:
     """Signed curvature of an Arc: -sin(phi)/c."""
     return -math.sin(arc.phi) / arc.c
+
+
+def piece_columns(curves):
+    """family_pieces() of Arc and Biarc objects as (8, n, 1) columns,
+    one row per curve, which broadcast against an (n, k) abscissa grid."""
+    return np.array(family_pieces(members(curves)[0]))[..., None]
 
 
 def tangency_residual(c, alpha, beta, a, b) -> float:
@@ -95,7 +101,7 @@ def reference_narrowed(analysis, overrides=None):
         lowers.append(lower)
         uppers.append(upper)
     return (lowers, uppers,
-            gap_maxima(piece_table(lowers), piece_table(uppers)))
+            gap_maxima(piece_columns(lowers), piece_columns(uppers)))
 
 
 def reference_containment(region, samples):

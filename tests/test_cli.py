@@ -478,3 +478,68 @@ def test_readme_usage_flags_exist():
     for cmd, flags in usages:
         known = sub.choices[cmd]._option_string_actions
         assert [f for f in flags if f not in known] == [], cmd
+
+
+# Collinear data: every three-point circle is the line itself, so each
+# grade's region is the chain of chords, of width 0.  The y of every
+# node is 0, so xi = arctan2(-0.0, .) = -0.0 on every chord.
+COLLINEAR_PASS = """{
+  "verdict": "pass",
+  "tol": 1e-09,
+  "samples": 7,
+  "unassigned": 0,
+  "worst_margin": 0.0,
+  "violations": [],
+  "violation_count": 0
+}
+"""
+COLLINEAR_FAIL = """{
+  "verdict": "fail",
+  "tol": 1e-09,
+  "samples": 4,
+  "unassigned": 0,
+  "worst_margin": -0.01,
+  "violations": [
+    {
+      "sample": 1,
+      "chord": 2,
+      "x_local": -0.050000000000000044,
+      "margin": -0.001
+    },
+    {
+      "sample": 3,
+      "chord": 4,
+      "x_local": 0.0,
+      "margin": -0.01
+    }
+  ],
+  "violation_count": 2
+}
+"""
+
+
+@pytest.mark.parametrize("grade", ["auto", "simple", "vertex", "narrowed"])
+def test_collinear_data_at_every_grade(capsys, grade):
+    profile = str(GOLDEN / "collinear.json")
+    code, out, err = run(capsys, "analyze", profile, "--grade", grade)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["classification"] == {"kind": "spiral",
+                                        "direction": "constant",
+                                        "vertices": []}
+    assert report["width"] == 0.0
+    assert all(ch["width"] == 0.0 for ch in report["chords"])
+    # the stored stdout is the auto grade's, which is narrowed; every
+    # grade's boundaries are arcs of phi = -0.0, printed as lens rows
+    want = (GOLDEN / "collinear.expected.json").read_text()
+    shown = "narrowed" if grade == "auto" else grade
+    assert out == want.replace('"grade": "narrowed"',
+                               '"grade": "%s"' % shown)
+    assert all(ch[side] == {"type": "arc", "c": ch["half_length"],
+                            "phi": -0.0} for ch in report["chords"]
+               for side in ("lower", "upper"))
+    for samples, exit_code, want in (("on", 0, COLLINEAR_PASS),
+                                     ("off", 1, COLLINEAR_FAIL)):
+        path = str(GOLDEN / ("collinear.%s.txt" % samples))
+        assert run(capsys, "check", profile, path, "--grade", grade) == (
+            exit_code, want, "")

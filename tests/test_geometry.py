@@ -20,6 +20,7 @@ from spiralbounds.geometry import (
     Biarc,
     ChordFrame,
     arc_eval,
+    arcs,
     biarc_eval,
     biarc_from_a,
     biarc_from_b,
@@ -28,6 +29,8 @@ from spiralbounds.geometry import (
     curves,
     end_parameter,
     family,
+    family_pieces,
+    members,
     start_parameter,
     wrap_angle,
 )
@@ -446,3 +449,54 @@ def test_family_columns_match_the_scalar_factory():
     assert arc[::7].all() and arc[1::7].all() and arc[2::7].all()
     got = curves(members, arc)
     assert got == [biarc_from_p(*args) for args in zip(c, alpha, beta, p)]
+
+
+def test_arcs_are_the_omega_zero_members():
+    # A(x; c, phi) is the member (phi, -phi, -sin(phi)/c, -sin(phi)/c, inf)
+    rng = np.random.default_rng(11)
+    c = rng.uniform(0.1, 5.0, 32)
+    phi = rng.uniform(-1.5, 1.5, 32)
+    got = arcs(c, phi)
+    want, arc = family(c, phi, -phi, math.inf)
+    assert arc.all()
+    for name in ("c", "alpha", "beta", "a", "b", "p"):
+        npt.assert_array_equal(getattr(got, name), getattr(want, name),
+                               err_msg=name)
+    npt.assert_array_equal(got.join[0], want.join[0])
+    npt.assert_allclose(got.join[1], want.join[1], rtol=1e-14, atol=1e-15)
+    assert curves(got, arc) == [Arc(*v) for v in zip(c, phi)]
+    # c broadcasts against both sides of a chord
+    assert arcs(c, np.stack([phi, -phi])).a.shape == (2, 32)
+
+
+def test_lens_arc_curvature_keeps_the_sign_of_zero():
+    # collinear data gives phi = -0.0: the lens arc's -sin(phi)/c is
+    # +0.0, family()'s -(sin(alpha) + sin(omega)/q)/c is -0.0.  Neither
+    # sign reaches a report or an SVG.
+    assert not np.signbit(arcs(1.0, -0.0).a)
+    assert np.signbit(family(1.0, -0.0, 0.0, math.inf)[0].a)
+    assert not np.signbit(family_pieces(members([Arc(1.0, -0.0)])[0])[4])
+
+
+def test_members_invert_curves():
+    rng = np.random.default_rng(12)
+    n = 40
+    c = rng.uniform(0.1, 5.0, n)
+    alpha = rng.uniform(-1.4, 1.4, n)
+    beta = rng.uniform(-1.4, 1.4, n)
+    p = rng.uniform(0.01, 100.0, n)
+    p[::5], beta[1::5] = math.inf, -alpha[1::5]
+    objects = curves(*family(c, alpha, beta, p))
+    got, arc = members(objects)
+    assert got.a.shape == arc.shape == (n,)
+    npt.assert_array_equal(arc, [isinstance(v, Arc) for v in objects])
+    assert curves(got, arc) == objects
+    # a Biarc's fields come back as they were, an Arc as its arcs() member
+    lens = arcs(c, got.alpha)
+    for name in ("c", "alpha", "beta", "a", "b", "p"):
+        npt.assert_array_equal(
+            getattr(got, name),
+            np.where(arc, getattr(lens, name), [getattr(v, name, math.nan)
+                                                 for v in objects]),
+            err_msg=name)
+    assert members([])[0].a.shape == (0,)

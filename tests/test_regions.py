@@ -17,11 +17,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spiralbounds import geometry
+from spiralbounds import regions
 from spiralbounds.analysis import Classification, SplineInput, analyze
 from spiralbounds.compliance import check_containment
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
-from spiralbounds.geometry import Arc, Biarc, curve_eval
+from spiralbounds.geometry import Arc, Biarc, curve_eval, curves
 from spiralbounds.profile_io import load_profile, load_samples
 from spiralbounds.regions import (
     ChordColumns,
@@ -486,7 +486,9 @@ def test_infeasible_corner_fallback_is_conservative():
     # untainted infeasibility (ranges crossing by rounding) falls back to
     # the widest member rather than failing; exercised directly with a
     # start curvature just past the feasible limit
-    [lo], [up], _ = _corner(False, False)
+    fam, arc = _corner(False, False)
+    assert arc.all()
+    lo, up = curves(fam, arc)
     assert isinstance(lo, Arc)
     npt.assert_allclose(lo.phi, -0.1, atol=1e-12)
     assert isinstance(up, Arc)
@@ -732,13 +734,8 @@ def assert_columns_are_the_gather(region):
     for name in COLUMNS:
         npt.assert_array_equal(getattr(built, name), getattr(gathered, name),
                                err_msg=name)
-    # the boundaries: the gather keeps every curve's fields, an Arc's phi
-    # as its alpha and NaN past it
-    assert gathered.phi is None
-    if built.phi is not None:
-        assert gathered.arc.all()
-        npt.assert_array_equal(gathered.fields[0], built.phi)
-        return
+    # the boundaries: both read every curve's fields, an Arc's phi as
+    # its alpha and NaN past it
     npt.assert_array_equal(gathered.arc, built.arc)
     npt.assert_array_equal(gathered.fields, built.fields)
 
@@ -792,19 +789,20 @@ def test_check_and_svg_of_a_built_region_call_no_pieces(
     an, region = _golden_region("spiral-grid", grade)
     samples = load_samples(str(GOLDEN / "spiral-grid.txt"))
     calls = []
-    real = geometry.pieces
+    real = regions.members
 
-    def counted(curve):
-        calls.append(curve)
-        return real(curve)
+    def counted(curves):
+        calls.append(len(curves))
+        return real(curves)
 
-    monkeypatch.setattr(geometry, "pieces", counted)
+    monkeypatch.setattr(regions, "members", counted)
     check_containment(region, samples)
     render_svg(an, region, str(tmp_path / "region.svg"))
     assert calls == []
-    # the counter sees the gather of a region assembled by hand
+    # the counter sees the gather of a region assembled by hand: one
+    # call with every curve
     ChordColumns(dataclasses.replace(region))
-    assert len(calls) == 2 * len(region.chords)
+    assert calls == [2 * len(region.chords)]
 
 
 def test_check_and_svg_follow_replaced_chords(tmp_path):

@@ -11,7 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from spiralbounds.analysis import SplineInput, analyze
-from spiralbounds.geometry import Biarc, biarc_from_a, curve_eval, pieces
+from spiralbounds.geometry import (Biarc, biarc_from_a, curve_eval,
+                                   family_pieces, members)
 from spiralbounds import svg as svg_module
 from spiralbounds.regions import build_region
 from spiralbounds.svg import render_svg
@@ -168,7 +169,7 @@ def _assert_exact(region, text):
             start, cmds = _commands(path.get("d"))
             npt.assert_allclose(start, nodes[0], atol=atol)
             npt.assert_allclose(cmds[-1][1][-2:], nodes[1], atol=atol)
-            p = pieces(curve)
+            p = [v[0] for v in family_pieces(members([curve])[0])]
             xj = p[1]
             join = frame.to_global([xj, curve_eval(curve, xj)])
             npt.assert_allclose(cmds[0][1][-2:], join, atol=atol)
