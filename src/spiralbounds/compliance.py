@@ -110,12 +110,12 @@ class ComplianceReport:
         return self.violations.size == 0
 
 
-def _spans(g: ChordColumns, pts, i, j):
-    """Whether sample i projects onto chord j; i and j broadcast."""
+def _spans(g: ChordColumns, reach, pts, i, j):
+    """Whether sample i lies within reach[j] along chord j; i, j broadcast."""
     # x alone: most grid pairs fail this test, and sharing _best's
     # x-and-y projection here made check_containment 25-31 % slower
     x = (pts[i, 0] - g.ox[j]) * g.cos[j] + (pts[i, 1] - g.oy[j]) * g.sin[j]
-    return np.abs(x) <= g.c[j] * (1.0 + SPAN_SLACK)
+    return np.abs(x) <= reach[j]
 
 
 def _best(g: ChordColumns, pts, i, j):
@@ -224,6 +224,7 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
         raise InputError("tolerance must be finite and >= 0, got %r"
                          % (tol,))
     g = ChordColumns(region)
+    reach = g.c * (1.0 + SPAN_SLACK)
     if tol is None:
         tol = 1e-9 * g.c.max()
     n, m = len(pts), len(g.c)
@@ -239,16 +240,16 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
 
     todo = np.arange(n)
     if n * m > CHUNK:
-        h = 2.0 * np.max(g.c * (1.0 + SPAN_SLACK) + g.lens_height())
+        h = 2.0 * np.max(reach + g.lens_height())
         for i, j in _grid_pairs(g, pts, h):
-            span = _spans(g, pts, i, j)
+            span = _spans(g, reach, pts, i, j)
             if span.any():
                 measure(i[span], j[span])
         todo = np.flatnonzero(~(out[4] > -0.25 * h))
     step = max(1, CHUNK // m)
     for a in range(0, len(todo), step):
         rows = todo[a:a + step]
-        ri, j = np.nonzero(_spans(g, pts, rows[:, None], np.arange(m)))
+        ri, j = np.nonzero(_spans(g, reach, pts, rows[:, None], np.arange(m)))
         if ri.size:
             measure(rows[ri], j)
     # the node wedges: samples in no chord's span, at the chords' nodes

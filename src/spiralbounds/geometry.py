@@ -186,9 +186,13 @@ def curve_eval(curve, x):
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > c * (1.0 + ABSCISSA_SLACK)):
         raise DomainError("abscissa outside [-c, c] for c=%g" % c)
-    # a Biarc is its own member, an Arc its arcs() member
-    member = arcs(c, curve.phi) if isinstance(curve, Arc) else curve
-    y = height(family_pieces(member), np.clip(xa, -c, c))
+    if isinstance(curve, Arc):   # its arcs() member
+        phi, k = curve.phi, -math.sin(curve.phi) / c
+        curve = Biarc(c, phi, -phi, k, k, math.inf, (0.0, math.nan))
+    # family_pieces() in scalars: on floats NumPy's per-call cost dominates
+    cols = (c, curve.join[0], math.sin(curve.alpha), math.cos(curve.alpha),
+            curve.a, math.sin(curve.beta), math.cos(curve.beta), curve.b)
+    y = height(cols, np.clip(xa, -c, c))
     return float(y) if np.ndim(x) == 0 else y
 
 
@@ -217,14 +221,14 @@ def family(c, alpha, beta, p):
 
 
 def arcs(c, phi):
-    """The arcs A(x; c, phi) as family() members, one per element of phi
-    (c broadcasts against it), joined at mid-chord at height c tan(phi/2).
-    Their curvature -sin(phi)/c keeps the sign of zero phi gives it."""
+    """The arcs A(x; c, phi) as family() members, one per element of phi,
+    c broadcasting against it.  The join is at mid-chord, its height NaN:
+    no reader of an arc needs it.  -sin(phi)/c keeps phi's sign of zero."""
     phi = np.asarray(phi, dtype=float)
     c = np.broadcast_to(c, phi.shape)
     k = -np.sin(phi) / c
     return Biarc(c, phi, -phi, k, k, np.full(phi.shape, math.inf),
-                 (np.zeros(phi.shape), c * np.tan(0.5 * phi)))
+                 (np.zeros(phi.shape), np.full(phi.shape, math.nan)))
 
 
 def family_pieces(members):

@@ -75,21 +75,15 @@ class RegionChord:
 
 class _Boundaries(NamedTuple):
     """The arrays a build made its region from, read by ChordColumns: the
-    analysis's `chords`, the widths and width estimates, and a lens
-    grade's `phi`, its arcs' start angles as (2, m), or the narrowed
-    grade's `family`, family() of its boundaries and arc mask, (2, m)."""
+    analysis's `chords`, the widths and width estimates, and a lens grade's
+    arc start angles `phi`, (2, m), whose members arcs() makes when read, or
+    the narrowed grade's `family`, family() of its boundaries and arc mask."""
 
     chords: Chords
     width: np.ndarray
     estimate: np.ndarray
     phi: np.ndarray | None = None
     family: tuple[Biarc, np.ndarray] | None = None
-
-    def record(self):
-        """family() members and arc mask of the boundaries, (2, m)."""
-        if self.family is not None:
-            return self.family
-        return arcs(self.chords.c, self.phi), np.ones(self.phi.shape, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +134,8 @@ class ChordColumns:
             self.width, self.estimate = kept.width, kept.estimate
             self.c, self.direction = chords.c, chords.mu
             self.ox, self.oy = chords.mid.T
-            record, arc = kept.record()
+            record, arc = kept.family or (arcs(self.c, kept.phi),
+                                          np.ones(kept.phi.shape, bool))
         self.arc = np.reshape(arc, (2, -1))
         self.fields = np.reshape(member_fields(record)[1:], (7, 2, -1))
         self.fields[1:, self.arc] = math.nan

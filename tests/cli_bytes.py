@@ -1,6 +1,6 @@
 """Byte-for-byte comparison of the CLI's output with that of another commit.
 
-    python tests/cli_bytes.py REF [--batch N] [--jobs N]
+    python tests/cli_bytes.py REF
 
 REF is any commit git names (HEAD, a branch, a hash).  Its src/ is
 exported with `git archive` into a temporary directory, so no worktree
@@ -12,9 +12,9 @@ once at REF's, on the same input files:
     narrowed grades: `analyze --svg`, and `check` against every sample
     file there;
   * the inputs that perfbench/gen.py writes for the spiral-check,
-    oval-analyze and batch-small workloads at seeds 1 and 5 (the first N
-    batch-small profiles, --batch), at the auto, simple and vertex
-    grades: `analyze --svg`, and `check` against the case's samples.
+    oval-analyze and batch-small workloads at seeds 1 and 5 (the first
+    BATCH batch-small profiles), at the auto, simple and vertex grades:
+    `analyze --svg`, and `check` against the case's samples.
 
 A run whose stdout, stderr, exit code or SVG bytes differ between the
 two trees is printed, and the script exits 1; otherwise it prints the
@@ -41,6 +41,11 @@ GOLDEN = ROOT / "tests" / "golden"
 GRADES = ("auto", "simple", "vertex", "narrowed")
 SEEDS = (1, 5)
 WORKLOADS = ("spiral-check", "oval-analyze", "batch-small")
+# batch-small profiles per seed: every kind of small profile the
+# generator makes, spirals, ovals and hairpins, several times over
+BATCH = 120
+# CLI runs at once; each is a child interpreter of its own
+JOBS = 2
 
 
 def export_src(ref, dest):
@@ -64,7 +69,7 @@ def golden_runs():
                 yield ["check", str(profile), str(s), "--grade", grade], False
 
 
-def bench_runs(workdir, batch):
+def bench_runs(workdir):
     """(argv, svg wanted) of the benchmark's inputs, written to workdir."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import bench
@@ -74,7 +79,7 @@ def bench_runs(workdir, batch):
         wid, make = bench.WORKLOADS[workload][:2]
         for seed in SEEDS:
             cases = make(np.random.default_rng([wid, seed]), NO_TRACE)
-            for i, case in enumerate(cases[:batch]):
+            for i, case in enumerate(cases[:BATCH]):
                 stem = workdir / ("%s-%d-%d" % (workload, seed, i))
                 profile = str(stem) + ".json"
                 gen.write_profile(profile, case)
@@ -114,10 +119,6 @@ def compare(k, argv, svg, trees, tmp):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("ref", help="commit to compare the working tree with")
-    p.add_argument("--batch", type=int, default=120,
-                   help="batch-small profiles per seed (default 120)")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="runs at once (default 2)")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -125,9 +126,8 @@ def main(argv=None) -> int:
         (tmp / "inputs").mkdir()
         trees = [("work", ROOT / "src"),
                  ("ref", export_src(args.ref, tmp / "ref"))]
-        runs = list(golden_runs()) + list(bench_runs(tmp / "inputs",
-                                                     args.batch))
-        with ThreadPoolExecutor(args.jobs) as pool:
+        runs = list(golden_runs()) + list(bench_runs(tmp / "inputs"))
+        with ThreadPoolExecutor(JOBS) as pool:
             diffs = list(pool.map(
                 lambda kr: compare(kr[0], *kr[1], trees, tmp),
                 enumerate(runs)))

@@ -463,7 +463,8 @@ def test_arcs_are_the_omega_zero_members():
         npt.assert_array_equal(getattr(got, name), getattr(want, name),
                                err_msg=name)
     npt.assert_array_equal(got.join[0], want.join[0])
-    npt.assert_allclose(got.join[1], want.join[1], rtol=1e-14, atol=1e-15)
+    # nothing reads an arc's join height, so arcs() leaves it NaN
+    assert np.isnan(got.join[1]).all()
     assert curves(got, arc) == [Arc(*v) for v in zip(c, phi)]
     # c broadcasts against both sides of a chord
     assert arcs(c, np.stack([phi, -phi])).a.shape == (2, 32)
