@@ -55,6 +55,12 @@ it without family().  curves() turns members into Arc and Biarc objects
 and members(), its inverse, turns objects back, so every boundary is
 one record, member fields plus an arc mask, read by family_pieces().
 
+instances(cls, *columns) is the one bulk constructor of the frozen
+dataclasses here and in regions: one object per row, each field written
+a column at a time through the class's slot descriptors.  It runs no
+__post_init__, so its callers pass columns they have checked, and its
+objects equal those the constructor makes from the same values.
+
 One rule gives p from a start curvature.  Traversed backwards (turned
 by pi), a chord swaps alpha and beta and its member has start curvature
 -b and parameter 1/p, so the end rule is the start rule on
@@ -63,8 +69,10 @@ by pi), a chord swaps alpha and beta and its member has start curvature
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -143,6 +151,27 @@ class Biarc:
     b: float
     p: float
     join: tuple[float, float]
+
+
+@functools.cache
+def _setters(cls):
+    """The slot descriptors' __set__ of cls's fields, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+def instances(cls, *columns):
+    """One cls per row of the columns, a column per field in field order.
+
+    cls is a frozen slots dataclass; each field is written a column at a
+    time through its slot, which a frozen class's __setattr__ would
+    refuse, and no __post_init__ runs, so the columns must hold values
+    the constructor would accept.  The objects compare, hash and print
+    like the constructor's and are just as frozen.
+    """
+    objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for set_field, column in zip(_setters(cls), columns):
+        list(map(set_field, objs, column))
+    return objs
 
 
 def height(cols, x):
@@ -248,12 +277,16 @@ def member_fields(members):
 
 
 def curves(members, arc):
-    """family() members as Arc and Biarc objects, in row order."""
-    rows = zip(*(np.ravel(v).tolist()
-                 for v in (*member_fields(members), arc)))
-    return [Arc(c, alpha) if degenerate
-            else Biarc(c, alpha, beta, a, b, p, (xj, yj))
-            for c, alpha, beta, a, b, p, xj, yj, degenerate in rows]
+    """family() members as Arc and Biarc objects, in row order: the arc
+    mask's rows as Arc(c, alpha), the rest as Biarc.  Like family(), it
+    checks nothing: the members' angles must lie within pi/2 and c > 0."""
+    arc = np.ravel(arc)
+    c, alpha, *rest = (np.ravel(v) for v in member_fields(members))
+    out = np.empty(arc.size, object)
+    out[arc] = instances(Arc, c[arc].tolist(), alpha[arc].tolist())
+    *head, xj, yj = (v[~arc].tolist() for v in (c, alpha, *rest))
+    out[~arc] = instances(Biarc, *head, list(zip(xj, yj)))
+    return out.tolist()
 
 
 def members(curves):

@@ -168,7 +168,9 @@ def load_samples(path) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise ParseError("sample file %s is not valid JSON: %s"
                              % (path, exc)) from exc
-        if not all(isinstance(row, list) and len(row) == 2 for row in rows):
+        # [] passes both tests and is refused below as no samples
+        if not (set(map(type, rows)) <= {list}
+                and set(map(len, rows)) <= {2}):
             raise ParseError("sample file %s must hold [x, y] pairs" % path)
         _require_numbers(rows, lambda i: "sample file %s: sample %d"
                          % (path, i))
@@ -184,7 +186,8 @@ def load_samples(path) -> np.ndarray:
                                  % (path, ln))
             rows.append(parts)
     try:
-        pts = np.asarray(rows, dtype=float)
+        pts = np.fromiter(chain.from_iterable(rows), float,
+                          2 * len(rows)).reshape(-1, 2)
     except (OverflowError, ValueError) as exc:
         raise ParseError("sample file %s has non-numeric entries: %s"
                          % (path, exc)) from exc

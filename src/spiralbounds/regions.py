@@ -28,7 +28,9 @@ backwards, so it preserves the direction of monotonicity.
 Every grade's boundaries are biarc-family members: a lens arc
 A(x; c, phi) is the member with omega = 0 and p = inf,
 geometry.arcs(c, phi).  ChordColumns reads them as one record, member
-fields plus an arc mask, for check, SVG and report alike.
+fields plus an arc mask, for check, SVG and report alike.  A build makes
+its RegionChord, ChordFrame and curve objects from those checked columns
+with geometry.instances, the one bulk constructor, and from nothing else.
 
 A narrowed lower boundary is the member with the start node's floor
 curvature, the upper one the member with the end node's ceiling.  Where
@@ -43,11 +45,15 @@ largest gap lies at a join or at such a root.  For the simple and vertex
 regions both boundaries are arcs, that root is mid-chord, where
 A(0; c, phi) = c tan(phi/2), and the width is the closed form
 c|tan(phi_hi/2) - tan(phi_lo/2)| (for the simple lens
-c|tan(xi/2) + tan(eta/2)|).
+c|tan(xi/2) + tan(eta/2)|).  The same root bounds a lens arc's distance
+from the chord, so a chord of two arcs has the lens height
+max(-A(0; c, phi_lo), A(0; c, phi_hi), 0) (ChordColumns.lens_height);
+a chord with a biarc takes the gap maxima against the chord.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -58,7 +64,8 @@ from .analysis import Analysis, Chords, is_finite_real, padded
 from .errors import ClassificationError, DomainError, OverrideError
 from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, arcs, curves,
                        end_parameter, family, family_pieces, gap_maxima,
-                       member_fields, members, start_parameter)
+                       height, instances, member_fields, members,
+                       start_parameter)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +120,8 @@ class ChordColumns:
     Every grade's boundaries are one record, family() members and their
     arc mask: a built region's come from what its build kept, those of a
     region assembled by hand from members() of its RegionChord curves.
-    Nothing is cached: each construction pays for its own columns.
+    Each construction pays for its own columns; `fields`, which only the
+    report reads, is made when first read.
     """
 
     def __init__(self, region: Region):
@@ -137,8 +145,7 @@ class ChordColumns:
             record, arc = kept.family or (arcs(self.c, kept.phi),
                                           np.ones(kept.phi.shape, bool))
         self.arc = np.reshape(arc, (2, -1))
-        self.fields = np.reshape(member_fields(record)[1:], (7, 2, -1))
-        self.fields[1:, self.arc] = math.nan
+        self._record = record
         self.table = np.moveaxis(
             np.reshape(family_pieces(record), (8, 2, -1)), 1, 2)
         self.cos, self.sin = np.cos(self.direction), np.sin(self.direction)
@@ -146,13 +153,30 @@ class ChordColumns:
         self.sx, self.sy = self.ox - dx, self.oy - dy
         self.ex, self.ey = self.ox + dx, self.oy + dy
 
+    @functools.cached_property
+    def fields(self):
+        """The Biarc fields per side, (7, 2, m): an arc's phi, then NaN."""
+        fields = np.reshape(member_fields(self._record)[1:], (7, 2, -1))
+        fields[1:, self.arc] = math.nan
+        return fields
+
     def lens_height(self):
         """Largest |y| of each chord's lens: the larger gap between a
-        boundary and the chord, a straight piece (sin 0, cos 1, k 0)."""
-        lower, upper = self.table[..., :1], self.table[..., 1:]
-        chord = np.zeros_like(lower)
-        chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
-        return np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
+        boundary and the chord.  An arc's |y| peaks at mid-chord, so a
+        chord of two arcs takes its lower arc's depth or its upper arc's
+        height there, whichever is larger, and at least 0.  A chord with a
+        biarc takes gap_maxima against the chord, a straight piece
+        (sin 0, cos 1, k 0)."""
+        mid = height(self.table, 0.0)
+        lens = np.maximum(np.maximum(-mid[:, 0], mid[:, 1]), 0.0)
+        rows = np.flatnonzero(~self.arc.all(axis=0))
+        if rows.size:
+            lower, upper = self.table[:, rows, :1], self.table[:, rows, 1:]
+            chord = np.zeros_like(lower)
+            chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
+            lens[rows] = np.maximum(gap_maxima(chord, upper),
+                                    gap_maxima(lower, chord))
+        return lens
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +239,9 @@ def _require_graphs(*angles):
 def _finish(grade: str, analysis: Analysis, lower, upper, widths,
             **kept) -> Region:
     """Assemble the region from per-chord boundary curves and widths;
-    `kept` is the rest of the _Boundaries it keeps."""
+    `kept` is the rest of the _Boundaries it keeps.  The objects come
+    from instances(), which checks nothing: each grade's _require_graphs
+    has checked every boundary angle, analysis.chord_vectors every c > 0."""
     chords = analysis.chords
     m = len(chords)
     q = analysis.nodes.q
@@ -223,13 +249,10 @@ def _finish(grade: str, analysis: Analysis, lower, upper, widths,
     estimates = 0.5 * chords.c ** 2 * np.abs(
         q[:m] - padded(q, chords.closed)[2:m + 2])
     # (x, y) tuples straight from the columns: no list per chord for the GC
-    origins = zip(*chords.mid.T.tolist())
-    entries = [RegionChord(index=k, frame=ChordFrame(origin=mid, direction=mu,
-                                                     half_length=c),
-                           lower=lo, upper=up, width=w, width_estimate=est)
-               for k, (c, mu, mid, lo, up, w, est) in enumerate(zip(
-                   chords.c.tolist(), chords.mu.tolist(), origins, lower,
-                   upper, widths.tolist(), estimates.tolist()), start=1)]
+    frames = instances(ChordFrame, list(zip(*chords.mid.T.tolist())),
+                       chords.mu.tolist(), chords.c.tolist())
+    entries = instances(RegionChord, range(1, m + 1), frames, lower, upper,
+                        widths.tolist(), estimates.tolist())
     region = Region(grade=grade, closed=chords.closed, chords=entries,
                     width=float(np.max(widths)))
     object.__setattr__(region, "_boundaries",
@@ -249,8 +272,8 @@ def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:
     widths = analysis.chords.c * np.abs(np.tan(0.5 * hi) - np.tan(0.5 * lo))
     _require_graphs(lo, hi)   # only the vertex grade's substitutes can fail
     c = analysis.chords.c.tolist()
-    return _finish(grade, analysis, list(map(Arc, c, lo.tolist())),
-                   list(map(Arc, c, hi.tolist())), widths, phi=phi)
+    return _finish(grade, analysis, instances(Arc, c, lo.tolist()),
+                   instances(Arc, c, hi.tolist()), widths, phi=phi)
 
 
 def simple_region(analysis: Analysis) -> Region:

@@ -1,5 +1,6 @@
 """Shared fixtures: canonical datasets reused across the suite."""
 
+import dataclasses
 import json
 import math
 
@@ -28,6 +29,44 @@ def piece_columns(curves):
     """family_pieces() of Arc and Biarc objects as (8, n, 1) columns,
     one row per curve, which broadcast against an (n, k) abscissa grid."""
     return np.array(family_pieces(members(curves)[0]))[..., None]
+
+
+def constructed(obj):
+    """A dataclass object made again by its class's constructor from its
+    field values, fields that are dataclass objects made again too."""
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    return type(obj)(*(constructed(getattr(obj, f.name))
+                       for f in dataclasses.fields(obj)))
+
+
+def _leaves(obj):
+    """The plain values in a dataclass object's fields, tuples opened."""
+    if dataclasses.is_dataclass(obj):
+        obj = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    if isinstance(obj, tuple):
+        return [v for item in obj for v in _leaves(item)]
+    return [obj]
+
+
+def assert_like_constructed(objects):
+    """Objects of geometry.instances behave as the constructor's: equal,
+    with the same hash and repr, fields of plain int and float, rebuilt by
+    dataclasses.replace, and frozen."""
+    for obj in objects:
+        want = constructed(obj)
+        assert type(obj) is type(want)
+        assert obj == want and want == obj
+        assert hash(obj) == hash(want)
+        assert repr(obj) == repr(want)
+        assert {type(v) for v in _leaves(obj)} <= {int, float}
+        assert dataclasses.replace(obj) == obj
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            assert dataclasses.replace(obj, **{f.name: value}) == want
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, value)
+            assert getattr(obj, f.name) is value
 
 
 def tangency_residual(c, alpha, beta, a, b) -> float:

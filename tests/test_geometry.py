@@ -30,13 +30,14 @@ from spiralbounds.geometry import (
     end_parameter,
     family,
     family_pieces,
+    instances,
     members,
     start_parameter,
     wrap_angle,
 )
 
-from conftest import (arc_curvature, chord_end, chord_start, mirror_curve,
-                      tangency_residual)
+from conftest import (arc_curvature, assert_like_constructed, chord_end,
+                      chord_start, mirror_curve, tangency_residual)
 
 # ---------------------------------------------------------------------------
 # wrap_angle
@@ -449,6 +450,27 @@ def test_family_columns_match_the_scalar_factory():
     assert arc[::7].all() and arc[1::7].all() and arc[2::7].all()
     got = curves(members, arc)
     assert got == [biarc_from_p(*args) for args in zip(c, alpha, beta, p)]
+    # the arc mask, mixed here, picks each row's class, rows kept in order
+    assert 0 < arc.sum() < arc.size
+    assert [isinstance(v, Arc) for v in got] == arc.ravel().tolist()
+    assert_like_constructed(got)
+
+
+def test_instances_are_the_constructors_objects():
+    c, phi = [1.0, 2.5, 0.25], [0.5, -0.0, -1.5]
+    got = instances(Arc, c, phi)
+    assert got == [Arc(*row) for row in zip(c, phi)]
+    assert_like_constructed(got)
+    frames = instances(ChordFrame, [(0.0, 1.0), (-2.0, 3.5)], [0.5, -3.0],
+                       [2.0, 0.125])
+    assert frames == [ChordFrame((0.0, 1.0), 0.5, 2.0),
+                      ChordFrame((-2.0, 3.5), -3.0, 0.125)]
+    assert_like_constructed(frames)
+    npt.assert_allclose(frames[1].to_global(frames[1].to_local([1.0, 2.0])),
+                        [1.0, 2.0], atol=1e-14)
+    assert instances(Biarc, *[[]] * 7) == []
+    # one object per row, however the columns are held
+    assert instances(Arc, range(1, 4), (0.1, 0.2, 0.3))[2] == Arc(3, 0.3)
 
 
 def test_arcs_are_the_omega_zero_members():

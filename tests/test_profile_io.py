@@ -245,6 +245,49 @@ def test_samples_json_rejects_malformed(tmp_path, text):
         load_samples(str(path))
 
 
+NOT_A_NUMBER = "sample file %s: sample 1 has a coordinate that is not a " \
+    "finite number: "
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("[[0.0, 1.0], [2.0]]", ParseError, "sample file %s must hold [x, y] pairs"),
+    ("[[0.0, 1.0], [2.0, 3.0, 4.0]]", ParseError,
+     "sample file %s must hold [x, y] pairs"),
+    ('[[0.0, 1.0], {"x": 2.0, "y": 3.0}]', ParseError,
+     "sample file %s must hold [x, y] pairs"),
+    ("[0.0, 1.0]", ParseError, "sample file %s must hold [x, y] pairs"),
+    ("[[0.0, 1.0], [2.0, [3.0]]]", ParseError, NOT_A_NUMBER + "[3.0]"),
+    ("[[0.0, 1.0], [true, 3.0]]", ParseError, NOT_A_NUMBER + "True"),
+    ("[[0.0, 1.0], [2.0, null]]", ParseError, NOT_A_NUMBER + "None"),
+    ('[[0.0, 1.0], ["2.0", 3.0]]', ParseError, NOT_A_NUMBER + "'2.0'"),
+    ("[[0.0, 1.0], [2, %d]]" % 10 ** 400, ParseError,
+     "sample file %s has non-numeric entries: int too large to convert to "
+     "float"),
+    ("[]", EmptySamplesError, "sample file %s holds no samples"),
+    ("0 1\n2 abc\n", ParseError, "sample file %s has non-numeric entries: "
+     "could not convert string to float: 'abc'"),
+    ("0 1\n2\n", ParseError, "sample file %s line 2: expected 'x y'"),
+], ids=["short", "long", "object", "flat", "nested", "true", "null", "string",
+        "beyond-float", "empty", "text-word", "text-short"])
+def test_samples_errors_word_for_word(tmp_path, text, error, message):
+    path = tmp_path / "samples.json"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        load_samples(str(path))
+    assert str(exc.value) == message % path
+
+
+def test_samples_keep_every_value(tmp_path):
+    rows = [[0.1, -0.0], [1e300, 5e-324], [3, 2 ** 60], [-7, 0.5]]
+    for text in (json.dumps(rows), "".join("%r %r\n" % tuple(r) for r in rows)):
+        path = tmp_path / "samples"
+        path.write_text(text)
+        got = load_samples(str(path))
+        assert got.shape == (4, 2) and got.dtype == float
+        npt.assert_array_equal(got, np.array(rows, dtype=float))
+        assert np.signbit(got[0, 1])
+
+
 def test_samples_empty_rejected(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n")

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from spiralbounds import regions
 from spiralbounds.analysis import Classification, SplineInput, analyze
-from spiralbounds.compliance import check_containment
+from spiralbounds.compliance import SPAN_SLACK, check_containment
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
-from spiralbounds.geometry import Arc, Biarc, curve_eval, curves
-from spiralbounds.profile_io import load_profile, load_samples
+from spiralbounds.geometry import (Arc, Biarc, curve_eval, curves, gap_maxima,
+                                   height)
+from spiralbounds.profile_io import load_profile, load_samples, region_report
 from spiralbounds.regions import (
     ChordColumns,
     _boundaries,
@@ -38,7 +39,8 @@ from spiralbounds.svg import render_svg
 
 from arcspline import arc_spline_dataset, random_arc_spline
 from logspiral import LogSpiral, spiral_dataset
-from conftest import reference_narrowed, sparse_dataset
+from conftest import (assert_like_constructed, reference_narrowed,
+                      sparse_dataset)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -805,6 +807,26 @@ def test_check_and_svg_of_a_built_region_call_no_pieces(
     assert calls == [2 * len(region.chords)]
 
 
+def test_only_the_report_reads_the_boundary_fields(monkeypatch, tmp_path):
+    an, region = _golden_region("spiral-grid", "narrowed")
+    samples = load_samples(str(GOLDEN / "spiral-grid.txt"))
+    calls = []
+    real = regions.member_fields
+
+    def counted(members):
+        calls.append(members)
+        return real(members)
+
+    monkeypatch.setattr(regions, "member_fields", counted)
+    check_containment(region, samples)
+    render_svg(an, region, str(tmp_path / "region.svg"))
+    assert calls == []
+    region_report(an, region)
+    g = ChordColumns(region)
+    assert g.fields is g.fields
+    assert len(calls) == 2
+
+
 def test_check_and_svg_follow_replaced_chords(tmp_path):
     # a region whose chords were replaced is read from those chords, as
     # the benchmark's permissive stand-in region relies on
@@ -824,3 +846,121 @@ def test_check_and_svg_follow_replaced_chords(tmp_path):
         render_svg(an, r, str(path))
         pictures.append(path.read_text())
     assert pictures[0] == pictures[1] != pictures[2]
+
+
+# ---------------------------------------------------------------------------
+# A build's objects, made column by column; lens heights
+# ---------------------------------------------------------------------------
+
+
+def _fallback_region(monkeypatch):
+    """spiral-inc's narrowed region with lens-fallback rows: no member has
+    the floor of the start node of chords 2 and 6, nor the ceiling of the
+    end node of chords 3 and 6, as when the ranges cross by rounding."""
+    def missing(rule, rows):
+        def parameter(*args):
+            p = np.array(rule(*args), dtype=float)
+            p[rows] = math.nan
+            return p
+        return parameter
+
+    monkeypatch.setattr(regions, "start_parameter",
+                        missing(regions.start_parameter, [1, 5]))
+    monkeypatch.setattr(regions, "end_parameter",
+                        missing(regions.end_parameter, [2, 5]))
+    region = _golden_region("spiral-inc", "narrowed")[1]
+    monkeypatch.undo()
+    return region
+
+
+def _built_regions(monkeypatch):
+    """(name, region) of every grade: the simple, vertex and narrowed
+    lenses of spiral-inc, its mirror spiral-dec narrowed, the closed oval,
+    the all-arc narrowed circle and a narrowed region with fallbacks."""
+    out = [("%s-%s" % (profile, grade), _golden_region(profile, grade)[1])
+           for profile, grade in [("spiral-inc", "simple"),
+                                  ("spiral-inc", "vertex"),
+                                  ("spiral-inc", "narrowed"),
+                                  ("spiral-dec", "narrowed"),
+                                  ("oval", "vertex"),
+                                  ("overrides", "narrowed"),
+                                  ("circle", "narrowed")]]
+    return out + [("fallback", _fallback_region(monkeypatch))]
+
+
+def test_fallback_region_has_lens_fallback_rows(monkeypatch):
+    region = _fallback_region(monkeypatch)
+    _, plain = _golden_region("spiral-inc", "narrowed")
+    # each of those boundaries was a biarc, and is now its lens arc
+    for k, side in [(1, "lower"), (5, "lower"), (2, "upper"), (5, "upper")]:
+        assert isinstance(getattr(plain.chords[k], side), Biarc)
+        assert isinstance(getattr(region.chords[k], side), Arc)
+    assert isinstance(region.chords[2].lower, Biarc)
+
+
+def test_built_objects_are_the_constructors_objects(monkeypatch):
+    for name, region in _built_regions(monkeypatch):
+        chords = region.chords
+        assert [ch.index for ch in chords] == list(range(1, len(chords) + 1))
+        assert_like_constructed(chords)
+        assert_like_constructed([ch.frame for ch in chords])
+        assert_like_constructed([ch.lower for ch in chords]
+                                + [ch.upper for ch in chords])
+        # and the columns gathered from them are the build's own
+        assert_columns_are_the_gather(region)
+
+
+def test_built_objects_cover_arcs_and_biarcs(monkeypatch):
+    kinds = {name: {type(curve) for ch in region.chords
+                    for curve in (ch.lower, ch.upper)}
+             for name, region in _built_regions(monkeypatch)}
+    assert kinds["spiral-inc-simple"] == kinds["oval-vertex"] == {Arc}
+    assert kinds["circle-narrowed"] == {Arc}
+    assert kinds["spiral-dec-narrowed"] == kinds["fallback"] == {Arc, Biarc}
+
+
+def assert_lens_height_is_gap_maxima(g):
+    """lens_height against gap_maxima of each boundary and the chord on
+    every row: within 4 ulp on rows of two arcs, bit-equal elsewhere."""
+    lower, upper = g.table[..., :1], g.table[..., 1:]
+    chord = np.zeros_like(lower)
+    chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
+    want = np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
+    got, arc = g.lens_height(), g.arc.all(axis=0)
+    npt.assert_array_max_ulp(got[arc], want[arc], maxulp=4)
+    npt.assert_array_equal(got[~arc], want[~arc])
+    assert (got >= 0.0).all()
+
+
+@pytest.mark.parametrize("profile,grade", [
+    (profile, grade) for profile, grades in sorted(GOLDEN_GRADES.items())
+    for grade in grades] + [("spiral-grid", "narrowed"),
+                            ("collinear", "narrowed"),
+                            ("collinear", "simple")])
+def test_lens_height_closed_form_matches_gap_maxima(profile, grade):
+    _, region = _golden_region(profile, grade)
+    assert_lens_height_is_gap_maxima(ChordColumns(region))
+    assert_lens_height_is_gap_maxima(ChordColumns(dataclasses.replace(region)))
+
+
+def test_lens_height_of_fallback_rows(monkeypatch):
+    g = ChordColumns(_fallback_region(monkeypatch))
+    assert g.arc.all(axis=0).sum() == 5   # chords 1, 2, 5, 6 and 8
+    assert_lens_height_is_gap_maxima(g)
+
+
+def test_grid_cell_bounds_every_lens(monkeypatch):
+    # the containment grid's cell side h = 2 max(c (1 + SPAN_SLACK) + H)
+    # needs H at least each lens's largest |y|, here sampled densely, to
+    # within the rounding of the heights, for which the grid leaves room
+    for name, region in _built_regions(monkeypatch):
+        g = ChordColumns(region)
+        x = g.c[:, None] * np.linspace(-1.0, 1.0, 4001)
+        dense = np.max(np.abs(np.concatenate(
+            [height(g.table[..., side, None], x) for side in (0, 1)],
+            axis=1)), axis=1)
+        lens = g.lens_height()
+        assert (dense <= lens + 1e-14 * g.c).all(), name
+        reach = g.c * (1.0 + SPAN_SLACK)
+        h = 2.0 * np.max(reach + lens)
+        assert h >= 2.0 * np.max(reach + dense) * (1.0 - 1e-14), name
