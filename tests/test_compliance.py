@@ -354,6 +354,161 @@ def test_index_finds_the_better_chord_of_another_turn():
     _assert_matches_reference(region, samples)
 
 
+def _oval(t, stretch=1.0):
+    """The convex oval (cos t + 0.22 cos 2t, stretch sin t), counter-
+    clockwise; its curvature has extrema, so it takes the vertex grade."""
+    return np.column_stack([np.cos(t) + 0.22 * np.cos(2.0 * t),
+                            stretch * np.sin(t)])
+
+
+def _across_probes(region, rng, count, size):
+    """Points 1 to 3 times `size` off random chords along their normals,
+    half of them within the chord's span and half on the span's edge,
+    |x| = c (1 + SPAN_SLACK) one ulp in or out.  Only that distant chord,
+    or others across the curve from the point, can span it."""
+    probes = []
+    for n, k in enumerate(rng.integers(0, len(region.chords), count)):
+        frame = region.chords[k].frame
+        o = np.array(frame.origin)
+        t = np.array([math.cos(frame.direction), math.sin(frame.direction)])
+        c = frame.half_length
+        if n % 2:
+            edge = c * (1.0 + compliance.SPAN_SLACK)
+            x = np.nextafter(edge, rng.choice([0.0, math.inf]))
+            x *= rng.choice([-1.0, 1.0])
+        else:
+            x = rng.uniform(-c, c)
+        y = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0) * size
+        p = o + x * t + y * np.array([-t[1], t[0]])
+        for _ in range(3):   # bring the projection as computed onto x
+            p = p + (x - (p[0] - o[0]) * t[0] - (p[1] - o[1]) * t[1]) * t
+        probes.append(p)
+    return np.array(probes)
+
+
+def _wedge_probes(pts, closed, rng, count):
+    """Nodes pushed outward along the bisector by a quarter of the shorter
+    chord meeting there; pts run counter-clockwise."""
+    seg = (np.roll(pts, -1, axis=0) - pts)[:len(pts) - (not closed)]
+    half = 0.5 * np.hypot(seg[:, 0], seg[:, 1])
+    unit = seg / (2.0 * half[:, None])
+    inner = np.arange(len(seg)) if closed else np.arange(1, len(seg))
+    k = np.sort(rng.choice(inner, min(count, len(inner)), replace=False))
+    bis = unit[k - 1] + unit[k]
+    out = np.column_stack([bis[:, 1], -bis[:, 0]])
+    out /= np.hypot(out[:, 0], out[:, 1])[:, None]
+    h = np.minimum(half[k - 1], half[k])
+    return pts[k] + 0.25 * h[:, None] * out
+
+
+@pytest.mark.parametrize("closed, m", [
+    (False, 2), (False, 3), (False, 5), (False, 8), (False, 40),
+    (False, 160), (True, 3), (True, 12), (True, 40), (True, 160)])
+@settings(max_examples=8, deadline=None)
+@given(spread=st.floats(0.05, 0.6), shift=st.floats(-0.3, 0.3),
+       stretch=st.sampled_from([0.5, 1.0, 3.0]),
+       chunk=st.sampled_from([9, 40, 1 << 16]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_run_bound_drops_no_spanning_chord(closed, m, spread, shift, stretch,
+                                           chunk, seed):
+    # runs of floor(sqrt(m)) chords: one chord each at m = 2 and 3, two at
+    # 5 and 8, up to 12 at 160.  Open data is an arc of the oval through
+    # the curvature extremum at t = 0, turning up to 330 degrees, so a
+    # run of few chords turns through a large angle; closed data goes
+    # all round.  Far samples off chords along their normals are spanned
+    # by those chords alone or by chords across the curve, some exactly
+    # on a span's edge; small chunks send every path through many blocks
+    rng = np.random.default_rng(seed)
+    if closed:
+        t = shift + 2.0 * math.pi * np.arange(m) / m
+        pts = _oval(t, stretch)
+        data = SplineInput(pts, closed=True)
+        curve_t = rng.uniform(0.0, 2.0 * math.pi, 40)
+    else:
+        half = min(2.9, 0.5 * m * spread)
+        t = shift + np.linspace(-half, half, m + 1)
+        pts = _oval(t, stretch)
+        ends = t[[0, -1]]
+        tau = np.arctan2(stretch * np.cos(ends),
+                         -np.sin(ends) - 0.44 * np.sin(2.0 * ends))
+        data = SplineInput(pts, float(tau[0]), float(tau[1]))
+        curve_t = rng.uniform(t[0], t[-1], 40)
+    try:
+        region = build_region(analyze(data))
+    except DataError:
+        assume(False)
+    assert len(region.chords) == m
+    size = np.ptp(pts, axis=0).max()
+    phi = rng.uniform(0.0, 2.0 * math.pi, 8)
+    far = pts.mean(axis=0) + 10.0 * size * np.column_stack(
+        [np.cos(phi), np.sin(phi)])
+    samples = np.vstack([_oval(curve_t, stretch), far,
+                         _wedge_probes(pts, closed, rng, 20),
+                         _across_probes(region, rng, 60, size),
+                         _outside_probes(region, rng, 20)])
+    with mock.patch.object(compliance, "CHUNK", chunk):
+        _assert_matches_reference(region, samples)
+
+
+def test_off_region_samples_test_few_chords():
+    # 100 node-wedge probes on a seeded 4000-chord oval: the grid leaves
+    # every one open, and the runs hand _spans under a tenth of the
+    # 400 000 (probe, chord) pairs that testing every chord would
+    rng = np.random.default_rng(18)
+    m = 4000
+    pts = _oval(rng.uniform(0.0, 2.0 * math.pi)
+                + 2.0 * math.pi * np.arange(m) / m)
+    region = build_region(analyze(SplineInput(pts, closed=True)))
+    probes = _wedge_probes(pts, True, rng, 100)
+    pairs = []
+    spans = compliance._spans
+
+    def counted(g, reach, pts, i, j):
+        pairs.append(np.broadcast(i, j).size)
+        return spans(g, reach, pts, i, j)
+
+    with mock.patch.object(compliance, "_spans", counted):
+        rep = check_containment(region, probes)
+    assert rep.violations.size == len(probes)
+    assert sum(pairs) <= 0.1 * len(probes) * m
+
+
+@pytest.mark.parametrize("big", [1e200, 1e300, -1e308])
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("chunk", [1 << 16, 40], ids=["broadcast", "grid"])
+def test_huge_samples_are_measured_without_overflow(big, closed, chunk):
+    # squared distances from such samples, and their grid cells, overflow
+    # when computed as they stand; with warnings as errors numpy's
+    # overflow warning would raise.  They are measured as the brute force
+    # measures them, and samples near the data as without them
+    if closed:
+        pts = _oval(np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+        data = SplineInput(pts, closed=True)
+    else:
+        ends = np.array([-2.0, 2.0])
+        pts = _oval(np.linspace(*ends, 24))
+        tau = np.arctan2(np.cos(ends), -np.sin(ends) - 0.44 * np.sin(2 * ends))
+        data = SplineInput(pts, float(tau[0]), float(tau[1]))
+    region = build_region(analyze(data))
+    near = pts + 0.01
+    ways = np.array([[1.0, 0.0], [0.1, 1.0], [-1.0, -0.5], [0.6, -0.8],
+                     [-0.3, 0.7]])
+    samples = np.vstack([near, big * ways])
+    with mock.patch.object(compliance, "CHUNK", chunk):
+        assert (len(samples) * len(region.chords) > chunk) == (chunk == 40)
+        rep = _assert_matches_reference(region, samples)
+        alone = check_containment(region, near)
+    k = len(near)
+    for got, want in zip((rep.chord_index, rep.x_local, rep.y_local,
+                          rep.margin_lower, rep.margin_upper),
+                         (alone.chord_index, alone.x_local, alone.y_local,
+                          alone.margin_lower, alone.margin_upper)):
+        npt.assert_array_equal(got[:k], want)
+    if closed:
+        assert np.all(rep.chord_index[k:] > 0)
+        npt.assert_allclose(rep.worst_margin, -abs(big), rtol=0.5)
+
+
 # ---------------------------------------------------------------------------
 # Each sample's best chord: one reduction per run of its pairs
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ CASES = {
     # 300 chords, 3 log-spiral samples each, some pushed in or out, one
     # beyond the start and one far outside node 150: the grid path
     "check-grid": (["check", "spiral-grid.json", "spiral-grid.txt"], 1),
+    # a 512-chord closed oval, 90 nodes pushed outward along the bisector
+    # (about half stay in their node wedge, the rest are spanned by
+    # chords across the oval) and 60 samples at 1.6 times its size, which
+    # only chords across it span: the grid's far path
+    "check-oval-grid": (["check", "oval-grid.json", "oval-grid.txt"], 1),
 }
 
 # profile: the grades it admits, each pinned as <profile>-<grade>.expected.svg
@@ -155,10 +160,11 @@ def test_cli_output_is_indented_json(name):
 
 def test_grid_case_takes_the_grid():
     # check_containment files chords in a grid only above CHUNK pairs
-    data, _ = load_profile(GOLDEN / "spiral-grid.json")
-    samples = load_samples(GOLDEN / "spiral-grid.txt")
-    chords = len(data.points) - 1   # open data
-    assert len(samples) * chords > compliance.CHUNK
+    for name in ("spiral-grid", "oval-grid"):
+        data, _ = load_profile(GOLDEN / (name + ".json"))
+        samples = load_samples(GOLDEN / (name + ".txt"))
+        chords = len(data.points) - (not data.closed)
+        assert len(samples) * chords > compliance.CHUNK, name
 
 
 def _svg(name, path):
