@@ -356,6 +356,16 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
         raise InputError("tolerance must be finite and >= 0, got %r"
                          % (tol,))
     g = ChordColumns(region)
+    # |x| + |y| of a sample plus the chords' largest |ox| + |oy| bounds its
+    # projections, finite below the float maximum; summed in eighths, the
+    # test cannot overflow
+    eighth = 0.125 * np.abs(pts)
+    extent = np.max(0.125 * np.abs(g.ox) + 0.125 * np.abs(g.oy))
+    huge = np.flatnonzero(eighth[:, 0] + eighth[:, 1] + extent
+                          >= 0.125 * np.finfo(float).max)
+    if huge.size:
+        raise InputError("sample %d is too large to measure: %s"
+                         % (huge[0], pts[huge[0]].tolist()))
     reach = g.c * (1.0 + SPAN_SLACK)
     if tol is None:
         tol = 1e-9 * g.c.max()

@@ -56,10 +56,10 @@ and members(), its inverse, turns objects back, so every boundary is
 one record, member fields plus an arc mask, read by family_pieces().
 
 instances(cls, *columns) is the one bulk constructor of the frozen
-dataclasses here and in regions: one object per row, each field written
-a column at a time through the class's slot descriptors.  It runs no
-__post_init__, so its callers pass columns they have checked, and its
-objects equal those the constructor makes from the same values.
+dataclasses here and in regions, which calls it when a region's chords
+are first read: one object per row, each field written a column at a
+time through the slot descriptors.  It runs no __post_init__, so callers
+pass checked columns, and its objects equal the constructor's.
 
 One rule gives p from a start curvature.  Traversed backwards (turned
 by pi), a chord swaps alpha and beta and its member has start curvature
@@ -283,9 +283,12 @@ def curves(members, arc):
     arc = np.ravel(arc)
     c, alpha, *rest = (np.ravel(v) for v in member_fields(members))
     out = np.empty(arc.size, object)
-    out[arc] = instances(Arc, c[arc].tolist(), alpha[arc].tolist())
+    # through fromiter: assigning a list would probe every object in it
+    out[arc] = np.fromiter(instances(Arc, c[arc].tolist(),
+                                     alpha[arc].tolist()), object)
     *head, xj, yj = (v[~arc].tolist() for v in (c, alpha, *rest))
-    out[~arc] = instances(Biarc, *head, list(zip(xj, yj)))
+    out[~arc] = np.fromiter(instances(Biarc, *head, list(zip(xj, yj))),
+                            object)
     return out.tolist()
 
 

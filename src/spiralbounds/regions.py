@@ -27,10 +27,10 @@ backwards, so it preserves the direction of monotonicity.
 
 Every grade's boundaries are biarc-family members: a lens arc
 A(x; c, phi) is the member with omega = 0 and p = inf,
-geometry.arcs(c, phi).  ChordColumns reads them as one record, member
-fields plus an arc mask, for check, SVG and report alike.  A build makes
-its RegionChord, ChordFrame and curve objects from those checked columns
-with geometry.instances, the one bulk constructor, and from nothing else.
+geometry.arcs(c, phi).  Region.chords keeps them and the chords' other
+arrays as one record, read by ChordColumns for check, SVG and report; its
+objects are made with geometry.instances, the one bulk constructor, when
+first read, and objects given to a Region are read back with members().
 
 A narrowed lower boundary is the member with the start node's floor
 curvature, the upper one the member with the end node's ceiling.  Where
@@ -55,12 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Analysis, Chords, is_finite_real, padded
+from .analysis import Analysis, is_finite_real, padded
 from .errors import ClassificationError, DomainError, OverrideError
 from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, arcs, curves,
                        end_parameter, family, family_pieces, gap_maxima,
@@ -80,29 +80,60 @@ class RegionChord:
     width_estimate: float  # small-angle estimate c^2 |q_j - q_{j+1}| / 2
 
 
-class _Boundaries(NamedTuple):
-    """The arrays a build made its region from, read by ChordColumns: the
-    analysis's `chords`, the widths and width estimates, and a lens grade's
-    arc start angles `phi`, (2, m), whose members arcs() makes when read, or
-    the narrowed grade's `family`, family() of its boundaries and arc mask."""
+@dataclass(eq=False)
+class RegionChords(Sequence):
+    """A region's chords: per chord its 1-based index, c, direction mu,
+    midpoint (m, 2), width and width estimate, and both boundaries' family()
+    members with their arc mask, lower side first.  Its RegionChord items
+    are made from these arrays when first indexed or iterated, then kept."""
 
-    chords: Chords
+    indices: np.ndarray   # not `index`, Sequence's method
+    c: np.ndarray
+    mu: np.ndarray
+    mid: np.ndarray
     width: np.ndarray
     estimate: np.ndarray
-    phi: np.ndarray | None = None
-    family: tuple[Biarc, np.ndarray] | None = None
+    members: Biarc
+    arc: np.ndarray
+
+    @functools.cached_property
+    def _items(self):
+        # instances() checks nothing: _require_graphs and chord_vectors did
+        frames = instances(ChordFrame, list(zip(*self.mid.T.tolist())),
+                           self.mu.tolist(), self.c.tolist())
+        both = curves(self.members, self.arc)
+        return instances(RegionChord, self.indices.tolist(), frames,
+                         both[:len(frames)], both[len(frames):],
+                         self.width.tolist(), self.estimate.tolist())
+
+    def __len__(self):
+        return len(self.indices)
+
+    def __getitem__(self, k):
+        return self._items[k]
+
+    def __iter__(self):
+        return iter(self._items)
 
 
 @dataclass(frozen=True, eq=False)
 class Region:
     grade: str  # "simple" | "vertex" | "narrowed"
     closed: bool
-    chords: list[RegionChord]
+    chords: RegionChords
     width: float
-    # set by the build; dataclasses.replace resets it, so a region with
-    # edited chords is read from its chords
-    _boundaries: _Boundaries | None = field(init=False, default=None,
-                                            repr=False, compare=False)
+
+    def __post_init__(self):   # RegionChord objects: read their record
+        if not isinstance(self.chords, RegionChords):
+            items = list(self.chords)
+            index, width, estimate, c, mu, *mid = np.array([
+                (ch.index, ch.width, ch.width_estimate, ch.frame.half_length,
+                 ch.frame.direction, *ch.frame.origin) for ch in items]).T
+            sides = [ch.lower for ch in items] + [ch.upper for ch in items]
+            chords = RegionChords(index.astype(int), c, mu, np.transpose(mid),
+                                  width, estimate, *members(sides))
+            chords._items = items
+            object.__setattr__(self, "chords", chords)
 
 
 class ChordColumns:
@@ -115,39 +146,19 @@ class ChordColumns:
     `fields` holds the Biarc fields alpha, beta, a, b, p, join x and y
     (an arc's phi, then NaN), and `table` the family_pieces() as
     (8, m, 2).  `closed` says whether the last chord ends at the first
-    one's start.
-
-    Every grade's boundaries are one record, family() members and their
-    arc mask: a built region's come from what its build kept, those of a
-    region assembled by hand from members() of its RegionChord curves.
-    Each construction pays for its own columns; `fields`, which only the
-    report reads, is made when first read.
+    one's start.  All are read from Region.chords anew for each
+    construction, `fields`, which only the report reads, when first read.
     """
 
     def __init__(self, region: Region):
-        self.closed = region.closed
-        kept = region._boundaries
-        if kept is None:
-            chords = region.chords
-            self.index = np.array([ch.index for ch in chords])
-            (self.width, self.estimate, self.c, self.direction, self.ox,
-             self.oy) = np.array([(ch.width, ch.width_estimate,
-                                   ch.frame.half_length, ch.frame.direction,
-                                   *ch.frame.origin) for ch in chords]).T
-            record, arc = members([ch.lower for ch in chords]
-                                  + [ch.upper for ch in chords])
-        else:
-            chords = kept.chords
-            self.index = np.arange(1, len(chords) + 1)
-            self.width, self.estimate = kept.width, kept.estimate
-            self.c, self.direction = chords.c, chords.mu
-            self.ox, self.oy = chords.mid.T
-            record, arc = kept.family or (arcs(self.c, kept.phi),
-                                          np.ones(kept.phi.shape, bool))
-        self.arc = np.reshape(arc, (2, -1))
-        self._record = record
+        chords = region.chords
+        self.closed, self.index = region.closed, chords.indices
+        self.width, self.estimate = chords.width, chords.estimate
+        self.c, self.direction = chords.c, chords.mu
+        self.ox, self.oy = chords.mid.T
+        self.arc, self._record = chords.arc.reshape(2, -1), chords.members
         self.table = np.moveaxis(
-            np.reshape(family_pieces(record), (8, 2, -1)), 1, 2)
+            np.reshape(family_pieces(self._record), (8, 2, -1)), 1, 2)
         self.cos, self.sin = np.cos(self.direction), np.sin(self.direction)
         dx, dy = self.c * self.cos, self.c * self.sin
         self.sx, self.sy = self.ox - dx, self.oy - dy
@@ -236,28 +247,17 @@ def _require_graphs(*angles):
                           "(data too coarse)" % (k + 1, angles[j][k]))
 
 
-def _finish(grade: str, analysis: Analysis, lower, upper, widths,
-            **kept) -> Region:
-    """Assemble the region from per-chord boundary curves and widths;
-    `kept` is the rest of the _Boundaries it keeps.  The objects come
-    from instances(), which checks nothing: each grade's _require_graphs
-    has checked every boundary angle, analysis.chord_vectors every c > 0."""
+def _finish(grade: str, analysis: Analysis, widths, members, arc) -> Region:
+    """The region of the boundaries' family() members and arc mask, (2, m)."""
     chords = analysis.chords
     m = len(chords)
     q = analysis.nodes.q
     # small-angle width estimate c^2 |q_start - q_end| / 2
     estimates = 0.5 * chords.c ** 2 * np.abs(
         q[:m] - padded(q, chords.closed)[2:m + 2])
-    # (x, y) tuples straight from the columns: no list per chord for the GC
-    frames = instances(ChordFrame, list(zip(*chords.mid.T.tolist())),
-                       chords.mu.tolist(), chords.c.tolist())
-    entries = instances(RegionChord, range(1, m + 1), frames, lower, upper,
-                        widths.tolist(), estimates.tolist())
-    region = Region(grade=grade, closed=chords.closed, chords=entries,
-                    width=float(np.max(widths)))
-    object.__setattr__(region, "_boundaries",
-                       _Boundaries(chords, widths, estimates, **kept))
-    return region
+    return Region(grade, chords.closed, RegionChords(
+        np.arange(1, m + 1), chords.c, chords.mu, chords.mid, widths,
+        estimates, members, arc), float(np.max(widths)))
 
 
 def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:
@@ -266,14 +266,13 @@ def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:
     Ordering by phi orders the arcs pointwise; their gap peaks at
     mid-chord, which gives the width in closed form.
     """
-    phi = np.empty((2, len(phi_one)))   # lower, upper: the region keeps it
-    lo = np.minimum(phi_one, phi_two, out=phi[0])
-    hi = np.maximum(phi_one, phi_two, out=phi[1])
-    widths = analysis.chords.c * np.abs(np.tan(0.5 * hi) - np.tan(0.5 * lo))
-    _require_graphs(lo, hi)   # only the vertex grade's substitutes can fail
-    c = analysis.chords.c.tolist()
-    return _finish(grade, analysis, instances(Arc, c, lo.tolist()),
-                   instances(Arc, c, hi.tolist()), widths, phi=phi)
+    phi = np.stack([np.minimum(phi_one, phi_two),    # lower, upper
+                    np.maximum(phi_one, phi_two)])
+    c = analysis.chords.c
+    widths = c * np.abs(np.tan(0.5 * phi[1]) - np.tan(0.5 * phi[0]))
+    _require_graphs(*phi)   # only the vertex grade's substitutes can fail
+    return _finish(grade, analysis, widths, arcs(c, phi),
+                   np.ones(phi.shape, bool))
 
 
 def simple_region(analysis: Analysis) -> Region:
@@ -467,11 +466,9 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
         (table.alpha_hi, table.beta_lo, padded(ranges.upper, closed)[2:m + 2],
          padded(ranges.upper_overridden, closed, (False, False))[2:m + 2]),
         table.mirrored)
-    both = curves(*fam)
     # one row per chord, a trailing axis for gap_maxima's candidates
     lower, upper = np.swapaxes(family_pieces(fam[0]), 0, 1)[..., None]
-    return _finish("narrowed", analysis, both[:m], both[m:],
-                   gap_maxima(lower, upper), family=fam)
+    return _finish("narrowed", analysis, gap_maxima(lower, upper), *fam)
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

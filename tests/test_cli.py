@@ -312,6 +312,17 @@ def test_check_bad_tol_exits_3(capsys, tol):
     assert "got %r" % float(tol) in err
 
 
+@pytest.mark.parametrize("profile", ["spiral-inc", "oval"])
+def test_check_sample_too_large_to_measure_exits_3(capsys, tmp_path,
+                                                   profile):
+    samples = tmp_path / "huge.txt"
+    samples.write_text("1.7e308 1.7e308\n")
+    code, out, err = run(capsys, "check", str(GOLDEN / (profile + ".json")),
+                         str(samples))
+    assert (code, out) == (3, "")
+    assert "sample 0 is too large to measure" in err
+
+
 def test_check_curvature_plot(capsys, tmp_path, sparse_profile,
                               sparse_samples):
     plot = tmp_path / "q.txt"

@@ -6,6 +6,7 @@ ill-set dataset provides the honest failure case.
 """
 
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,11 +20,14 @@ from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.compliance import check_containment
 from spiralbounds.errors import DataError, EmptySamplesError, InputError
 from spiralbounds.geometry import curve_eval
+from spiralbounds.profile_io import load_profile
 from spiralbounds.regions import build_region, simple_region
 from spiralbounds.splinefit import cubic_spline_fixture
 
 from logspiral import LogSpiral, spiral_dataset
 from conftest import reference_containment, sparse_dataset
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_nodes_assign_to_chord_ends(circle_analysis, circle_data):
@@ -507,6 +511,33 @@ def test_huge_samples_are_measured_without_overflow(big, closed, chunk):
     if closed:
         assert np.all(rep.chord_index[k:] > 0)
         npt.assert_allclose(rep.worst_margin, -abs(big), rtol=0.5)
+
+
+@pytest.mark.parametrize("profile", ["spiral-inc", "oval"])
+@pytest.mark.parametrize("chunk", [40, compliance.CHUNK])
+def test_samples_too_large_to_project_are_rejected(profile, chunk):
+    # a projection is bounded by |x| + |y| of the sample plus the chords'
+    # largest |ox| + |oy|; where that reaches the float maximum the sample
+    # is named, counted from 0, and the test itself does not overflow
+    # (numpy's warning would raise here)
+    data, overrides = load_profile(str(GOLDEN / (profile + ".json")))
+    region = build_region(analyze(data), "auto", overrides)
+    near = data.points + 0.01
+    fits = 0.49 * np.finfo(float).max
+    with mock.patch.object(compliance, "CHUNK", chunk):
+        for big in (1.5e308, 1.7e308, 0.5 * np.finfo(float).max):
+            for way in ([1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]):
+                samples = np.vstack([near, [fits, -fits], np.multiply(
+                    big, way), [0.0, 0.0]])
+                assert ((len(samples) * len(region.chords) > chunk)
+                        == (chunk == 40))
+                with pytest.raises(InputError, match=r"^sample %d is too "
+                                   "large to measure" % (len(near) + 1)):
+                    check_containment(region, samples)
+        # below the bound a sample is measured
+        rep = check_containment(region, np.vstack([near, [fits, -fits]]))
+    npt.assert_array_equal(rep.chord_index[:-1],
+                           check_containment(region, near).chord_index)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spiralbounds import profile_io
+from spiralbounds import profile_io, regions
 from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.compliance import check_containment
 from spiralbounds.errors import DataError, EmptySamplesError, ParseError
@@ -494,12 +494,8 @@ def _chord_dicts(analysis, region):
                 ch.mid.tolist(), ang.xi.tolist(), ang.eta.tolist())]
 
 
-def _unread(*args):
-    raise AssertionError("region.chords was read")
-
-
-class _Unread:
-    __getattr__ = __iter__ = __len__ = __getitem__ = __bool__ = _unread
+def _unmade(*args):
+    raise AssertionError("the region's objects were made")
 
 
 def _golden_regions():
@@ -514,15 +510,20 @@ def _golden_regions():
                 pass
 
 
-def test_region_report_of_a_built_region_reads_only_the_kept_arrays():
+def test_region_report_of_a_built_region_reads_only_the_kept_arrays(
+        monkeypatch):
     cases = list(_golden_regions())
     assert len(cases) == 13
     for an, region in cases:
-        text = report_json(region_report(an, region))
-        object.__setattr__(region, "chords", _Unread())
-        with pytest.raises(AssertionError):
-            list(region.chords)
-        assert report_json(region_report(an, region)) == text
+        with monkeypatch.context() as patch:
+            for name in ("instances", "curves"):
+                patch.setattr(regions, name, _unmade)
+            with pytest.raises(AssertionError):
+                list(region.chords)
+            text = report_json(region_report(an, region))
+        # the objects, once made, report the same
+        copy = dataclasses.replace(region, chords=list(region.chords))
+        assert report_json(region_report(an, copy)) == text
 
 
 def test_region_report_rows_are_the_chord_objects():
@@ -530,8 +531,8 @@ def test_region_report_rows_are_the_chord_objects():
     # arcs and biarcs mixed on both sides, are read from their chords
     for an, region in _golden_regions():
         want = report_json(region_report(an, region))
-        copy = dataclasses.replace(region)
-        assert copy._boundaries is None
+        copy = dataclasses.replace(region, chords=list(region.chords))
+        assert copy.chords.members is not region.chords.members
         report = region_report(an, copy)
         assert list(report["chords"]) == _chord_dicts(an, region)
         assert report_json(report) == _dumps(_plain(report)) == want

@@ -17,13 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spiralbounds import regions
+from spiralbounds import cli, regions
 from spiralbounds.analysis import Classification, SplineInput, analyze
 from spiralbounds.compliance import SPAN_SLACK, check_containment
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
 from spiralbounds.geometry import (Arc, Biarc, curve_eval, curves, gap_maxima,
                                    height)
-from spiralbounds.profile_io import load_profile, load_samples, region_report
+from spiralbounds.profile_io import (load_profile, load_samples,
+                                     region_report, save_columns)
 from spiralbounds.regions import (
     ChordColumns,
     _boundaries,
@@ -35,6 +36,7 @@ from spiralbounds.regions import (
     simple_region,
     vertex_region,
 )
+from spiralbounds.splinefit import cubic_spline_fixture
 from spiralbounds.svg import render_svg
 
 from arcspline import arc_spline_dataset, random_arc_spline
@@ -725,12 +727,19 @@ def _golden_region(profile, grade):
     return an, build_region(an, grade, overrides)
 
 
+def by_hand(region):
+    """A copy of the region given its RegionChord objects as a list, so
+    its record is read from them."""
+    return dataclasses.replace(region, chords=list(region.chords))
+
+
 def assert_columns_are_the_gather(region):
-    # dataclasses.replace drops what the build kept, so the copy's
-    # columns come from its RegionChord objects
-    by_hand = dataclasses.replace(region)
-    assert region._boundaries is not None and by_hand._boundaries is None
-    built, gathered = ChordColumns(region), ChordColumns(by_hand)
+    # a region given a list reads its record from those RegionChord
+    # objects and keeps them as its items
+    copy = by_hand(region)
+    assert copy.chords.members is not region.chords.members
+    assert all(a is b for a, b in zip(copy.chords, region.chords))
+    built, gathered = ChordColumns(region), ChordColumns(copy)
     assert built.closed == gathered.closed == region.closed
     assert built.table.shape == (8, len(region.chords), 2)
     for name in COLUMNS:
@@ -802,9 +811,57 @@ def test_check_and_svg_of_a_built_region_call_no_pieces(
     render_svg(an, region, str(tmp_path / "region.svg"))
     assert calls == []
     # the counter sees the gather of a region assembled by hand: one
-    # call with every curve
-    ChordColumns(dataclasses.replace(region))
+    # call with every curve, when the region is made
+    ChordColumns(by_hand(region))
     assert calls == [2 * len(region.chords)]
+
+
+# profile: its golden samples for check, None for its spline fixture
+CLI_SAMPLES = {"circle": None, "oval": "oval-grid.txt", "overrides": None,
+               "spiral-dec": None, "spiral-inc": "spiral-inc.fail.txt",
+               "spiral-grid": "spiral-grid.txt"}
+
+
+def test_a_built_region_makes_no_objects_until_it_is_read(
+        monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
+
+    for name in ("instances", "curves", "members"):
+        monkeypatch.setattr(regions, name, counted(getattr(regions, name)))
+    runs = 0
+    for profile, samples in CLI_SAMPLES.items():
+        path = str(GOLDEN / (profile + ".json"))
+        if samples is None:
+            samples = str(tmp_path / (profile + ".txt"))
+            save_columns(samples, cubic_spline_fixture(
+                load_profile(path)[0], 8))
+        else:
+            samples = str(GOLDEN / samples)
+        for grade in GOLDEN_GRADES.get(profile, ("narrowed",)):
+            svg = str(tmp_path / "region.svg")
+            assert cli.main(["analyze", path, "--grade", grade,
+                             "--svg", svg]) == 0
+            assert cli.main(["check", path, samples,
+                             "--grade", grade]) in (0, 1)
+            runs += 1
+    capsys.readouterr()
+    assert runs == 14 and calls == []
+    _, region = _golden_region("spiral-dec", "narrowed")
+    assert len(region.chords) == 8 and calls == []
+    # the first read makes every object, once
+    first = region.chords[0]
+    assert region.chords[0] is first and list(region.chords)[0] is first
+    assert calls == ["instances", "curves", "instances"]
+    # a copy shares the record, objects and all
+    copy = dataclasses.replace(region)
+    assert copy.chords is region.chords and copy.chords[0] is first
+    assert len(calls) == 3
 
 
 def test_only_the_report_reads_the_boundary_fields(monkeypatch, tmp_path):
@@ -940,7 +997,7 @@ def assert_lens_height_is_gap_maxima(g):
 def test_lens_height_closed_form_matches_gap_maxima(profile, grade):
     _, region = _golden_region(profile, grade)
     assert_lens_height_is_gap_maxima(ChordColumns(region))
-    assert_lens_height_is_gap_maxima(ChordColumns(dataclasses.replace(region)))
+    assert_lens_height_is_gap_maxima(ChordColumns(by_hand(region)))
 
 
 def test_lens_height_of_fallback_rows(monkeypatch):

@@ -295,13 +295,13 @@ def test_svg_memory_is_bounded_by_the_file(tmp_path, long_spiral):
 
 
 def test_svg_region_that_cannot_be_drawn_writes_nothing(tmp_path):
-    # everything that can raise comes before the file is opened: the last
-    # chord's boundary is no curve, and a file already there is kept
+    # the last chord's boundary is no curve: the region cannot be made,
+    # so there is nothing to draw, and a file already there is kept
     an, reg = _case("narrowed-increasing")
-    reg = dataclasses.replace(reg, chords=reg.chords[:-1] + [
-        dataclasses.replace(reg.chords[-1], lower=None)])
     path = tmp_path / "out.svg"
     path.write_text("before")
     with pytest.raises(AttributeError):
+        reg = dataclasses.replace(reg, chords=reg.chords[:-1] + [
+            dataclasses.replace(reg.chords[-1], lower=None)])
         render_svg(an, reg, str(path))
     assert path.read_text() == "before"
