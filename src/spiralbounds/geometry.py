@@ -112,11 +112,6 @@ class ChordFrame:
         """Map global points (2,) or (n, 2) to chord coordinates."""
         return (np.asarray(points, dtype=float) - self.origin) @ self.axes
 
-    # to_local's inverse, kept with it until perfbench/ stops timing it
-    def to_global(self, points):
-        """Map chord coordinates back to the global plane."""
-        return np.asarray(points, dtype=float) @ self.axes.T + self.origin
-
 
 @dataclass(frozen=True, slots=True)
 class Arc:
@@ -215,13 +210,9 @@ def curve_eval(curve, x):
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > c * (1.0 + ABSCISSA_SLACK)):
         raise DomainError("abscissa outside [-c, c] for c=%g" % c)
-    if isinstance(curve, Arc):   # its arcs() member
-        phi, k = curve.phi, -math.sin(curve.phi) / c
-        curve = Biarc(c, phi, -phi, k, k, math.inf, (0.0, math.nan))
-    # family_pieces() in scalars: on floats NumPy's per-call cost dominates
-    cols = (c, curve.join[0], math.sin(curve.alpha), math.cos(curve.alpha),
-            curve.a, math.sin(curve.beta), math.cos(curve.beta), curve.b)
-    y = height(cols, np.clip(xa, -c, c))
+    if isinstance(curve, Arc):
+        curve = arcs(c, curve.phi)
+    y = height(family_pieces(curve), np.clip(xa, -c, c))
     return float(y) if np.ndim(x) == 0 else y
 
 

@@ -32,6 +32,12 @@ of a row of placeholders; fill() puts a block's values, each column
 formatted by one map(float.__repr__), into the templates with one %.
 The arc mask, not the grade, picks the chords' layout: short "lens"
 rows where every boundary is an arc, else a "chords" kind per row.
+
+Column files (spline fixtures, curvature plots) hold one "%.17g" per
+value, as np.savetxt writes them.  write_rows is the one block writer
+behind them and the SVG: it fills BLOCK rows of float columns into %
+templates at once, so a file of any length costs one block of text.
+Rows keep their own loop, as they format int and float columns apart.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .errors import EmptySamplesError, InputError, OverrideError, ParseError
 from .regions import ChordColumns, Region, checked_overrides
 
 PROFILE_VERSION = 1
-BLOCK = 1024    # rows formatted at once, in reports and SVG files
+BLOCK = 1024    # rows formatted at once: reports, SVG and column files
 
 
 def _angle(value, degrees: bool, what: str) -> float:
@@ -202,23 +208,30 @@ def fill(templates, values, kind) -> str:
     return "".join([templates[k] for k in kind]) % tuple(values)
 
 
-def columns_text(rows) -> str:
-    """Rows of numbers (samples, plot data) as text, to full precision.
+def write_rows(fh, columns, templates, kind=None):
+    """Write fill()'s lines of the columns to fh, BLOCK rows at a time."""
+    for lo in range(0, len(columns[0]), BLOCK):
+        block = np.column_stack([col[lo:lo + BLOCK] for col in columns])
+        fh.write(fill(templates, block.ravel().tolist(),
+                      kind[lo:lo + BLOCK] if kind else [0] * len(block)))
+
+
+def write_columns(fh, rows):
+    """Write rows of numbers (samples, plot data) to fh, to full precision.
 
     One "%.17g" per value, space-separated, one line per row, as
-    np.savetxt(fmt="%.17g") writes them.
+    np.savetxt(fmt="%.17g") writes them; a 1-D input is one column.
     """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    return fill([" ".join(["%.17g"] * arr.shape[1]) + "\n"],
-                arr.ravel().tolist(), [0] * len(arr))
+    write_rows(fh, arr.T, [" ".join(["%.17g"] * arr.shape[1]) + "\n"])
 
 
 def save_columns(path, rows):
-    """Write columns_text(rows) to the file at path."""
+    """Write the rows to the file at path as write_columns does."""
     with open(path, "w") as fh:
-        fh.write(columns_text(rows))
+        write_columns(fh, rows)
 
 
 class Rows(Sequence):

@@ -411,12 +411,14 @@ def _node_bounds(analysis: Analysis, table: NarrowedAngles, overrides):
         if table.mirrored:   # negated curvatures: floor and ceiling swap
             lo, hi = -hi, -lo
         i = idx - 1
+        if max(lower[i], lo) > min(upper[i], hi):
+            bounds = np.array([lower[i], upper[i]])
+            raise OverrideError(   # the range as the data runs
+                "curvature override at node %d contradicts the computed "
+                "range [%g, %g]" % (idx, *(-bounds[::-1] if table.mirrored
+                                           else bounds)))
         lo_over[i], hi_over[i] = lo > lower[i], hi < upper[i]
         lower[i], upper[i] = max(lower[i], lo), min(upper[i], hi)
-        if lower[i] > upper[i]:
-            raise OverrideError(
-                "curvature override at node %d contradicts the computed "
-                "range [%g, %g]" % (idx, lower[i], upper[i]))
     return CurvatureRanges(lower=lower, upper=upper,
                            lower_overridden=lo_over, upper_overridden=hi_over)
 

@@ -10,9 +10,9 @@ positive angle in model coordinates), or `L x y` where k = 0.  Each
 chord's box [-c, c] x [-H, H], H its lens height, sizes the picture.
 Width labels live outside the group, positioned in pixel space.
 
-The file is written block by block: the lines of BLOCK chords (or
-nodes) are filled with one `%` and written at once, so memory is bounded
-by the region's columns plus one block, whatever the file's size.
+The file is written through profile_io.write_rows: the lines of BLOCK
+chords (or nodes) are filled with one `%` and written at once, so memory
+is bounded by the region's columns plus one block, whatever its size.
 Everything that can raise is computed before the file is opened, so
 nothing is written when the region cannot be drawn.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import Analysis
 from .geometry import height
-from .profile_io import BLOCK, fill
+from .profile_io import write_rows
 from .regions import ChordColumns, Region
 
 _STYLES = {
@@ -41,14 +41,6 @@ SIZE = 800      # the picture's longer side, in pixels
 
 def _fmt(v: float) -> str:
     return "%.10g" % v
-
-
-def _write_rows(fh, columns, templates, kind=None):
-    """Write fill()'s lines of the columns, BLOCK rows at a time."""
-    for lo in range(0, len(columns[0]), BLOCK):
-        block = np.column_stack([col[lo:lo + BLOCK] for col in columns])
-        fh.write(fill(templates, block.ravel().tolist(),
-                      kind[lo:lo + BLOCK] if kind else [0] * len(block)))
 
 
 def _path_rows(g: ChordColumns):
@@ -125,16 +117,16 @@ def render_svg(analysis: Analysis, region: Region, path):
                  % (_fmt(width_px), _fmt(height_px), _fmt(width_px),
                     _fmt(height_px), _fmt(tx), _fmt(ty), _fmt(scale),
                     _fmt(-scale)))
-        _write_rows(fh, paths, _path_templates(style, stroke), kind)
-        _write_rows(fh, np.reshape(tangents, (-1, 4)).T, [
+        write_rows(fh, paths, _path_templates(style, stroke), kind)
+        write_rows(fh, np.reshape(tangents, (-1, 4)).T, [
             '<line class="tangent" x1="%%.10g" y1="%%.10g" x2="%%.10g" '
             'y2="%%.10g" %s stroke-width="%s"/>\n'
             % (style["tangent"], stroke)])
-        _write_rows(fh, pts.T, ['<circle class="node" cx="%%.10g" '
-                                'cy="%%.10g" r="%s" fill="#333333"/>\n'
-                                % _fmt(3.0 / scale)])
+        write_rows(fh, pts.T, ['<circle class="node" cx="%%.10g" '
+                               'cy="%%.10g" r="%s" fill="#333333"/>\n'
+                               % _fmt(3.0 / scale)])
         fh.write('</g>\n')
-        _write_rows(fh, labels, ['<text class="width-label" x="%.10g" '
-                                 'y="%.10g" font-size="11" fill="#555555">'
-                                 '%.4g</text>\n'])
+        write_rows(fh, labels, ['<text class="width-label" x="%.10g" '
+                                'y="%.10g" font-size="11" fill="#555555">'
+                                '%.4g</text>\n'])
         fh.write('</svg>\n')

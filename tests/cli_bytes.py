@@ -6,27 +6,35 @@ REF is any commit git names (HEAD, a branch, a hash).  Its src/ is
 exported with `git archive` into a temporary directory, so no worktree
 is registered in the repository.  Each run is `python -m spiralbounds`
 in a child process, once with PYTHONPATH at the working tree's src/ and
-once at REF's, on the same input files:
+once at REF's, on the same input files, each in an empty directory of
+its own where it writes its output files:
 
   * every profile in tests/golden at the auto, simple, vertex and
     narrowed grades: `analyze --svg`, and `check` against every sample
     file there;
+  * every open profile in tests/golden: `spline-fixture` to stdout and
+    with `-o`;
+  * every sample file in tests/golden: `check --curvature-plot` against
+    the profile it was made for (the file's name up to its first dot);
+  * `rounding-experiment --plot`, which writes two files;
   * the inputs that perfbench/gen.py writes for the spiral-check,
     oval-analyze and batch-small workloads at seeds 1 and 5 (the first
     BATCH batch-small profiles), at the auto, simple and vertex grades:
     `analyze --svg`, and `check` against the case's samples.
 
-A run whose stdout, stderr, exit code or SVG bytes differ between the
-two trees is printed, and the script exits 1; otherwise it prints the
-run count and exits 0.  It is a script, not a test: pytest does not
-collect it.
+A run whose stdout, stderr, exit code or written files (their names and
+bytes) differ between the two trees is printed, and the script exits 1;
+otherwise it prints the run count and exits 0.  It is a script, not a
+test: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -58,19 +66,29 @@ def export_src(ref, dest):
 
 
 def golden_runs():
-    """(argv, svg wanted) of every golden profile and sample file."""
+    """The argv of every run on the golden profiles and sample files;
+    output files are named relative to the run's directory."""
     profiles = sorted(p for p in GOLDEN.glob("*.json")
                       if not p.name.endswith(".expected.json"))
     samples = sorted(GOLDEN.glob("*.txt"))
     for profile in profiles:
         for grade in GRADES:
-            yield ["analyze", str(profile), "--grade", grade], True
+            yield ["analyze", str(profile), "--grade", grade, "--svg",
+                   "region.svg"]
             for s in samples:
-                yield ["check", str(profile), str(s), "--grade", grade], False
+                yield ["check", str(profile), str(s), "--grade", grade]
+        if not json.loads(profile.read_text()).get("closed", False):
+            yield ["spline-fixture", str(profile)]
+            yield ["spline-fixture", str(profile), "-o", "fixture.txt"]
+    for s in samples:
+        yield ["check", str(GOLDEN / (s.name.split(".")[0] + ".json")),
+               str(s), "--curvature-plot", "plot.txt"]
+    yield ["rounding-experiment", "--plot", "rounding"]
 
 
 def bench_runs(workdir):
-    """(argv, svg wanted) of the benchmark's inputs, written to workdir."""
+    """The argv of every run on the benchmark's inputs, written to
+    workdir."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import bench
     import gen
@@ -88,32 +106,33 @@ def bench_runs(workdir):
                     samples = str(stem) + ".samples.json"
                     gen.write_samples(samples, case.candidate())
                 for grade in GRADES[:3]:
-                    yield ["analyze", profile, "--grade", grade], True
+                    yield ["analyze", profile, "--grade", grade, "--svg",
+                           "region.svg"]
                     if samples:
-                        yield ["check", profile, samples, "--grade",
-                               grade], False
+                        yield ["check", profile, samples, "--grade", grade]
 
 
-def run_cli(src, argv, svg, cwd):
-    """stdout, stderr, exit code and SVG bytes of one CLI run."""
+def run_cli(src, argv, cwd):
+    """stdout, stderr, exit code and written files (name to bytes) of one
+    CLI run in the empty directory cwd, which is removed afterwards."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    extra = ["--svg", svg] if svg else []
-    proc = subprocess.run([sys.executable, "-m", "spiralbounds", *argv,
-                           *extra], env=env, cwd=cwd, capture_output=True,
-                          timeout=600)
-    picture = None
-    if svg and os.path.exists(svg):
-        picture = Path(svg).read_bytes()
-        os.remove(svg)
-    return proc.stdout, proc.stderr, proc.returncode, picture
+    cwd.mkdir()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spiralbounds", *argv],
+                              env=env, cwd=cwd, capture_output=True,
+                              timeout=600)
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    finally:
+        shutil.rmtree(cwd)
+    return proc.stdout, proc.stderr, proc.returncode, files
 
 
-def compare(k, argv, svg, trees, tmp):
+def compare(k, argv, trees, tmp):
     """The parts of run k that differ between the trees, by name."""
-    got = [run_cli(src, argv, svg and str(tmp / ("%s-%d.svg" % (name, k))),
-                   tmp) for name, src in trees]
+    got = [run_cli(src, argv, tmp / ("%s-%d" % (name, k)))
+           for name, src in trees]
     return [part for part, a, b in zip(
-        ("stdout", "stderr", "exit code", "svg"), *got) if a != b]
+        ("stdout", "stderr", "exit code", "files"), *got) if a != b]
 
 
 def main(argv=None) -> int:
@@ -129,12 +148,12 @@ def main(argv=None) -> int:
         runs = list(golden_runs()) + list(bench_runs(tmp / "inputs"))
         with ThreadPoolExecutor(JOBS) as pool:
             diffs = list(pool.map(
-                lambda kr: compare(kr[0], *kr[1], trees, tmp),
+                lambda kr: compare(*kr, trees, tmp),
                 enumerate(runs)))
     bad = [(run, d) for run, d in zip(runs, diffs) if d]
-    for (cli_args, svg), parts in bad:
-        print("differs in %s: spiralbounds %s%s" % (
-            ", ".join(parts), " ".join(cli_args), " --svg" * svg))
+    for cli_args, parts in bad:
+        print("differs in %s: spiralbounds %s" % (", ".join(parts),
+                                                  " ".join(cli_args)))
     print("%d runs against %s, %d differ" % (len(runs), args.ref, len(bad)))
     return 1 if bad else 0
 

@@ -76,14 +76,20 @@ def tangency_residual(c, alpha, beta, a, b) -> float:
             + math.sin(omega) ** 2)
 
 
+def to_global(frame, points):
+    """Map a ChordFrame's chord coordinates, (2,) or (n, 2), back to the
+    global plane: the inverse of frame.to_local."""
+    return np.asarray(points, dtype=float) @ frame.axes.T + frame.origin
+
+
 def chord_start(frame):
     """Global position of a ChordFrame's chord start, (-c, 0) locally."""
-    return frame.to_global(np.array([-frame.half_length, 0.0]))
+    return to_global(frame, [-frame.half_length, 0.0])
 
 
 def chord_end(frame):
     """Global position of a ChordFrame's chord end, (c, 0) locally."""
-    return frame.to_global(np.array([frame.half_length, 0.0]))
+    return to_global(frame, [frame.half_length, 0.0])
 
 
 def mirror_curve(curve):

@@ -25,7 +25,7 @@ from spiralbounds.regions import build_region, simple_region
 from spiralbounds.splinefit import cubic_spline_fixture
 
 from logspiral import LogSpiral, spiral_dataset
-from conftest import reference_containment, sparse_dataset
+from conftest import reference_containment, sparse_dataset, to_global
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -260,7 +260,7 @@ def _outside_probes(region, rng, count):
             y = curve_eval(ch.upper, x) + 1e-3 * c
         else:
             y = curve_eval(ch.lower, x) - 1e-3 * c
-        probes.append(ch.frame.to_global(np.array([x, y])))
+        probes.append(to_global(ch.frame, [x, y]))
     return np.array(probes)
 
 

@@ -37,7 +37,7 @@ from spiralbounds.geometry import (
 )
 
 from conftest import (arc_curvature, assert_like_constructed, chord_end,
-                      chord_start, mirror_curve, tangency_residual)
+                      chord_start, mirror_curve, tangency_residual, to_global)
 
 # ---------------------------------------------------------------------------
 # wrap_angle
@@ -68,7 +68,7 @@ def test_wrap_angle_preserves_direction(theta):
 def test_chord_frame_round_trip():
     fr = ChordFrame(origin=(2.0, -1.0), direction=0.7, half_length=1.5)
     pts = np.array([[0.3, 0.4], [-1.0, 2.0], [5.0, -3.0]])
-    npt.assert_allclose(fr.to_global(fr.to_local(pts)), pts, atol=1e-12)
+    npt.assert_allclose(to_global(fr, fr.to_local(pts)), pts, atol=1e-12)
     npt.assert_allclose(fr.to_local(chord_start(fr)), [-1.5, 0.0], atol=1e-12)
     npt.assert_allclose(fr.to_local(chord_end(fr)), [1.5, 0.0], atol=1e-12)
 
@@ -466,7 +466,7 @@ def test_instances_are_the_constructors_objects():
     assert frames == [ChordFrame((0.0, 1.0), 0.5, 2.0),
                       ChordFrame((-2.0, 3.5), -3.0, 0.125)]
     assert_like_constructed(frames)
-    npt.assert_allclose(frames[1].to_global(frames[1].to_local([1.0, 2.0])),
+    npt.assert_allclose(to_global(frames[1], frames[1].to_local([1.0, 2.0])),
                         [1.0, 2.0], atol=1e-14)
     assert instances(Biarc, *[[]] * 7) == []
     # one object per row, however the columns are held

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from spiralbounds.profile_io import (
     region_report,
     report_json,
     save_columns,
+    write_columns,
 )
 from spiralbounds.regions import Region, build_region
 
@@ -212,6 +215,43 @@ def test_save_columns_writes_as_savetxt(tmp_path, rows):
     save_columns(str(ours), rows)
     np.savetxt(str(theirs), np.asarray(rows, dtype=float), fmt="%.17g")
     assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("block", [3, profile_io.BLOCK])
+@pytest.mark.parametrize("rows", [
+    np.random.default_rng(3).normal(size=(10, 2)),
+    [[0.1, -0.0], [1e300, 5e-324], [math.nan, -math.inf], [3, 2 ** 60]],
+    [0.5, -2.0, math.inf, 7.0],
+    np.zeros((0, 2)),
+])
+def test_save_columns_and_stdout_write_the_same_bytes(tmp_path, capsys,
+                                                      monkeypatch, block,
+                                                      rows):
+    # a file and stdout go through one block writer, in blocks of 3 rows
+    # as in one block
+    monkeypatch.setattr(profile_io, "BLOCK", block)
+    path, want = tmp_path / "ours.txt", tmp_path / "theirs.txt"
+    save_columns(str(path), rows)
+    write_columns(sys.stdout, rows)
+    np.savetxt(str(want), np.asarray(rows, dtype=float), fmt="%.17g")
+    assert path.read_bytes() == want.read_bytes()
+    assert capsys.readouterr().out.encode() == want.read_bytes()
+
+
+def test_save_columns_memory_does_not_grow_with_the_rows(tmp_path):
+    # one block of rows is formatted at a time, so 64 blocks of rows peak
+    # no higher than 4 do; the rows themselves are made before tracing
+    def peak(blocks):
+        rows = np.random.default_rng(blocks).normal(
+            size=(blocks * profile_io.BLOCK, 2))
+        tracemalloc.start()
+        try:
+            save_columns(str(tmp_path / "rows.txt"), rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) <= 1.5 * peak(4)
 
 
 def test_samples_json_array(tmp_path):

@@ -474,6 +474,29 @@ def test_override_contradiction_rejected():
         narrowed_region(an, overrides={2: {"a": 1e6}})
 
 
+@pytest.mark.parametrize("name, computed, overrides", [
+    ("spiral-inc", "[0.364928, 0.392098]",
+     [{"a": 1.392, "b": 2.392}, {"a": 0.5}, {"a": -2.392, "b": -1.392},
+      {"b": 0.1}]),
+    ("spiral-dec", "[-0.392098, -0.364928]",
+     [{"a": -0.3}, {"a": 1.392, "b": 2.392}, {"b": -0.5},
+      {"a": -2.392, "b": -1.392}]),
+])
+def test_override_contradiction_names_the_computed_range(name, computed,
+                                                         overrides):
+    # above and below node 3's range, increasing and decreasing data: the
+    # message gives the range before the override, as the data runs
+    data, _ = load_profile(str(GOLDEN / (name + ".json")))
+    an = analyze(data)
+    ranges = curvature_ranges(an)
+    assert "[%g, %g]" % (ranges.lower[2], ranges.upper[2]) == computed
+    for spec in overrides:
+        with pytest.raises(OverrideError, match=re.escape(
+                "override at node 3 contradicts the computed range "
+                + computed)):
+            build_region(an, "narrowed", {"3": spec})
+
+
 def _corner(lower_tainted, upper_tainted):
     """One chord whose boundary curvatures lie just past the feasible
     limits, through the column rule of the narrowed region."""

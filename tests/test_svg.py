@@ -13,10 +13,11 @@ import pytest
 from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.geometry import (Biarc, biarc_from_a, curve_eval,
                                    family_pieces, members)
-from spiralbounds import svg as svg_module
+from spiralbounds import profile_io
 from spiralbounds.regions import build_region
 from spiralbounds.svg import render_svg
 
+from conftest import to_global
 from logspiral import LogSpiral, spiral_dataset
 
 
@@ -163,7 +164,7 @@ def _assert_exact(region, text):
     kinds = set()
     for k, ch in enumerate(region.chords):
         frame, c = ch.frame, ch.frame.half_length
-        nodes = frame.to_global([[-c, 0.0], [c, 0.0]])
+        nodes = to_global(frame, [[-c, 0.0], [c, 0.0]])
         for path, curve in zip(paths[3 * k + 1:3 * k + 3],
                                (ch.lower, ch.upper)):
             start, cmds = _commands(path.get("d"))
@@ -171,14 +172,14 @@ def _assert_exact(region, text):
             npt.assert_allclose(cmds[-1][1][-2:], nodes[1], atol=atol)
             p = [v[0] for v in family_pieces(members([curve])[0])]
             xj = p[1]
-            join = frame.to_global([xj, curve_eval(curve, xj)])
+            join = to_global(frame, [xj, curve_eval(curve, xj)])
             npt.assert_allclose(cmds[0][1][-2:], join, atol=atol)
             assert len(cmds) == 2
             for (cmd, v), xs, kappa in zip(
                     cmds, (np.linspace(-c, xj, 33), np.linspace(xj, c, 33)),
                     (p[4], p[7])):
                 end = np.array(v[-2:])
-                on = frame.to_global(np.column_stack(
+                on = to_global(frame, np.column_stack(
                     [xs, curve_eval(curve, xs)])) - start
                 chord = end - start
                 # > 0 left of the command's chord, < 0 right of it
@@ -241,8 +242,8 @@ def test_svg_boundaries_inside_view_box(tmp_path, name):
         c = ch.frame.half_length
         xs = np.linspace(-c, c, 401)
         for curve in (ch.lower, ch.upper):
-            x, y = ch.frame.to_global(
-                np.column_stack([xs, curve_eval(curve, xs)])).T
+            x, y = to_global(
+                ch.frame, np.column_stack([xs, curve_eval(curve, xs)])).T
             px, py = tx + sx * x, ty + sy * y
             # inside the 5 % margin that render_svg leaves at 800 px
             assert np.all((px > 40.0 - 1e-6) & (px < width - 40.0 + 1e-6))
@@ -264,7 +265,7 @@ def long_spiral():
     """A narrowed region of five blocks: the open log spiral
     r = 50 exp(-0.05 t) through nodes at uniform steps of t in [0, 6]."""
     spiral = LogSpiral(scale=50.0, growth=-0.05, center=(0.0, 0.0))
-    t = np.linspace(0.0, 6.0, 5 * svg_module.BLOCK + 1)
+    t = np.linspace(0.0, 6.0, 5 * profile_io.BLOCK + 1)
     an = analyze(SplineInput(spiral.point(t), spiral.tangent_angle(0.0),
                              spiral.tangent_angle(6.0)))
     return an, build_region(an, "narrowed")
@@ -275,7 +276,7 @@ def test_svg_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch,
                                               long_spiral, name):
     an, reg = long_spiral if name == "long-spiral" else _case(name)
     whole = render(tmp_path, an, reg)
-    monkeypatch.setattr(svg_module, "BLOCK", 3)
+    monkeypatch.setattr(profile_io, "BLOCK", 3)
     assert render(tmp_path, an, reg) == whole
 
 
@@ -290,7 +291,7 @@ def test_svg_memory_is_bounded_by_the_file(tmp_path, long_spiral):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(reg.chords) >= 4 * svg_module.BLOCK
+    assert len(reg.chords) >= 4 * profile_io.BLOCK
     assert peak < 2 * path.stat().st_size
 
 
