@@ -15,7 +15,7 @@ uniform grid by their midpoints, with cell side
 
 where H_j is the largest |y| of chord j's lens: the largest gap between
 either boundary and the chord itself, found in closed form like the
-width (regions.ChordColumns.lens_height).  Each sample is first scored
+width (regions.RegionChords.lens_height).  Each sample is first scored
 against the chords of the 3x3 cells around it.  A chord outside those
 cells has its midpoint at least h away, so if it spans the sample,
 |y| >= h - c_j (1 + SPAN_SLACK) and its score is at most
@@ -74,7 +74,7 @@ import numpy as np
 from .analysis import check_finite_rows, is_finite_real
 from .errors import EmptySamplesError, InputError
 from .geometry import height
-from .regions import ChordColumns, Region
+from .regions import Region, RegionChords
 
 # Relative slack when deciding whether a projection falls on a chord.
 SPAN_SLACK = 1e-12
@@ -136,15 +136,16 @@ class ComplianceReport:
         return self.violations.size == 0
 
 
-def _spans(g: ChordColumns, reach, pts, i, j):
+def _spans(g: RegionChords, reach, pts, i, j):
     """Whether sample i lies within reach[j] along chord j; i, j broadcast."""
     # x alone: most grid pairs fail this test, and sharing _best's
     # x-and-y projection here made check_containment 25-31 % slower
-    x = (pts[i, 0] - g.ox[j]) * g.cos[j] + (pts[i, 1] - g.oy[j]) * g.sin[j]
+    ox, oy = g.mid.T
+    x = (pts[i, 0] - ox[j]) * g.cos[j] + (pts[i, 1] - oy[j]) * g.sin[j]
     return np.abs(x) <= reach[j]
 
 
-def _best(g: ChordColumns, pts, i, j):
+def _best(g: RegionChords, pts, i, j):
     """Per sample of the pairs (i, j), the chord with the best score.
 
     Each sample's pairs must form one run of i, with the samples in
@@ -155,7 +156,8 @@ def _best(g: ChordColumns, pts, i, j):
     Returns the samples, their chords, and per sample x (clipped to
     [-c, c]), y, lower and upper margin and score.
     """
-    dx, dy = pts[i, 0] - g.ox[j], pts[i, 1] - g.oy[j]
+    ox, oy = g.mid.T
+    dx, dy = pts[i, 0] - ox[j], pts[i, 1] - oy[j]
     co, si, c = g.cos[j], g.sin[j], g.c[j]
     x = np.clip(dx * co + dy * si, -c, c)
     y = dy * co - dx * si
@@ -214,16 +216,15 @@ def _blocks(rows, first, count):
         r, s = stop, e
 
 
-def _grid_pairs(g: ChordColumns, pts, h):
+def _grid_pairs(g: RegionChords, pts, h):
     """Each sample paired with the chords filed in its 3x3 cells.
 
     The block is three ranges of consecutive keys, one per column x - 1,
     x, x + 1, and each range is one lookup.  Pairs come x-major, then by
     y, then in the chords' filing order; blocks are _blocks'.
     """
-    corner = np.array([g.ox.min(), g.oy.min()])
-    cells = np.floor((np.column_stack([g.ox, g.oy]) - corner) / h
-                     ).astype(np.int64)
+    corner = g.mid.min(axis=0)
+    cells = np.floor((g.mid - corner) / h).astype(np.int64)
     top = cells.max(axis=0)
     # a near sample's ranges span cell rows -2 .. top + 2 at most, and ny
     # counts those rows: no range runs into the next column
@@ -284,7 +285,7 @@ def _run_pairs(pts, rows, start, size, centre, keep):
         yield from _blocks(r[ri], start[b], size[b])
 
 
-def _chord_runs(g: ChordColumns, reach, pts, rows, length):
+def _chord_runs(g: RegionChords, reach, pts, rows, length):
     """The samples rows paired with the chords of every run of `length`
     chords that can span them.
 
@@ -296,7 +297,7 @@ def _chord_runs(g: ChordColumns, reach, pts, rows, length):
     A run with |(p - o_b).t_b| above that plus its largest reach spans
     no chord at p, and is skipped.
     """
-    start, size, mid, radius = _runs(g.ox, g.oy, length)
+    start, size, mid, radius = _runs(*g.mid.T, length)
     turn = _runs(g.cos, g.sin, length)[3]
     # lift + |p - o_b| tilt is the bound, R_b + reach + |p - o_b| D_b,
     # plus _RUN_SLACK (|p - o_b| + R_b + reach)
@@ -307,7 +308,7 @@ def _chord_runs(g: ChordColumns, reach, pts, rows, length):
     def keep(dx, dy):
         return np.abs(dx * co + dy * si) <= lift + np.hypot(dx, dy) * tilt
 
-    return _run_pairs(pts, rows, start, size, (g.ox[mid], g.oy[mid]), keep)
+    return _run_pairs(pts, rows, start, size, g.mid[mid].T, keep)
 
 
 def _node_runs(nodes, pts, rows, length):
@@ -355,12 +356,12 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     if tol is not None and not (is_finite_real(tol) and tol >= 0.0):
         raise InputError("tolerance must be finite and >= 0, got %r"
                          % (tol,))
-    g = ChordColumns(region)
+    g = region.chords
     # |x| + |y| of a sample plus the chords' largest |ox| + |oy| bounds its
     # projections, finite below the float maximum; summed in eighths, the
     # test cannot overflow
     eighth = 0.125 * np.abs(pts)
-    extent = np.max(0.125 * np.abs(g.ox) + 0.125 * np.abs(g.oy))
+    extent = np.max(np.sum(0.125 * np.abs(g.mid), axis=1))
     huge = np.flatnonzero(eighth[:, 0] + eighth[:, 1] + extent
                           >= 0.125 * np.finfo(float).max)
     if huge.size:
@@ -405,9 +406,10 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
     # the node wedges: samples in no chord's span, at the chords' nodes
     todo = np.flatnonzero(chord < 0)
     if todo.size:
-        nodes = np.column_stack([g.sx, g.sy])
-        if not g.closed:
-            nodes = np.vstack([nodes, (g.ex[-1], g.ey[-1])])
+        sx, sy, ex, ey = g.ends()
+        nodes = np.column_stack([sx, sy])
+        if not region.closed:
+            nodes = np.vstack([nodes, (ex[-1], ey[-1])])
         # a difference from a node is below twice the larger of |p| and
         # the largest node coordinate; under 2**511 its square is finite,
         # so a sample with either at 2**510 or beyond is scaled down
@@ -419,7 +421,7 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
 
         def wedge(i, node):
             """Measure the samples i at their nearest nodes."""
-            if not g.closed:   # nearest an open end: beyond the data
+            if not region.closed:   # nearest an open end: beyond the data
                 inner = (node > 0) & (node < m)
                 i, node = i[inner], node[inner]
             if i.size:
@@ -439,7 +441,7 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
                 first = _best_of_runs(i, k, -_squares(pts, nodes, unit, i, k))
                 wedge(i[first], k[first])
     assigned = chord >= 0
-    chord[assigned] = g.index[chord[assigned]]
+    chord[assigned] = g.indices[chord[assigned]]
     return ComplianceReport(chord_index=chord, x_local=out[0],
                             y_local=out[1], margin_lower=out[2],
                             margin_upper=out[3], tol=float(tol))

@@ -243,12 +243,13 @@ def family(c, alpha, beta, p):
 def arcs(c, phi):
     """The arcs A(x; c, phi) as family() members, one per element of phi,
     c broadcasting against it.  The join is at mid-chord, its height NaN:
-    no reader of an arc needs it.  -sin(phi)/c keeps phi's sign of zero."""
+    no reader of an arc needs it.  -sin(phi)/c keeps phi's sign of zero.
+    c, p and the join are read-only broadcast views."""
     phi = np.asarray(phi, dtype=float)
-    c = np.broadcast_to(c, phi.shape)
+    c, p, xj, yj = (np.broadcast_to(v, phi.shape)
+                    for v in (c, math.inf, 0.0, math.nan))
     k = -np.sin(phi) / c
-    return Biarc(c, phi, -phi, k, k, np.full(phi.shape, math.inf),
-                 (np.zeros(phi.shape), np.full(phi.shape, math.nan)))
+    return Biarc(c, phi, -phi, k, k, p, (xj, yj))
 
 
 def family_pieces(members):

@@ -54,7 +54,8 @@ import numpy as np
 from .analysis import Analysis, SplineInput, is_finite_real
 from .compliance import ComplianceReport
 from .errors import EmptySamplesError, InputError, OverrideError, ParseError
-from .regions import ChordColumns, Region, checked_overrides
+from .geometry import member_fields
+from .regions import Region, checked_overrides
 
 PROFILE_VERSION = 1
 BLOCK = 1024    # rows formatted at once: reports, SVG and column files
@@ -302,15 +303,17 @@ def region_report(analysis: Analysis, region: Region) -> dict:
     """JSON-ready report of the analysis and the constructed region; its
     `nodes` and `chords` are Rows, read from their columns."""
     cls, nd, ang = analysis.classification, analysis.nodes, analysis.angles
-    g = ChordColumns(region)
-    head = [g.index, g.c, g.direction, g.ox, g.oy, ang.xi, ang.eta, g.width,
+    g = region.chords
+    head = [g.indices, g.c, g.mu, *g.mid.T, ang.xi, ang.eta, g.width,
             g.estimate]
+    # alpha, beta, a, b, p and the join's x and y, (2, m) each; an arc's
+    # row prints its alpha as phi and skips the rest
+    fields = member_fields(g.members)[1:]
     if g.arc.all():   # arcs only: each boundary is its c and phi
-        chords = Rows("lens", head + [g.c, g.fields[0, 0], g.c,
-                                      g.fields[0, 1]])
+        chords = Rows("lens", head + [g.c, fields[0][0], g.c, fields[0][1]])
     else:
-        chords = Rows("chords", head + [g.c, *(f[0] for f in g.fields), g.c,
-                                        *(f[1] for f in g.fields)],
+        chords = Rows("chords", head + [g.c, *(f[0] for f in fields), g.c,
+                                        *(f[1] for f in fields)],
                       2 * ~g.arc[0] + ~g.arc[1])
     return {
         "version": PROFILE_VERSION,

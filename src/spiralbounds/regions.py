@@ -28,7 +28,8 @@ backwards, so it preserves the direction of monotonicity.
 Every grade's boundaries are biarc-family members: a lens arc
 A(x; c, phi) is the member with omega = 0 and p = inf,
 geometry.arcs(c, phi).  Region.chords keeps them and the chords' other
-arrays as one record, read by ChordColumns for check, SVG and report; its
+arrays as one record, RegionChords, which check, SVG and report read
+directly and which derives the rotations and piece table once; its
 objects are made with geometry.instances, the one bulk constructor, when
 first read, and objects given to a Region are read back with members().
 
@@ -47,7 +48,7 @@ A(0; c, phi) = c tan(phi/2), and the width is the closed form
 c|tan(phi_hi/2) - tan(phi_lo/2)| (for the simple lens
 c|tan(xi/2) + tan(eta/2)|).  The same root bounds a lens arc's distance
 from the chord, so a chord of two arcs has the lens height
-max(-A(0; c, phi_lo), A(0; c, phi_hi), 0) (ChordColumns.lens_height);
+max(-A(0; c, phi_lo), A(0; c, phi_hi), 0) (RegionChords.lens_height);
 a chord with a biarc takes the gap maxima against the chord.
 """
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,10 +83,13 @@ class RegionChord:
 
 @dataclass(eq=False)
 class RegionChords(Sequence):
-    """A region's chords: per chord its 1-based index, c, direction mu,
-    midpoint (m, 2), width and width estimate, and both boundaries' family()
-    members with their arc mask, lower side first.  Its RegionChord items
-    are made from these arrays when first indexed or iterated, then kept."""
+    """A region's chords as columns: per chord its 1-based index, c,
+    direction mu, midpoint (m, 2), width and width estimate, and both
+    boundaries' family() members with their arc mask, shaped (2, m),
+    lower side first.  Made, it derives mu's cos and sin (the rotation of
+    ChordFrame.axes) and the members' family_pieces() as `table`,
+    (8, m, 2).  Its RegionChord items are made from these arrays when
+    first indexed or iterated, then kept."""
 
     indices: np.ndarray   # not `index`, Sequence's method
     c: np.ndarray
@@ -95,6 +99,13 @@ class RegionChords(Sequence):
     estimate: np.ndarray
     members: Biarc
     arc: np.ndarray
+    cos: np.ndarray = field(init=False)
+    sin: np.ndarray = field(init=False)
+    table: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.cos, self.sin = np.cos(self.mu), np.sin(self.mu)
+        self.table = np.moveaxis(np.array(family_pieces(self.members)), 1, 2)
 
     @functools.cached_property
     def _items(self):
@@ -115,61 +126,11 @@ class RegionChords(Sequence):
     def __iter__(self):
         return iter(self._items)
 
-
-@dataclass(frozen=True, eq=False)
-class Region:
-    grade: str  # "simple" | "vertex" | "narrowed"
-    closed: bool
-    chords: RegionChords
-    width: float
-
-    def __post_init__(self):   # RegionChord objects: read their record
-        if not isinstance(self.chords, RegionChords):
-            items = list(self.chords)
-            index, width, estimate, c, mu, *mid = np.array([
-                (ch.index, ch.width, ch.width_estimate, ch.frame.half_length,
-                 ch.frame.direction, *ch.frame.origin) for ch in items]).T
-            sides = [ch.lower for ch in items] + [ch.upper for ch in items]
-            chords = RegionChords(index.astype(int), c, mu, np.transpose(mid),
-                                  width, estimate, *members(sides))
-            chords._items = items
-            object.__setattr__(self, "chords", chords)
-
-
-class ChordColumns:
-    """A region's chords as columns.
-
-    Per chord: its 1-based index, width, width estimate, c, direction,
-    midpoint (ox, oy), the direction's cos and sin (the rotation of
-    ChordFrame.axes), start and end nodes (sx, sy) and (ex, ey).  Per
-    boundary, as [side][chord], lower side first: `arc` marks the arcs,
-    `fields` holds the Biarc fields alpha, beta, a, b, p, join x and y
-    (an arc's phi, then NaN), and `table` the family_pieces() as
-    (8, m, 2).  `closed` says whether the last chord ends at the first
-    one's start.  All are read from Region.chords anew for each
-    construction, `fields`, which only the report reads, when first read.
-    """
-
-    def __init__(self, region: Region):
-        chords = region.chords
-        self.closed, self.index = region.closed, chords.indices
-        self.width, self.estimate = chords.width, chords.estimate
-        self.c, self.direction = chords.c, chords.mu
-        self.ox, self.oy = chords.mid.T
-        self.arc, self._record = chords.arc.reshape(2, -1), chords.members
-        self.table = np.moveaxis(
-            np.reshape(family_pieces(self._record), (8, 2, -1)), 1, 2)
-        self.cos, self.sin = np.cos(self.direction), np.sin(self.direction)
+    def ends(self):
+        """Each chord's start and end node, (sx, sy, ex, ey)."""
         dx, dy = self.c * self.cos, self.c * self.sin
-        self.sx, self.sy = self.ox - dx, self.oy - dy
-        self.ex, self.ey = self.ox + dx, self.oy + dy
-
-    @functools.cached_property
-    def fields(self):
-        """The Biarc fields per side, (7, 2, m): an arc's phi, then NaN."""
-        fields = np.reshape(member_fields(self._record)[1:], (7, 2, -1))
-        fields[1:, self.arc] = math.nan
-        return fields
+        ox, oy = self.mid.T
+        return ox - dx, oy - dy, ox + dx, oy + dy
 
     def lens_height(self):
         """Largest |y| of each chord's lens: the larger gap between a
@@ -188,6 +149,34 @@ class ChordColumns:
             lens[rows] = np.maximum(gap_maxima(chord, upper),
                                     gap_maxima(lower, chord))
         return lens
+
+
+@dataclass(frozen=True, eq=False)
+class Region:
+    grade: str  # "simple" | "vertex" | "narrowed"
+    closed: bool
+    chords: RegionChords
+
+    def __post_init__(self):   # RegionChord objects: read their record
+        if not isinstance(self.chords, RegionChords):
+            items = list(self.chords)
+            index, width, estimate, c, mu, *mid = np.array([
+                (ch.index, ch.width, ch.width_estimate, ch.frame.half_length,
+                 ch.frame.direction, *ch.frame.origin) for ch in items]).T
+            fam, arc = members([ch.lower for ch in items]
+                               + [ch.upper for ch in items])
+            *fields, xj, yj = (np.reshape(v, (2, -1))
+                               for v in member_fields(fam))
+            chords = RegionChords(index.astype(int), c, mu, np.transpose(mid),
+                                  width, estimate, Biarc(*fields, (xj, yj)),
+                                  arc.reshape(2, -1))
+            chords._items = items
+            object.__setattr__(self, "chords", chords)
+
+    @property
+    def width(self) -> float:
+        """The fairness width: the largest of the chords' widths."""
+        return float(np.max(self.chords.width))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +246,7 @@ def _finish(grade: str, analysis: Analysis, widths, members, arc) -> Region:
         q[:m] - padded(q, chords.closed)[2:m + 2])
     return Region(grade, chords.closed, RegionChords(
         np.arange(1, m + 1), chords.c, chords.mu, chords.mid, widths,
-        estimates, members, arc), float(np.max(widths)))
+        estimates, members, arc))
 
 
 def _lens(grade: str, analysis: Analysis, phi_one, phi_two) -> Region:

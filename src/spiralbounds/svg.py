@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import Analysis
 from .geometry import height
 from .profile_io import write_rows
-from .regions import ChordColumns, Region
+from .regions import Region, RegionChords
 
 _STYLES = {
     "chord": 'fill="none" stroke="#999999" stroke-dasharray="%(dash)s"',
@@ -43,7 +43,7 @@ def _fmt(v: float) -> str:
     return "%.10g" % v
 
 
-def _path_rows(g: ChordColumns):
+def _path_rows(g: RegionChords):
     """The values of every chord's chord, lower and upper path, as
     columns, and each chord's template: 4 times the lower boundary's
     straight pieces plus the upper's, a straight first piece counting 2
@@ -52,15 +52,16 @@ def _path_rows(g: ChordColumns):
     cos, sin = g.cos[:, None], g.sin[:, None]
     xj = g.table[1]
     yj = height(g.table, xj)
-    jx = g.ox[:, None] + xj * cos - yj * sin
-    jy = g.oy[:, None] + xj * sin + yj * cos
+    jx = g.mid[:, :1] + xj * cos - yj * sin
+    jy = g.mid[:, 1:] + xj * sin + yj * cos
     k1, k2 = g.table[4], g.table[7]
     with np.errstate(divide="ignore"):
         r1, r2 = 1.0 / np.abs(k1), 1.0 / np.abs(k2)
-    columns = [g.sx, g.sy, g.ex, g.ey]
+    sx, sy, ex, ey = g.ends()
+    columns = [sx, sy, ex, ey]
     for s in (0, 1):
-        columns += [g.sx, g.sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
-                    jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, g.ex, g.ey]
+        columns += [sx, sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
+                    jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, ex, ey]
     straight = 2 * ~np.isfinite(r1) + ~np.isfinite(r2)
     return columns, (4 * straight[:, 0] + straight[:, 1]).tolist()
 
@@ -80,7 +81,7 @@ def _path_templates(style: dict, stroke: str) -> list:
 
 def render_svg(analysis: Analysis, region: Region, path):
     """Write the region, data points, tangents and width labels to `path`."""
-    g = ChordColumns(region)
+    g = region.chords
     pts = analysis.data.points
     tangents = [] if analysis.data.closed else [
         np.array([p, p + c * np.array([math.cos(tau), math.sin(tau)])])
@@ -91,8 +92,8 @@ def render_svg(analysis: Analysis, region: Region, path):
     h = g.lens_height()
     bx = g.c * np.abs(g.cos) + h * np.abs(g.sin)
     by = g.c * np.abs(g.sin) + h * np.abs(g.cos)
-    parts = [np.column_stack([g.ox - bx, g.oy - by]),
-             np.column_stack([g.ox + bx, g.oy + by])] + tangents
+    box = np.column_stack([bx, by])
+    parts = [g.mid - box, g.mid + box] + tangents
     lo = np.min([p.min(axis=0) for p in parts], axis=0)
     hi = np.max([p.max(axis=0) for p in parts], axis=0)
     span = np.maximum(hi - lo, 1e-12)
@@ -107,7 +108,8 @@ def render_svg(analysis: Analysis, region: Region, path):
     dash = "%s %s" % (_fmt(4.0 / scale), _fmt(4.0 / scale))
     style = {cls: _STYLES[cls] % {"dash": dash} for cls in _STYLES}
     paths, kind = _path_rows(g)
-    labels = [tx + scale * g.ox, ty - scale * g.oy - 4.0, g.width]
+    labels = [tx + scale * g.mid[:, 0], ty - scale * g.mid[:, 1] - 4.0,
+              g.width]
 
     with open(path, "w") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n'

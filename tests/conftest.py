@@ -69,6 +69,13 @@ def assert_like_constructed(objects):
             assert getattr(obj, f.name) is value
 
 
+def hand_made(region, chords=None):
+    """A copy of the region given RegionChord objects as a list, its own
+    chords unless others are given, so its record is read from them."""
+    return dataclasses.replace(
+        region, chords=list(region.chords if chords is None else chords))
+
+
 def tangency_residual(c, alpha, beta, a, b) -> float:
     """Residual of the biarc tangency condition; zero for a true biarc."""
     omega = 0.5 * (alpha + beta)

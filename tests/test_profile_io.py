@@ -29,10 +29,10 @@ from spiralbounds.profile_io import (
     save_columns,
     write_columns,
 )
-from spiralbounds.regions import Region, build_region
+from spiralbounds.regions import build_region
 
 from arcspline import arc_spline_dataset, random_arc_spline
-from conftest import profile_dict, sparse_dataset, write_profile
+from conftest import hand_made, profile_dict, sparse_dataset, write_profile
 
 VALID = {
     "version": 1,
@@ -562,7 +562,7 @@ def test_region_report_of_a_built_region_reads_only_the_kept_arrays(
                 list(region.chords)
             text = report_json(region_report(an, region))
         # the objects, once made, report the same
-        copy = dataclasses.replace(region, chords=list(region.chords))
+        copy = hand_made(region)
         assert report_json(region_report(an, copy)) == text
 
 
@@ -571,7 +571,7 @@ def test_region_report_rows_are_the_chord_objects():
     # arcs and biarcs mixed on both sides, are read from their chords
     for an, region in _golden_regions():
         want = report_json(region_report(an, region))
-        copy = dataclasses.replace(region, chords=list(region.chords))
+        copy = hand_made(region)
         assert copy.chords.members is not region.chords.members
         report = region_report(an, copy)
         assert list(report["chords"]) == _chord_dicts(an, region)
@@ -582,8 +582,7 @@ def test_region_report_rows_are_the_chord_objects():
               dataclasses.replace(ch, upper=other.upper)
               for k, (ch, other) in enumerate(zip(narrowed.chords,
                                                   simple.chords))]
-    by_hand = Region(grade="narrowed", closed=False, chords=chords,
-                     width=narrowed.width)
+    by_hand = hand_made(narrowed, chords)
     report = region_report(an, by_hand)
     assert _curve_types(_plain(report)) >= {("biarc", "arc"),
                                             ("arc", "biarc")}

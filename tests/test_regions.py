@@ -9,6 +9,7 @@ contradictions, and the conservative fallback for infeasible corners.
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +18,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spiralbounds import cli, regions
+from spiralbounds import cli, geometry, profile_io, regions
 from spiralbounds.analysis import Classification, SplineInput, analyze
 from spiralbounds.compliance import SPAN_SLACK, check_containment
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
 from spiralbounds.geometry import (Arc, Biarc, curve_eval, curves, gap_maxima,
-                                   height)
+                                   height, member_fields)
 from spiralbounds.profile_io import (load_profile, load_samples,
-                                     region_report, save_columns)
+                                     region_report, report_json,
+                                     save_columns)
 from spiralbounds.regions import (
-    ChordColumns,
+    Region,
     _boundaries,
     build_region,
     checked_overrides,
@@ -41,7 +43,7 @@ from spiralbounds.svg import render_svg
 
 from arcspline import arc_spline_dataset, random_arc_spline
 from logspiral import LogSpiral, spiral_dataset
-from conftest import (assert_like_constructed, reference_narrowed,
+from conftest import (assert_like_constructed, hand_made, reference_narrowed,
                       sparse_dataset)
 
 
@@ -732,8 +734,8 @@ def test_widths_keep_the_symmetries_of_the_data(seed, increasing, n_nodes, s):
 # Chord columns: read from the build's arrays, gathered only by hand
 # ---------------------------------------------------------------------------
 
-COLUMNS = ("index", "width", "estimate", "c", "direction", "ox", "oy",
-           "cos", "sin", "sx", "sy", "ex", "ey", "table")
+COLUMNS = ("indices", "width", "estimate", "c", "mu", "mid", "cos", "sin",
+           "table")
 # profile: the grades it admits
 GOLDEN_GRADES = {
     "circle": ("simple", "vertex", "narrowed"),          # open, constant
@@ -750,28 +752,29 @@ def _golden_region(profile, grade):
     return an, build_region(an, grade, overrides)
 
 
-def by_hand(region):
-    """A copy of the region given its RegionChord objects as a list, so
-    its record is read from them."""
-    return dataclasses.replace(region, chords=list(region.chords))
-
-
 def assert_columns_are_the_gather(region):
     # a region given a list reads its record from those RegionChord
     # objects and keeps them as its items
-    copy = by_hand(region)
+    copy = hand_made(region)
     assert copy.chords.members is not region.chords.members
     assert all(a is b for a, b in zip(copy.chords, region.chords))
-    built, gathered = ChordColumns(region), ChordColumns(copy)
-    assert built.closed == gathered.closed == region.closed
-    assert built.table.shape == (8, len(region.chords), 2)
+    built, gathered = region.chords, copy.chords
+    assert copy.closed == region.closed
+    assert built.table.shape == gathered.table.shape == (8, len(built), 2)
     for name in COLUMNS:
         npt.assert_array_equal(getattr(built, name), getattr(gathered, name),
                                err_msg=name)
-    # the boundaries: both read every curve's fields, an Arc's phi as
-    # its alpha and NaN past it
-    npt.assert_array_equal(gathered.arc, built.arc)
-    npt.assert_array_equal(gathered.fields, built.fields)
+    npt.assert_array_equal(built.ends(), gathered.ends())
+    # the boundaries, (2, m): every field of a biarc, an arc's c and phi
+    # (its alpha) only, as the report prints them; family()'s arcs keep
+    # their own p and join height, arcs() gives inf and NaN
+    arc = built.arc
+    npt.assert_array_equal(gathered.arc, arc)
+    for k, (got, want) in enumerate(zip(member_fields(gathered.members),
+                                        member_fields(built.members))):
+        assert np.shape(got) == np.shape(want) == arc.shape
+        rows = ~arc if k > 1 else np.ones_like(arc)
+        npt.assert_array_equal(got[rows], want[rows], err_msg=str(k))
 
 
 @pytest.mark.parametrize("profile,grade", [
@@ -835,7 +838,7 @@ def test_check_and_svg_of_a_built_region_call_no_pieces(
     assert calls == []
     # the counter sees the gather of a region assembled by hand: one
     # call with every curve, when the region is made
-    ChordColumns(by_hand(region))
+    hand_made(region)
     assert calls == [2 * len(region.chords)]
 
 
@@ -891,20 +894,19 @@ def test_only_the_report_reads_the_boundary_fields(monkeypatch, tmp_path):
     an, region = _golden_region("spiral-grid", "narrowed")
     samples = load_samples(str(GOLDEN / "spiral-grid.txt"))
     calls = []
-    real = regions.member_fields
+    real = geometry.member_fields
 
     def counted(members):
         calls.append(members)
         return real(members)
 
-    monkeypatch.setattr(regions, "member_fields", counted)
+    for module in (geometry, profile_io):
+        monkeypatch.setattr(module, "member_fields", counted)
     check_containment(region, samples)
     render_svg(an, region, str(tmp_path / "region.svg"))
     assert calls == []
     region_report(an, region)
-    g = ChordColumns(region)
-    assert g.fields is g.fields
-    assert len(calls) == 2
+    assert len(calls) == 1 and calls[0] is region.chords.members
 
 
 def test_check_and_svg_follow_replaced_chords(tmp_path):
@@ -926,6 +928,68 @@ def test_check_and_svg_follow_replaced_chords(tmp_path):
         render_svg(an, r, str(path))
         pictures.append(path.read_text())
     assert pictures[0] == pictures[1] != pictures[2]
+
+
+def test_region_width_is_the_largest_chord_width():
+    # the width is read from the chords, so a region whose chords were
+    # replaced reports theirs: spiral-inc's narrowed region with its
+    # simple lenses is as wide as the simple region, not the narrowed one
+    assert [f.name for f in dataclasses.fields(Region)] == [
+        "grade", "closed", "chords"]
+    an, narrowed = _golden_region("spiral-inc", "narrowed")
+    simple = build_region(an, "simple")
+    assert simple.width > narrowed.width
+    for region in (narrowed, simple, hand_made(narrowed, simple.chords),
+                   dataclasses.replace(narrowed, chords=simple.chords)):
+        assert region.width == max(ch.width for ch in region.chords)
+        assert type(region.width) is float
+    assert hand_made(narrowed, simple.chords).width == simple.width
+
+
+def test_a_region_derives_its_pieces_once(monkeypatch, tmp_path):
+    # the rotations and the piece table are made with the record; check,
+    # SVG and report read them and derive none
+    an, region = _golden_region("spiral-grid", "narrowed")
+    samples = load_samples(str(GOLDEN / "spiral-grid.txt"))
+    chords = region.chords
+    table, cos, sin = chords.table, chords.cos, chords.sin
+    assert table.shape == (8, len(chords), 2)
+    npt.assert_array_equal(cos, np.cos(chords.mu))
+    npt.assert_array_equal(sin, np.sin(chords.mu))
+
+    def unmade(*args):
+        raise AssertionError("pieces derived again")
+
+    for module in (geometry, regions):
+        monkeypatch.setattr(module, "family_pieces", unmade)
+    check_containment(region, samples)
+    render_svg(an, region, str(tmp_path / "region.svg"))
+    region_report(an, region)
+    assert chords.table is table and chords.cos is cos and chords.sin is sin
+
+
+@pytest.mark.parametrize("grade", ["vertex", "narrowed"])
+def test_a_checked_and_reported_region_keeps_few_bytes_per_chord(grade):
+    # the log spiral r = 50 exp(-0.05 theta) at 10^4 chords: what a built
+    # region keeps after a check and a report, beyond its analysis
+    m = 10_000
+    spiral = LogSpiral(50.0, -0.05)
+    theta = np.linspace(0.0, 6.0, m + 1)
+    an = analyze(SplineInput(spiral.point(theta),
+                             float(spiral.tangent_angle(theta[0])),
+                             float(spiral.tangent_angle(theta[-1]))))
+    samples = spiral.point(np.linspace(0.0, 6.0, 4 * m))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        region = build_region(an, grade)
+        assert check_containment(region, samples).passed
+        report_json(region_report(an, region))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert region.grade == grade and len(region.chords) == m
+    assert kept <= 300 * m, kept / m
 
 
 # ---------------------------------------------------------------------------
@@ -1019,12 +1083,12 @@ def assert_lens_height_is_gap_maxima(g):
                             ("collinear", "simple")])
 def test_lens_height_closed_form_matches_gap_maxima(profile, grade):
     _, region = _golden_region(profile, grade)
-    assert_lens_height_is_gap_maxima(ChordColumns(region))
-    assert_lens_height_is_gap_maxima(ChordColumns(by_hand(region)))
+    assert_lens_height_is_gap_maxima(region.chords)
+    assert_lens_height_is_gap_maxima(hand_made(region).chords)
 
 
 def test_lens_height_of_fallback_rows(monkeypatch):
-    g = ChordColumns(_fallback_region(monkeypatch))
+    g = _fallback_region(monkeypatch).chords
     assert g.arc.all(axis=0).sum() == 5   # chords 1, 2, 5, 6 and 8
     assert_lens_height_is_gap_maxima(g)
 
@@ -1034,7 +1098,7 @@ def test_grid_cell_bounds_every_lens(monkeypatch):
     # needs H at least each lens's largest |y|, here sampled densely, to
     # within the rounding of the heights, for which the grid leaves room
     for name, region in _built_regions(monkeypatch):
-        g = ChordColumns(region)
+        g = region.chords
         x = g.c[:, None] * np.linspace(-1.0, 1.0, 4001)
         dense = np.max(np.abs(np.concatenate(
             [height(g.table[..., side, None], x) for side in (0, 1)],

@@ -17,7 +17,7 @@ from spiralbounds import profile_io
 from spiralbounds.regions import build_region
 from spiralbounds.svg import render_svg
 
-from conftest import to_global
+from conftest import hand_made, to_global
 from logspiral import LogSpiral, spiral_dataset
 
 
@@ -223,8 +223,8 @@ def test_svg_straight_piece_next_to_an_arc(tmp_path):
     c = ch.frame.half_length
     lower = biarc_from_a(c, -0.1, 0.5, 0.0)
     lower = dataclasses.replace(lower, a=0.0)
-    reg = dataclasses.replace(reg, chords=[dataclasses.replace(
-        ch, lower=lower)] + reg.chords[1:])
+    reg = hand_made(reg, [dataclasses.replace(ch, lower=lower)]
+                    + reg.chords[1:])
     svg = render(tmp_path, an, reg)
     first = ET.fromstring(svg).find(SVG + "g").findall(SVG + "path")[1]
     assert [cmd for cmd, _ in _commands(first.get("d"))[1]] == ["L", "A"]
@@ -302,7 +302,7 @@ def test_svg_region_that_cannot_be_drawn_writes_nothing(tmp_path):
     path = tmp_path / "out.svg"
     path.write_text("before")
     with pytest.raises(AttributeError):
-        reg = dataclasses.replace(reg, chords=reg.chords[:-1] + [
+        reg = hand_made(reg, reg.chords[:-1] + [
             dataclasses.replace(reg.chords[-1], lower=None)])
         render_svg(an, reg, str(path))
     assert path.read_text() == "before"
