@@ -73,7 +73,7 @@ import numpy as np
 
 from .analysis import check_finite_rows, is_finite_real
 from .errors import EmptySamplesError, InputError
-from .geometry import height
+from .geometry import height, take
 from .regions import Region, RegionChords
 
 # Relative slack when deciding whether a projection falls on a chord.
@@ -161,7 +161,7 @@ def _best(g: RegionChords, pts, i, j):
     co, si, c = g.cos[j], g.sin[j], g.c[j]
     x = np.clip(dx * co + dy * si, -c, c)
     y = dy * co - dx * si
-    lower, upper = height(g.table[:, j], x[:, None]).T
+    lower, upper = height(take(g.members, (slice(None), j)), x)
     m_lo, m_up = y - lower, upper - y
     score = np.minimum(m_lo, m_up)
     first = _best_of_runs(i, j, score)

@@ -53,7 +53,8 @@ is the member (alpha, beta, a, b, p) = (phi, -phi, -sin(phi)/c,
 -sin(phi)/c, inf), omega = 0, joined at mid-chord; arcs(c, phi) builds
 it without family().  curves() turns members into Arc and Biarc objects
 and members(), its inverse, turns objects back, so every boundary is
-one record, member fields plus an arc mask, read by family_pieces().
+one record, member fields plus an arc mask.  height() and gap_maxima()
+read members, and take() indexes every field of a record at once.
 
 instances(cls, *columns) is the one bulk constructor of the frozen
 dataclasses here and in regions, which calls it when a region's chords
@@ -169,14 +170,15 @@ def instances(cls, *columns):
     return objs
 
 
-def height(cols, x):
-    """Height over x of the curves with family_pieces() cols, |x| <= c."""
-    c, xj, s1, c1, k1, s2, c2, k2 = cols
-    first = x <= xj
-    u = np.where(first, x + c, x - c)
-    s = np.where(first, s1, s2)
-    co = np.where(first, c1, c2)
-    k = np.where(first, k1, k2)
+def height(members, x):
+    """Height over x of family() members, |x| <= c, x broadcasting
+    against the members' fields: the piece through (-c, 0) covers
+    x <= x_j, the piece through (c, 0) the rest."""
+    first = x <= members.join[0]
+    u = np.where(first, x + members.c, x - members.c)
+    angle = np.where(first, members.alpha, members.beta)
+    s, co = np.sin(angle), np.cos(angle)
+    k = np.where(first, members.a, members.b)
     t = u * (2.0 * s + k * u)
     den = co + np.sqrt(np.maximum(co * co - k * t, 0.0))
     # den vanishes only at a vertical end tangent, where t = 0 as well
@@ -184,24 +186,28 @@ def height(cols, x):
 
 
 def gap_maxima(lo, up):
-    """Largest gap up - lo per row of two piece tables, in closed form.
+    """Largest gap up - lo per pair of members, in closed form.
 
     Inside a pair of pieces the gap is stationary where the tangent sines
     agree; both sines are linear in x, so each pair has one root.  The
     gap is largest at a join or at one of the four roots (clipped into
     the chord); evaluating it elsewhere only adds a smaller candidate.
     """
-    c = lo[0]
-    xs = [lo[1], up[1]]
-    for s_lo, k_lo, end_lo in ((lo[2], lo[4], -c), (lo[5], lo[7], c)):
-        for s_up, k_up, end_up in ((up[2], up[4], -c), (up[5], up[7], c)):
+    # a trailing axis for the six candidates
+    lo, up = take(lo, (..., None)), take(up, (..., None))
+    c = lo.c
+    xs = [lo.join[0], up.join[0]]
+    for s_lo, k_lo, end_lo in ((np.sin(lo.alpha), lo.a, -c),
+                               (np.sin(lo.beta), lo.b, c)):
+        for s_up, k_up, end_up in ((np.sin(up.alpha), up.a, -c),
+                                   (np.sin(up.beta), up.b, c)):
             # s_up + k_up (x - end_up) = s_lo + k_lo (x - end_lo)
             num = s_lo - s_up + k_up * end_up - k_lo * end_lo
             dk = k_up - k_lo
             xs.append(np.divide(num, dk, out=np.zeros_like(num),
                                 where=dk != 0.0))
-    x = np.clip(np.hstack(xs), -c, c)
-    return np.max(height(up, x) - height(lo, x), axis=1)
+    x = np.clip(np.concatenate(xs, axis=-1), -c, c)
+    return np.max(height(up, x) - height(lo, x), axis=-1)
 
 
 def curve_eval(curve, x):
@@ -212,7 +218,7 @@ def curve_eval(curve, x):
         raise DomainError("abscissa outside [-c, c] for c=%g" % c)
     if isinstance(curve, Arc):
         curve = arcs(c, curve.phi)
-    y = height(family_pieces(curve), np.clip(xa, -c, c))
+    y = height(curve, np.clip(xa, -c, c))
     return float(y) if np.ndim(x) == 0 else y
 
 
@@ -236,7 +242,7 @@ def family(c, alpha, beta, p):
     b = (np.sin(beta) + q * so) / c
     # x_j of the module docstring, numerator and denominator divided by p
     xj = c * (q - 1.0 / q) / (q + 1.0 / q + 2.0 * np.cos(0.5 * (alpha - beta)))
-    yj = height(family_pieces(Biarc(c, alpha, beta, a, b, p, (xj, None))), xj)
+    yj = height(Biarc(c, alpha, beta, a, b, p, (xj, None)), xj)
     return Biarc(c, alpha, beta, a, b, p, (xj, yj)), arc
 
 
@@ -252,20 +258,16 @@ def arcs(c, phi):
     return Biarc(c, phi, -phi, k, k, p, (xj, yj))
 
 
-def family_pieces(members):
-    """The two circle pieces of family() members as columns of their
-    shape: c, join abscissa x_j, then sin, cos of the end angle and the
-    curvature of the piece through (-c, 0), covering x <= x_j, then of
-    the piece through (c, 0)."""
-    return (members.c, members.join[0],
-            np.sin(members.alpha), np.cos(members.alpha), members.a,
-            np.sin(members.beta), np.cos(members.beta), members.b)
-
-
 def member_fields(members):
     """c, alpha, beta, a, b, p and the join's x and y of members."""
     return (members.c, members.alpha, members.beta, members.a, members.b,
             members.p, *members.join)
+
+
+def take(members, key):
+    """members with every field indexed by key, as members."""
+    *head, xj, yj = (v[key] for v in member_fields(members))
+    return Biarc(*head, (xj, yj))
 
 
 def curves(members, arc):

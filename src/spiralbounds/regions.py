@@ -29,9 +29,9 @@ Every grade's boundaries are biarc-family members: a lens arc
 A(x; c, phi) is the member with omega = 0 and p = inf,
 geometry.arcs(c, phi).  Region.chords keeps them and the chords' other
 arrays as one record, RegionChords, which check, SVG and report read
-directly and which derives the rotations and piece table once; its
-objects are made with geometry.instances, the one bulk constructor, when
-first read, and objects given to a Region are read back with members().
+directly and which derives the rotations once; its objects are made with
+geometry.instances, the one bulk constructor, when first read, and
+objects given to a Region are read back with members().
 
 A narrowed lower boundary is the member with the start node's floor
 curvature, the upper one the member with the end node's ceiling.  Where
@@ -49,7 +49,7 @@ c|tan(phi_hi/2) - tan(phi_lo/2)| (for the simple lens
 c|tan(xi/2) + tan(eta/2)|).  The same root bounds a lens arc's distance
 from the chord, so a chord of two arcs has the lens height
 max(-A(0; c, phi_lo), A(0; c, phi_hi), 0) (RegionChords.lens_height);
-a chord with a biarc takes the gap maxima against the chord.
+a chord with a biarc takes the gap maxima against the chord, A(x; c, 0).
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ import numpy as np
 from .analysis import Analysis, is_finite_real, padded
 from .errors import ClassificationError, DomainError, OverrideError
 from .geometry import (ANGLE_SLACK, Arc, Biarc, ChordFrame, arcs, curves,
-                       end_parameter, family, family_pieces, gap_maxima,
-                       height, instances, member_fields, members,
-                       start_parameter)
+                       end_parameter, family, gap_maxima, height, instances,
+                       member_fields, members, start_parameter, take)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,9 +86,8 @@ class RegionChords(Sequence):
     direction mu, midpoint (m, 2), width and width estimate, and both
     boundaries' family() members with their arc mask, shaped (2, m),
     lower side first.  Made, it derives mu's cos and sin (the rotation of
-    ChordFrame.axes) and the members' family_pieces() as `table`,
-    (8, m, 2).  Its RegionChord items are made from these arrays when
-    first indexed or iterated, then kept."""
+    ChordFrame.axes).  Its RegionChord items are made from these arrays
+    when first indexed or iterated, then kept."""
 
     indices: np.ndarray   # not `index`, Sequence's method
     c: np.ndarray
@@ -101,11 +99,9 @@ class RegionChords(Sequence):
     arc: np.ndarray
     cos: np.ndarray = field(init=False)
     sin: np.ndarray = field(init=False)
-    table: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.cos, self.sin = np.cos(self.mu), np.sin(self.mu)
-        self.table = np.moveaxis(np.array(family_pieces(self.members)), 1, 2)
 
     @functools.cached_property
     def _items(self):
@@ -137,15 +133,13 @@ class RegionChords(Sequence):
         boundary and the chord.  An arc's |y| peaks at mid-chord, so a
         chord of two arcs takes its lower arc's depth or its upper arc's
         height there, whichever is larger, and at least 0.  A chord with a
-        biarc takes gap_maxima against the chord, a straight piece
-        (sin 0, cos 1, k 0)."""
-        mid = height(self.table, 0.0)
-        lens = np.maximum(np.maximum(-mid[:, 0], mid[:, 1]), 0.0)
+        biarc takes gap_maxima against the chord, the arc A(x; c, 0)."""
+        mid = height(self.members, 0.0)
+        lens = np.maximum(np.maximum(-mid[0], mid[1]), 0.0)
         rows = np.flatnonzero(~self.arc.all(axis=0))
         if rows.size:
-            lower, upper = self.table[:, rows, :1], self.table[:, rows, 1:]
-            chord = np.zeros_like(lower)
-            chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
+            lower, upper = (take(self.members, (s, rows)) for s in (0, 1))
+            chord = arcs(self.c[rows], np.zeros(rows.size))
             lens[rows] = np.maximum(gap_maxima(chord, upper),
                                     gap_maxima(lower, chord))
         return lens
@@ -457,9 +451,8 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
         (table.alpha_hi, table.beta_lo, padded(ranges.upper, closed)[2:m + 2],
          padded(ranges.upper_overridden, closed, (False, False))[2:m + 2]),
         table.mirrored)
-    # one row per chord, a trailing axis for gap_maxima's candidates
-    lower, upper = np.swapaxes(family_pieces(fam[0]), 0, 1)[..., None]
-    return _finish("narrowed", analysis, gap_maxima(lower, upper), *fam)
+    widths = gap_maxima(take(fam[0], 0), take(fam[0], 1))
+    return _finish("narrowed", analysis, widths, *fam)
 
 
 def build_region(analysis: Analysis, grade: str = "auto",

@@ -48,22 +48,22 @@ def _path_rows(g: RegionChords):
     columns, and each chord's template: 4 times the lower boundary's
     straight pieces plus the upper's, a straight first piece counting 2
     and a straight second piece 1."""
-    # the joins, (m, 2) per coordinate: lower boundary, upper boundary
-    cos, sin = g.cos[:, None], g.sin[:, None]
-    xj = g.table[1]
-    yj = height(g.table, xj)
-    jx = g.mid[:, :1] + xj * cos - yj * sin
-    jy = g.mid[:, 1:] + xj * sin + yj * cos
-    k1, k2 = g.table[4], g.table[7]
+    # the joins, (2, m): lower boundary, upper boundary
+    fam = g.members
+    xj = fam.join[0]
+    yj = height(fam, xj)
+    ox, oy = g.mid.T
+    jx = ox + xj * g.cos - yj * g.sin
+    jy = oy + xj * g.sin + yj * g.cos
     with np.errstate(divide="ignore"):
-        r1, r2 = 1.0 / np.abs(k1), 1.0 / np.abs(k2)
+        r1, r2 = 1.0 / np.abs(fam.a), 1.0 / np.abs(fam.b)
     sx, sy, ex, ey = g.ends()
     columns = [sx, sy, ex, ey]
     for s in (0, 1):
-        columns += [sx, sy, r1[:, s], r1[:, s], k1[:, s] > 0.0, jx[:, s],
-                    jy[:, s], r2[:, s], r2[:, s], k2[:, s] > 0.0, ex, ey]
+        columns += [sx, sy, r1[s], r1[s], fam.a[s] > 0.0, jx[s], jy[s],
+                    r2[s], r2[s], fam.b[s] > 0.0, ex, ey]
     straight = 2 * ~np.isfinite(r1) + ~np.isfinite(r2)
-    return columns, (4 * straight[:, 0] + straight[:, 1]).tolist()
+    return columns, (4 * straight[0] + straight[1]).tolist()
 
 
 def _path_templates(style: dict, stroke: str) -> list:

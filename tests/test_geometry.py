@@ -29,7 +29,6 @@ from spiralbounds.geometry import (
     curves,
     end_parameter,
     family,
-    family_pieces,
     instances,
     members,
     start_parameter,
@@ -498,7 +497,7 @@ def test_lens_arc_curvature_keeps_the_sign_of_zero():
     # sign reaches a report or an SVG.
     assert not np.signbit(arcs(1.0, -0.0).a)
     assert np.signbit(family(1.0, -0.0, 0.0, math.inf)[0].a)
-    assert not np.signbit(family_pieces(members([Arc(1.0, -0.0)])[0])[4])
+    assert not np.signbit(members([Arc(1.0, -0.0)])[0].a)
 
 
 def test_members_invert_curves():

@@ -12,6 +12,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,8 +23,8 @@ from spiralbounds import cli, geometry, profile_io, regions
 from spiralbounds.analysis import Classification, SplineInput, analyze
 from spiralbounds.compliance import SPAN_SLACK, check_containment
 from spiralbounds.errors import ClassificationError, DataError, OverrideError
-from spiralbounds.geometry import (Arc, Biarc, curve_eval, curves, gap_maxima,
-                                   height, member_fields)
+from spiralbounds.geometry import (Arc, Biarc, arcs, curve_eval, curves,
+                                   gap_maxima, height, member_fields, take)
 from spiralbounds.profile_io import (load_profile, load_samples,
                                      region_report, report_json,
                                      save_columns)
@@ -730,12 +731,127 @@ def test_widths_keep_the_symmetries_of_the_data(seed, increasing, n_nodes, s):
         npt.assert_allclose(scaled[grade], s * w, rtol=1e-9, atol=0.0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pieces=st.integers(1, 6),
+       n_nodes=st.integers(4, 20), increasing=st.booleans(),
+       k=st.integers(-8, 8), turn=st.floats(-math.pi, math.pi),
+       shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+def test_arc_spline_widths_keep_the_symmetries_of_the_data(
+        seed, pieces, n_nodes, increasing, k, turn, shift):
+    # on arc-spline data at the simple and narrowed grades: scaling by
+    # 2^k scales every chord width exactly, a rigid motion keeps them to
+    # 1e-9 relative, and mirroring (y -> -y, tangents negated) keeps them
+    # and swaps the direction of the curvature.  The widths of coincident
+    # boundaries (one arc through four nodes) are rounding, which the
+    # atol admits
+    rng = np.random.default_rng(seed)
+    spline = random_arc_spline(rng, pieces, increasing)
+    pts, t0, t1, _ = arc_spline_dataset(rng, spline, n_nodes)
+
+    def built(points, tau_start, tau_end):
+        an = analyze(SplineInput(points, tau_start, tau_end))
+        return an.classification, {
+            grade: build_region(an, grade).chords.width
+            for grade in ("simple", "narrowed")}
+
+    cls, base = built(pts, t0, t1)
+    assume(cls.kind == "spiral")
+    c = 0.5 * np.hypot(*np.diff(pts, axis=0).T)
+    scaled = built(2.0 ** k * pts, t0, t1)[1]
+    rot = np.array([[math.cos(turn), math.sin(turn)],
+                    [-math.sin(turn), math.cos(turn)]])
+    moved = built(pts @ rot + shift, t0 + turn, t1 + turn)[1]
+    mirror_cls, mirrored = built(pts * [1.0, -1.0], -t0, -t1)
+    swap = {"increasing": "decreasing", "decreasing": "increasing",
+            "constant": "constant"}
+    assert mirror_cls.kind == "spiral"
+    assert mirror_cls.direction == swap[cls.direction]
+    for grade, w in base.items():
+        npt.assert_array_equal(scaled[grade], 2.0 ** k * w, err_msg=grade)
+        for other in (moved, mirrored):
+            npt.assert_allclose(other[grade], w, rtol=1e-9,
+                                atol=1e-12 * np.max(c), err_msg=grade)
+
+
+def _mp_gap_maxima(chords):
+    """Per chord the largest gap between its upper and lower boundary,
+    to 50 digits and by rules of its own: a piece's height from the
+    circle relation sin(theta(x)) = sin(theta_e) + k (x - x_e), and on
+    each stretch between the joins the ends and a root of the slope
+    gap, found by mpmath's findroot."""
+    def piece(theta, k, end):
+        s_e, c_e = mpmath.sin(theta), mpmath.cos(theta)
+
+        def sine(x):
+            return s_e + k * (x - end)
+
+        def y(x):
+            if k == 0:
+                return s_e / c_e * (x - end)
+            return (c_e - mpmath.sqrt(1 - sine(x) ** 2)) / k
+
+        def slope(x):
+            return sine(x) / mpmath.sqrt(1 - sine(x) ** 2)
+        return y, slope
+
+    out = []
+    with mpmath.workdps(50):
+        for k in range(len(chords)):
+            c = mpmath.mpf(float(chords.c[k]))
+            sides = []
+            for side in (0, 1):
+                fam = take(chords.members, (side, k))
+                v = [mpmath.mpf(float(f)) for f in
+                     (fam.alpha, fam.beta, fam.a, fam.b, fam.join[0])]
+                sides.append((v[4], piece(v[0], v[2], -c),
+                              piece(v[1], v[3], c)))
+            cuts = sorted({-c, c} | {min(max(xj, -c), c)
+                                     for xj, _, _ in sides})
+            best = -mpmath.inf
+            for left, right in zip(cuts[:-1], cuts[1:]):
+                mid = (left + right) / 2
+                (lo, d_lo), (up, d_up) = (
+                    first if mid <= xj else second
+                    for xj, first, second in sides)
+
+                def gap(x):
+                    return up(x) - lo(x)
+
+                def slope_gap(x):
+                    return d_up(x) - d_lo(x)
+                xs = [left, right]
+                if slope_gap(left) > 0 > slope_gap(right):
+                    xs.append(mpmath.findroot(slope_gap, (left, right),
+                                              solver="illinois"))
+                best = max([best] + [gap(x) for x in xs])
+            out.append(best)
+    return out
+
+
+def test_widths_are_the_largest_gap_to_50_digits():
+    # the narrowed widths of the golden regions (spiral-dec mirrored) and
+    # of arc-spline draws, whose simple lenses are checked too, each
+    # within 1e-12 c of the true largest gap, from above and below
+    regions = [_golden_region(name, "narrowed")[1]
+               for name in ("spiral-inc", "spiral-dec", "overrides")]
+    rng = np.random.default_rng(2024)
+    for pieces, increasing in ((3, True), (5, False), (2, True)):
+        spline = random_arc_spline(rng, pieces, increasing)
+        an = analyze(SplineInput(*arc_spline_dataset(rng, spline, 10)[:3]))
+        assert an.classification.kind == "spiral"
+        regions += [simple_region(an), narrowed_region(an)]
+    assert any(not r.chords.arc.all() for r in regions)
+    for region in regions:
+        g = region.chords
+        true = np.array([float(v) for v in _mp_gap_maxima(g)])
+        npt.assert_array_less(np.abs(g.width - true), 1e-12 * g.c)
+
+
 # ---------------------------------------------------------------------------
 # Chord columns: read from the build's arrays, gathered only by hand
 # ---------------------------------------------------------------------------
 
-COLUMNS = ("indices", "width", "estimate", "c", "mu", "mid", "cos", "sin",
-           "table")
+COLUMNS = ("indices", "width", "estimate", "c", "mu", "mid", "cos", "sin")
 # profile: the grades it admits
 GOLDEN_GRADES = {
     "circle": ("simple", "vertex", "narrowed"),          # open, constant
@@ -760,7 +876,6 @@ def assert_columns_are_the_gather(region):
     assert all(a is b for a, b in zip(copy.chords, region.chords))
     built, gathered = region.chords, copy.chords
     assert copy.closed == region.closed
-    assert built.table.shape == gathered.table.shape == (8, len(built), 2)
     for name in COLUMNS:
         npt.assert_array_equal(getattr(built, name), getattr(gathered, name),
                                err_msg=name)
@@ -900,8 +1015,9 @@ def test_only_the_report_reads_the_boundary_fields(monkeypatch, tmp_path):
         calls.append(members)
         return real(members)
 
-    for module in (geometry, profile_io):
-        monkeypatch.setattr(module, "member_fields", counted)
+    # geometry.take reads the fields through member_fields too: count
+    # only the report's reads
+    monkeypatch.setattr(profile_io, "member_fields", counted)
     check_containment(region, samples)
     render_svg(an, region, str(tmp_path / "region.svg"))
     assert calls == []
@@ -946,26 +1062,19 @@ def test_region_width_is_the_largest_chord_width():
     assert hand_made(narrowed, simple.chords).width == simple.width
 
 
-def test_a_region_derives_its_pieces_once(monkeypatch, tmp_path):
-    # the rotations and the piece table are made with the record; check,
-    # SVG and report read them and derive none
+def test_a_region_derives_its_pieces_once(tmp_path):
+    # the rotations are made with the record; check, SVG and report
+    # reuse them
     an, region = _golden_region("spiral-grid", "narrowed")
     samples = load_samples(str(GOLDEN / "spiral-grid.txt"))
     chords = region.chords
-    table, cos, sin = chords.table, chords.cos, chords.sin
-    assert table.shape == (8, len(chords), 2)
+    cos, sin = chords.cos, chords.sin
     npt.assert_array_equal(cos, np.cos(chords.mu))
     npt.assert_array_equal(sin, np.sin(chords.mu))
-
-    def unmade(*args):
-        raise AssertionError("pieces derived again")
-
-    for module in (geometry, regions):
-        monkeypatch.setattr(module, "family_pieces", unmade)
     check_containment(region, samples)
     render_svg(an, region, str(tmp_path / "region.svg"))
     region_report(an, region)
-    assert chords.table is table and chords.cos is cos and chords.sin is sin
+    assert chords.cos is cos and chords.sin is sin
 
 
 @pytest.mark.parametrize("grade", ["vertex", "narrowed"])
@@ -989,7 +1098,7 @@ def test_a_checked_and_reported_region_keeps_few_bytes_per_chord(grade):
     finally:
         tracemalloc.stop()
     assert region.grade == grade and len(region.chords) == m
-    assert kept <= 300 * m, kept / m
+    assert kept <= 200 * m, kept / m
 
 
 # ---------------------------------------------------------------------------
@@ -1066,9 +1175,8 @@ def test_built_objects_cover_arcs_and_biarcs(monkeypatch):
 def assert_lens_height_is_gap_maxima(g):
     """lens_height against gap_maxima of each boundary and the chord on
     every row: within 4 ulp on rows of two arcs, bit-equal elsewhere."""
-    lower, upper = g.table[..., :1], g.table[..., 1:]
-    chord = np.zeros_like(lower)
-    chord[0], chord[3], chord[6] = lower[0], 1.0, 1.0
+    lower, upper = take(g.members, 0), take(g.members, 1)
+    chord = arcs(g.c, np.zeros_like(g.c))
     want = np.maximum(gap_maxima(chord, upper), gap_maxima(lower, chord))
     got, arc = g.lens_height(), g.arc.all(axis=0)
     npt.assert_array_max_ulp(got[arc], want[arc], maxulp=4)
@@ -1101,7 +1209,8 @@ def test_grid_cell_bounds_every_lens(monkeypatch):
         g = region.chords
         x = g.c[:, None] * np.linspace(-1.0, 1.0, 4001)
         dense = np.max(np.abs(np.concatenate(
-            [height(g.table[..., side, None], x) for side in (0, 1)],
+            [height(take(g.members, (side, ..., None)), x)
+             for side in (0, 1)],
             axis=1)), axis=1)
         lens = g.lens_height()
         assert (dense <= lens + 1e-14 * g.c).all(), name

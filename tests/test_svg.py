@@ -11,8 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from spiralbounds.analysis import SplineInput, analyze
-from spiralbounds.geometry import (Biarc, biarc_from_a, curve_eval,
-                                   family_pieces, members)
+from spiralbounds.geometry import (Biarc, biarc_from_a, curve_eval, members,
+                                   take)
 from spiralbounds import profile_io
 from spiralbounds.regions import build_region
 from spiralbounds.svg import render_svg
@@ -170,14 +170,14 @@ def _assert_exact(region, text):
             start, cmds = _commands(path.get("d"))
             npt.assert_allclose(start, nodes[0], atol=atol)
             npt.assert_allclose(cmds[-1][1][-2:], nodes[1], atol=atol)
-            p = [v[0] for v in family_pieces(members([curve])[0])]
-            xj = p[1]
+            fam = take(members([curve])[0], 0)
+            xj = fam.join[0]
             join = to_global(frame, [xj, curve_eval(curve, xj)])
             npt.assert_allclose(cmds[0][1][-2:], join, atol=atol)
             assert len(cmds) == 2
             for (cmd, v), xs, kappa in zip(
                     cmds, (np.linspace(-c, xj, 33), np.linspace(xj, c, 33)),
-                    (p[4], p[7])):
+                    (fam.a, fam.b)):
                 end = np.array(v[-2:])
                 on = to_global(frame, np.column_stack(
                     [xs, curve_eval(curve, xs)])) - start
