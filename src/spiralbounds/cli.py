@@ -25,8 +25,6 @@ from .profile_io import (compliance_report_dict, load_profile, load_samples,
                          region_report, report_json, save_columns,
                          write_columns)
 from .regions import build_region
-from .splinefit import cubic_spline_fixture
-from .svg import render_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,6 +95,7 @@ def cmd_analyze(args) -> int:
     region = build_region(analysis, args.grade, overrides)
     # side output first: a failure there exits 3 with nothing on stdout
     if args.svg:
+        from .svg import render_svg   # not at start-up: few calls draw
         render_svg(analysis, region, args.svg)
     print(report_json(region_report(analysis, region)))
     return 0
@@ -115,6 +114,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_spline_fixture(args) -> int:
+    from .splinefit import cubic_spline_fixture   # not at start-up either
     data, _ = load_profile(args.profile, args.degrees)
     samples = cubic_spline_fixture(data, args.samples_per_chord)
     if args.output:

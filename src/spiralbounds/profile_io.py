@@ -28,8 +28,12 @@ each Rows made a list.  json's indent path costs a generator frame per
 value, so the long lists (nodes, chords, violations) are Rows: row
 dicts kept as columns, written BLOCK rows at a time without making the
 dicts.  Each kind of row is a % template, laid out once by json.dumps
-of a row of placeholders; fill() puts a block's values, each column
-formatted by one map(float.__repr__), into the templates with one %.
+of a row of placeholders; fill() puts a block's values into the
+templates with one %.  _floats formats a block's float column by one
+orjson.dumps, whose shortest digits are repr's; its text is put in
+repr's form with str.replace, an exponent taking a sign and at least two
+digits (1e+16, 1e-06), and in the rare cases that replace cannot mend,
+token by token.
 The arc mask, not the grade, picks the chords' layout: short "lens"
 rows where every boundary is an arc, else a "chords" kind per row.
 
@@ -45,11 +49,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from collections.abc import Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .analysis import Analysis, SplineInput, is_finite_real
 from .compliance import ComplianceReport
@@ -171,7 +177,7 @@ def load_samples(path) -> np.ndarray:
         raise EmptySamplesError("sample file %s is empty" % path)
     if stripped[0] == "[":
         try:
-            rows = json.loads(text)
+            rows = _decode(text)
         except json.JSONDecodeError as exc:
             raise ParseError("sample file %s is not valid JSON: %s"
                              % (path, exc)) from exc
@@ -201,6 +207,21 @@ def load_samples(path) -> np.ndarray:
     if pts.size == 0:
         raise EmptySamplesError("sample file %s holds no samples" % path)
     return pts
+
+
+def _decode(text):
+    """json.loads(text), by orjson where it reads the text.
+
+    orjson reads a number as json does once it is made a float (an
+    integer past 64 bits comes as the nearest float).  It refuses the
+    NaN and Infinity literals and numbers past the float range, which
+    json reads as nan and inf, and its errors are worded otherwise; on
+    any error json reads the text again, for its value or its error.
+    """
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
 
 
 def fill(templates, values, kind) -> str:
@@ -357,8 +378,7 @@ def report_json(report: dict) -> str:
     return _json(report, 0)
 
 
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-            float: lambda v: _floats([v])[0]}
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _json(value, depth):
@@ -372,9 +392,12 @@ def _json(value, depth):
         items, ends = [encode_basestring_ascii(key) + ": " + _json(
             v, depth + 1) for key, v in value.items()], "{}"
     elif isinstance(value, (list, tuple)):
-        items, ends = (_floats(value) if all(isinstance(v, float)
-                                             for v in value)
+        # orjson takes no float subclass, such as np.float64
+        items, ends = (_floats(list(map(float, value)))
+                       if all(isinstance(v, float) for v in value)
                        else [_json(v, depth + 1) for v in value]), "[]"
+    elif isinstance(value, float):
+        return _floats([float(value)])[0]
     elif type(value) in _SCALARS:
         return _SCALARS[type(value)](value)
     else:   # None, bool, subclasses, and json's TypeError for the rest
@@ -385,11 +408,45 @@ def _json(value, depth):
 
 
 def _floats(col):
-    text = list(map(float.__repr__, col))
-    return (text if all(map(math.isfinite, col))
-            else [_TOKENS.get(t, t) for t in text])
+    """json.dumps's text of each float of the list col: float.__repr__,
+    NaN and the infinities as json writes them.
+
+    orjson writes the same shortest digits as repr, in repr's form for 0
+    and 1e-4 <= |x| < 1e16.  Outside that range it leaves out the "+"
+    of a positive exponent (1e16) and the 0 that pads a one-digit
+    exponent to two (1e-6; it writes an exponent below 1e-5 only, so
+    e-6 to e-9): both are put back by str.replace on the joined text.
+    It writes [1e-5, 1e-4) in decimal form (0.00001), which takes
+    float.__repr__ token by token, and null for NaN and +-inf, which
+    _TOKENS names by the value's repr.
+    """
+    if not col:
+        return []
+    text = orjson.dumps(col).decode()[1:-1] + ","   # each token ends in ,
+    if "e" in text:
+        if text.count("e") > text.count("e-"):
+            text = text.replace("e", "e+").replace("e+-", "e-")
+        for d in "6789":
+            text = text.replace("e-%s," % d, "e-0%s," % d)
+    if "0.0000" in text:
+        text = _DECIMAL.sub(_decimal, text)
+    tokens = text[:-1].split(",")
+    if "null" in text:
+        tokens = [_TOKENS[float.__repr__(v)] if t == "null" else t
+                  for t, v in zip(tokens, col)]
+    return tokens
 
 
+def _decimal(match):
+    """repr's text of a token orjson wrote as 0.0000d..., left as it is
+    where the match is the tail of a larger number (10.00001)."""
+    i = match.start()
+    if i and match.string[i - 1] not in ",-":
+        return match[0]
+    return float.__repr__(float(match[0]))
+
+
+_DECIMAL = re.compile(r"0\.0000\d+")
 _TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 

@@ -46,10 +46,12 @@ largest gap lies at a join or at such a root.  For the simple and vertex
 regions both boundaries are arcs, that root is mid-chord, where
 A(0; c, phi) = c tan(phi/2), and the width is the closed form
 c|tan(phi_hi/2) - tan(phi_lo/2)| (for the simple lens
-c|tan(xi/2) + tan(eta/2)|).  The same root bounds a lens arc's distance
-from the chord, so a chord of two arcs has the lens height
-max(-A(0; c, phi_lo), A(0; c, phi_hi), 0) (RegionChords.lens_height);
-a chord with a biarc takes the gap maxima against the chord, A(x; c, 0).
+c|tan(xi/2) + tan(eta/2)|).  A narrowed width is at least 0: where the
+two biarcs coincide, rounding alone gives their gap, of either sign.
+The same root bounds a lens arc's distance from the chord, so a chord of
+two arcs has the lens height max(-A(0; c, phi_lo), A(0; c, phi_hi), 0)
+(RegionChords.lens_height); a chord with a biarc takes the gap maxima
+against the chord, A(x; c, 0).
 """
 
 from __future__ import annotations
@@ -451,7 +453,8 @@ def narrowed_region(analysis: Analysis, overrides=None) -> Region:
         (table.alpha_hi, table.beta_lo, padded(ranges.upper, closed)[2:m + 2],
          padded(ranges.upper_overridden, closed, (False, False))[2:m + 2]),
         table.mirrored)
-    widths = gap_maxima(take(fam[0], 0), take(fam[0], 1))
+    # boundaries that coincide can round to a gap below 0
+    widths = np.maximum(gap_maxima(take(fam[0], 0), take(fam[0], 1)), 0.0)
     return _finish("narrowed", analysis, widths, *fam)
 
 

@@ -328,6 +328,44 @@ def test_samples_keep_every_value(tmp_path):
         assert np.signbit(got[0, 1])
 
 
+# numbers at the edges of what a float holds, and texts json refuses:
+# orjson reads the first kind, json reads again what orjson refuses
+EDGE_NUMBERS = ["0", "-0", "0.0", "-0.0", "1e-400", "-1e-400", "5e-324",
+                "2.4703282292062327e-324", "2.4703282292062328e-324",
+                "2.2250738585072011e-308", "1.7976931348623157e308",
+                "1.7976931348623158e308", "1e23", "1E+2", "1.0e-5",
+                "0.1000000000000000055511151231257827021181583404541015625",
+                "9007199254740993", "9007199254740993.0",
+                "1." + "0" * 400 + "1", str(2 ** 63), str(-2 ** 63 - 1),
+                str(2 ** 64), str(2 ** 64 + 1), str(10 ** 30),
+                str(-10 ** 308), "1e400", "-1e400", "NaN", "Infinity",
+                "-Infinity"]
+
+
+@pytest.mark.parametrize("number", EDGE_NUMBERS)
+def test_samples_read_numbers_bit_for_bit_as_json_does(tmp_path, number):
+    path = tmp_path / "samples.json"
+    text = "[[%s, -0.0], [1.5, %s]]" % (number, number)
+    path.write_text(text)
+    want = np.array(json.loads(text), dtype=float)
+    assert load_samples(str(path)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "[[0.0, 1.0],]", "[[0.0, 1.0]] x", "[[0.0, 1.0]", "[[0.0, 1.0], [nan, 1]]",
+    "[[0.0, 1.0], [-, 1]]", "[[0.0, 1.0], [1.e5, 1]]", "[[01, 1]]",
+    "[[0.0, 1.0], [2.0, 3.0]]\x00"])
+def test_samples_json_errors_keep_json_words(tmp_path, text):
+    path = tmp_path / "samples.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(ParseError) as exc:
+        load_samples(str(path))
+    assert str(exc.value) == "sample file %s is not valid JSON: %s" % (
+        path, want.value)
+
+
 def test_samples_empty_rejected(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n")
@@ -445,6 +483,50 @@ def test_report_json_rejects_key_that_is_not_str(key):
     # every report names its fields by str; json.dumps would write 1 as "1"
     with pytest.raises(TypeError, match=r"\bnot %s$" % type(key).__name__):
         report_json({"rows": [{"a": 0.0}, {key: 0.0}]})
+
+
+FLOAT_EDGES = [1e-5, 9.99e-5, 1e-4, 1e15, 1e16, 5e-324, sys.float_info.max]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), max_size=40))
+@example([0.0, -0.0, math.nan, math.inf, -math.inf, *FLOAT_EDGES])
+@example([10.00001, -100.0000123, 5.00000e-7, 7e-5, 1.5e16])
+def test_floats_are_json_dumps(xs):
+    assert profile_io._floats(xs) == [json.dumps(x) for x in xs]
+
+
+def test_floats_are_json_dumps_on_a_million_bit_patterns():
+    rng = np.random.default_rng(20121113)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    edges = np.array(FLOAT_EDGES)
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges[:-1], math.inf)])
+    # the one-digit exponents, which few bit patterns reach
+    spread = 10.0 ** rng.uniform(-12.0, 20.0, 10 ** 4)
+    ends = np.concatenate([edges, spread])
+    # random bits take either sign already
+    for xs in (bits.view(float), np.concatenate([ends, -ends])):
+        xs = xs.tolist()
+        assert profile_io._floats(xs) == json.dumps(xs)[1:-1].split(", ")
+
+
+def test_report_json_is_json_dumps_on_a_fine_oval():
+    # 4000 nodes: every width is about 1e-9, an exponent token
+    t = np.linspace(0.0, 2 * math.pi, 4001)[:-1] + 0.1
+    pts = np.column_stack([np.cos(t) + 0.22 * np.cos(2 * t), np.sin(t)])
+    an = analyze(SplineInput(pts, closed=True))
+    region = build_region(an)
+    assert region.grade == "vertex" and region.width < 1e-8
+    report = region_report(an, region)
+    assert report_json(report) == _dumps(_plain(report))
+
+
+def test_report_json_writes_numpy_floats_as_json_does():
+    values = np.array([0.1, -0.0, 1e-9, 3e-5, 1e20, math.nan, -math.inf])
+    report = {"q": list(values), "max": values[2], "tail": [values[3]]}
+    assert all(type(v) is np.float64 for v in report["q"])
+    assert report_json(report) == _dumps(report)
 
 
 def _plain(report):

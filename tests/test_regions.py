@@ -317,6 +317,19 @@ def test_narrowed_widths_bound_the_dense_gap():
                                                         dense)
 
 
+def test_widths_are_never_negative():
+    # single-arc data: each chord's two boundaries are the one circle, and
+    # only rounding puts a gap between them, of either sign
+    rng = np.random.default_rng(0)
+    pts, t0, t1, _ = arc_spline_dataset(
+        rng, random_arc_spline(rng, 1, False), 15)
+    an = analyze(SplineInput(pts, t0, t1))
+    for grade in ("simple", "vertex", "narrowed"):
+        width = build_region(an, grade).chords.width
+        assert not np.signbit(width).any(), (grade, width.min())
+        assert width.max() < 1e-15, grade
+
+
 def test_narrowed_region_nests_inside_simple():
     for seed in (51, 52, 53, 54):
         an, _ = spiral_analysis(seed)
