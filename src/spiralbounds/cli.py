@@ -22,8 +22,8 @@ from .compliance import check_containment
 from .errors import DataError, InputError
 from .experiments import rounding_experiment
 from .profile_io import (compliance_report_dict, load_profile, load_samples,
-                         region_report, report_json, save_columns,
-                         write_columns)
+                         region_report, save_columns, write_columns,
+                         write_report)
 from .regions import build_region
 
 
@@ -89,6 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(report):
+    """The report on stdout, as print(report_json(report)) writes it."""
+    write_report(sys.stdout, report)
+    sys.stdout.write("\n")
+
+
 def cmd_analyze(args) -> int:
     data, overrides = load_profile(args.profile, args.degrees)
     analysis = analyze(data)
@@ -97,7 +103,7 @@ def cmd_analyze(args) -> int:
     if args.svg:
         from .svg import render_svg   # not at start-up: few calls draw
         render_svg(analysis, region, args.svg)
-    print(report_json(region_report(analysis, region)))
+    _print_report(region_report(analysis, region))
     return 0
 
 
@@ -109,7 +115,7 @@ def cmd_check(args) -> int:
     report = check_containment(region, samples, tol=args.tol)
     if args.curvature_plot:
         save_columns(args.curvature_plot, discrete_curvature_plot(samples))
-    print(report_json(compliance_report_dict(report)))
+    _print_report(compliance_report_dict(report))
     return 0 if report.passed else 1
 
 
@@ -126,13 +132,13 @@ def cmd_spline_fixture(args) -> int:
 
 def cmd_rounding_experiment(args) -> int:
     exp = rounding_experiment()
-    print(report_json({
+    _print_report({
         "target_curvature": exp.target_q,
         "exact_q": list(exp.exact_q),
         "rounded_q": list(exp.rounded_q),
         "max_deviation": exp.max_deviation,
         "trend_sign_changes": exp.trend_sign_changes,
-    }))
+    })
     if args.plot:
         nodes = range(1, len(exp.exact_q) + 1)
         save_columns(args.plot + "-exact.txt", list(zip(nodes, exp.exact_q)))

@@ -24,24 +24,34 @@ must be a number: a boolean, a string or null is a ParseError.
 Reports are JSON dictionaries with str keys, built here so they
 round-trip losslessly; report_json takes nothing else.  It writes a
 report byte for byte as json.dumps(report, indent=2) writes it with
-each Rows made a list.  json's indent path costs a generator frame per
-value, so the long lists (nodes, chords, violations) are Rows: row
-dicts kept as columns, written BLOCK rows at a time without making the
-dicts.  Each kind of row is a % template, laid out once by json.dumps
-of a row of placeholders; fill() puts a block's values into the
-templates with one %.  _floats formats a block's float column by one
-orjson.dumps, whose shortest digits are repr's; its text is put in
-repr's form with str.replace, an exponent taking a sign and at least two
-digits (1e+16, 1e-06), and in the rare cases that replace cannot mend,
-token by token.
+each Rows made a list, and write_report writes the same text to a file
+piece by piece as it is made, so the CLI never holds a whole report.
+json's indent path costs a generator frame per value, so the long lists
+(nodes, chords, violations) are Rows: row dicts kept as columns, written
+BLOCK rows at a time without making the dicts.  A row's kind is laid out
+once by json.dumps of a row of placeholders and cut at them into the
+literal gaps around its values; a block is the gaps of its rows, by
+kind, with each column's tokens put in their places by one strided
+slice, joined once.  _floats writes a block's float column by one
+orjson.dumps, whose shortest digits are repr's, and puts its text in
+repr's form: str.replace gives an exponent its sign and two digits
+(1e+16, 1e-06), and where the text holds a value in [1e-5, 1e-4) or a
+non-finite one, a numpy mask of the values finds those tokens, the
+first mended by slicing (0.00001 to 1e-05).
 The arc mask, not the grade, picks the chords' layout: short "lens"
 rows where every boundary is an arc, else a "chords" kind per row.
+
+Profiles are read by orjson where it reads them as json does: no key
+twice and no integer past 64 bits outside the points; JSON sample files
+are read by orjson too, and checked in one pass when they hold numbers
+only.  Anything else is read by json, so every error keeps its words.
 
 Column files (spline fixtures, curvature plots) hold one "%.17g" per
 value, as np.savetxt writes them.  write_rows is the one block writer
 behind them and the SVG: it fills BLOCK rows of float columns into %
 templates at once, so a file of any length costs one block of text.
-Rows keep their own loop, as they format int and float columns apart.
+Rows keep their own loop, as their numbers are written as json writes
+them, not by a % format.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from collections.abc import Sequence
 from itertools import chain
@@ -94,7 +105,8 @@ def parse_profile(obj, degrees: bool = False):
 
     points = obj.get("points")
     if not (isinstance(points, list)
-            and all(isinstance(p, (list, tuple)) for p in points)):
+            and (set(map(type, points)) <= {list, tuple}
+                 or all(isinstance(p, (list, tuple)) for p in points))):
         raise ParseError("'points' must list [x, y] pairs")
     _require_numbers(points, lambda i: "point %d" % (i + 1))
 
@@ -156,13 +168,53 @@ def _unique_keys(pairs):
 def load_profile(path, degrees: bool = False):
     try:
         with open(path) as fh:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
     except OSError as exc:
         raise ParseError("cannot read profile %s: %s" % (path, exc)) from exc
+    try:
+        obj = _decode_profile(text)
     except json.JSONDecodeError as exc:
         raise ParseError("profile %s is not valid JSON: %s"
                          % (path, exc)) from exc
     return parse_profile(obj, degrees)
+
+
+def _decode_profile(text):
+    """json.loads(text, object_pairs_hook=_unique_keys), by orjson where
+    it reads the text to the same value.
+
+    orjson keeps the last of two equal keys, and reads an integer past 64
+    bits as a float.  Its value is taken only when its dicts hold as many
+    keys as the text has quotes followed by a colon (every key is one,
+    and a '":' in a string only adds to them), so that no key came twice
+    and no dict sits in the points; and when no value outside the points
+    is a float that could be such an integer, as a version, tangent or
+    override prints its value in an error.  Else, or on any orjson
+    error, json reads the text again, for its value or its error.
+    """
+    try:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        obj = None
+    if isinstance(obj, dict):
+        rest = list(_values([v for k, v in obj.items() if k != "points"]))
+        if (len(obj) + sum(len(v) for v in rest if isinstance(v, dict))
+                == len(_KEY.findall(text))
+                and not any(type(v) is float and v.is_integer()
+                            and abs(v) >= 2.0 ** 63 for v in rest)):
+            return obj
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+_KEY = re.compile(r'"\s*:')
+
+
+def _values(value):
+    """The value and every value nested in it, depth first."""
+    yield value
+    if isinstance(value, (dict, list)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _values(v)
 
 
 def load_samples(path) -> np.ndarray:
@@ -181,6 +233,9 @@ def load_samples(path) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise ParseError("sample file %s is not valid JSON: %s"
                              % (path, exc)) from exc
+        pts = _number_pairs(rows, text)
+        if pts is not None:
+            return pts
         # [] passes both tests and is refused below as no samples
         if not (set(map(type, rows)) <= {list}
                 and set(map(len, rows)) <= {2}):
@@ -207,6 +262,23 @@ def load_samples(path) -> np.ndarray:
     if pts.size == 0:
         raise EmptySamplesError("sample file %s holds no samples" % path)
     return pts
+
+
+def _number_pairs(rows, text):
+    """The decoded rows as an (n, 2) float array, n >= 1, in one pass when
+    the text holds no true, false, null, string or object, so that every
+    scalar is a number and only the rows' lengths are left to check; None
+    for anything else, which load_samples checks pass by pass for its
+    error."""
+    if any(c in text for c in 'tfn"{'):
+        return None
+    try:
+        if set(map(len, rows)) != {2}:
+            return None
+        return np.fromiter(chain.from_iterable(rows), float,
+                           2 * len(rows)).reshape(-1, 2)
+    except (OverflowError, TypeError, ValueError):
+        return None
 
 
 def _decode(text):
@@ -268,36 +340,58 @@ class Rows(Sequence):
         return len(self.kind)
 
     def __getitem__(self, i):
-        values = (json.dumps(col[i].item()) for col in self.columns)
-        return json.loads(_templates(self.layout, 0)[self.kind[i]][1:]
-                          % tuple(values))
+        i = range(len(self))[i]   # IndexError past the end
+        row = Rows(self.layout, [col[i:i + 1] for col in self.columns],
+                   self.kind[i:i + 1])
+        return json.loads("".join(row.json(0)))[0]
 
     def json(self, depth):
-        """The text of the rows' list, depth deep, BLOCK rows at a time."""
+        """The text of the rows' list, depth deep, a block of BLOCK rows
+        at a time: the rows' literal gaps, laid out by kind, and the
+        columns' value tokens in their places by strided slices, in one
+        list joined once."""
         if not len(self):
-            return "[]"
-        templates, parts = _templates(self.layout, depth + 1), []
+            yield "[]"
+            return
+        rows, keep = _gaps(self.layout, depth + 1)
+        step = len(rows[0])
         for lo in range(0, len(self), BLOCK):
+            kind = self.kind[lo:lo + BLOCK].tolist()
             text = {id(col): col[lo:lo + BLOCK] for col in self.columns}
             for key, col in text.items():   # each column once
-                text[key] = (_floats(col.tolist()) if col.dtype.kind == "f"
+                text[key] = (_floats(np.ascontiguousarray(col))
+                             if col.dtype.kind == "f"
                              else list(map(int.__repr__, col.tolist())))
-            parts.append(fill(templates, chain.from_iterable(zip(*[
-                text[id(c)] for c in self.columns])),
-                self.kind[lo:lo + BLOCK].tolist()))
-        return "".join(["[", parts[0][1:], *parts[1:], _newline(depth) + "]"])
+            out = (rows[0] * len(kind) if len(rows) == 1 else
+                   list(chain.from_iterable(map(rows.__getitem__, kind))))
+            for j, col in enumerate(self.columns):
+                # a value its row's kind skips is written as ""
+                out[2 * j + 1::step] = (
+                    text[id(col)] if keep[j] is None else
+                    map(operator.mul, text[id(col)],
+                        map(keep[j].__getitem__, kind)))
+            if not lo:   # the list's first row takes "[" for its ","
+                out[0] = "[" + out[0][1:]
+            yield "".join(out)
+        yield _newline(depth) + "]"
 
 
 @functools.cache
-def _templates(layout, depth):
-    """Per kind of the layout, "," and its row laid out depth deep, a %s
-    in each value's place; _PHI's %s is followed by a %.0s for each of
-    the 6 biarc values that an arc's row skips."""
-    nl = _newline(depth)
-    return tuple("," + nl + json.dumps(row, indent=2).replace("%", "%%")
-                 .replace("\n", nl).replace('"\\u0000"', "%s")
-                 .replace('"\\u0001"', "%s" + "%.0s" * 6)
-                 for row in _LAYOUTS[layout])
+def _gaps(layout, depth):
+    """Per kind of the layout, its row laid out depth deep, "," and a
+    newline first, as the list of the literal gaps around its values,
+    each value's place an empty str between them.  Also, per value, None
+    if every kind writes it, else a tuple by kind of whether it does: a
+    "chords" arc's phi is followed by the 6 biarc values that its row
+    skips, each with an empty gap before it."""
+    nl, value = _newline(depth), json.dumps(_V)
+    kinds = [("," + nl + json.dumps(row, indent=2).replace("\n", nl))
+             .replace(json.dumps(_PHI), value * 7).split(value)
+             for row in _LAYOUTS[layout]]
+    keep = [None if all(gap) else tuple(map(bool, gap))
+            for gap in zip(*kinds)]
+    return [list(chain(*zip(gaps, [""] * len(gaps))))[:-1]
+            for gaps in kinds], keep[:-1]
 
 
 _V, _PHI = "\0", "\1"   # a value's place; an arc's phi in "chords"
@@ -375,7 +469,33 @@ def compliance_report_dict(report: ComplianceReport) -> dict:
 def report_json(report: dict) -> str:
     """The report, all keys str, as json.dumps(report, indent=2) writes
     it, each Rows as the list of its rows."""
-    return _json(report, 0)
+    return "".join(_chunks(report))
+
+
+def write_report(fh, report: dict):
+    """Write report_json(report) to fh a piece at a time, as it is made,
+    so the whole text is never held."""
+    for chunk in _chunks(report):
+        fh.write(chunk)
+
+
+def _chunks(report):
+    """report_json's text in pieces: a Rows among the report's items
+    block by block, each other item whole."""
+    if not (isinstance(report, dict) and report):
+        yield _json(report, 0)
+        return
+    _check_keys(report)
+    sep = "{" + _newline(1)
+    for key, value in report.items():
+        head = sep + encode_basestring_ascii(key) + ": "
+        if type(value) is Rows:
+            yield head
+            yield from value.json(1)
+        else:
+            yield head + _json(value, 1)
+        sep = "," + _newline(1)
+    yield "\n}"
 
 
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
@@ -383,16 +503,14 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
 
 def _json(value, depth):
     """json.dumps's text of the value, nested depth deep."""
-    if isinstance(value, Rows):
-        return value.json(depth)
+    if type(value) is Rows:
+        return "".join(value.json(depth))
     if isinstance(value, dict):
-        bad = [type(k).__name__ for k in value if not isinstance(k, str)]
-        if bad:
-            raise TypeError("report keys must be str, not %s" % bad[0])
+        _check_keys(value)
         items, ends = [encode_basestring_ascii(key) + ": " + _json(
             v, depth + 1) for key, v in value.items()], "{}"
     elif isinstance(value, (list, tuple)):
-        # orjson takes no float subclass, such as np.float64
+        # exact floats: orjson takes no float subclass but numpy's
         items, ends = (_floats(list(map(float, value)))
                        if all(isinstance(v, float) for v in value)
                        else [_json(v, depth + 1) for v in value]), "[]"
@@ -407,46 +525,55 @@ def _json(value, depth):
                      _newline(depth), ends[1]]) if items else ends)
 
 
+def _check_keys(obj):
+    bad = [type(k).__name__ for k in obj if not isinstance(k, str)]
+    if bad:
+        raise TypeError("report keys must be str, not %s" % bad[0])
+
+
 def _floats(col):
-    """json.dumps's text of each float of the list col: float.__repr__,
-    NaN and the infinities as json writes them.
+    """json.dumps's text of each float of col, a list or a C-contiguous
+    array: float.__repr__, NaN and the infinities as json writes them.
 
     orjson writes the same shortest digits as repr, in repr's form for 0
     and 1e-4 <= |x| < 1e16.  Outside that range it leaves out the "+"
     of a positive exponent (1e16) and the 0 that pads a one-digit
     exponent to two (1e-6; it writes an exponent below 1e-5 only, so
     e-6 to e-9): both are put back by str.replace on the joined text.
-    It writes [1e-5, 1e-4) in decimal form (0.00001), which takes
-    float.__repr__ token by token, and null for NaN and +-inf, which
-    _TOKENS names by the value's repr.
+    It writes [1e-5, 1e-4) in decimal form, 0.0000 and the digits, and
+    null for NaN and +-inf; where the text holds either, a numpy mask of
+    the values finds their tokens: _mend_band puts the first in repr's
+    form, and _TOKENS names the second by their repr.
     """
-    if not col:
+    if not len(col):
         return []
-    text = orjson.dumps(col).decode()[1:-1] + ","   # each token ends in ,
+    text = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    text = text[1:-1] + ","   # each token ends in ,
     if "e" in text:
         if text.count("e") > text.count("e-"):
             text = text.replace("e", "e+").replace("e+-", "e-")
         for d in "6789":
             text = text.replace("e-%s," % d, "e-0%s," % d)
-    if "0.0000" in text:
-        text = _DECIMAL.sub(_decimal, text)
     tokens = text[:-1].split(",")
+    if "0.0000" in text:
+        _mend_band(tokens, np.asarray(col, dtype=float))
     if "null" in text:
-        tokens = [_TOKENS[float.__repr__(v)] if t == "null" else t
-                  for t, v in zip(tokens, col)]
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            tokens[i] = _TOKENS[float.__repr__(float(col[i]))]
     return tokens
 
 
-def _decimal(match):
-    """repr's text of a token orjson wrote as 0.0000d..., left as it is
-    where the match is the tail of a larger number (10.00001)."""
-    i = match.start()
-    if i and match.string[i - 1] not in ",-":
-        return match[0]
-    return float.__repr__(float(match[0]))
+def _mend_band(tokens, values):
+    """Rewrite the tokens of the values in [1e-5, 1e-4) by slicing, from
+    orjson's [-]0.0000ddd to repr's [-]d.dde-05 (de-05 for one digit)."""
+    mag = np.abs(values)
+    for i in np.flatnonzero((mag >= 1e-5) & (mag < 1e-4)).tolist():
+        t = tokens[i]
+        k = 7 if t[0] == "-" else 6   # the first digit, after [-]0.0000
+        tokens[i] = (f"{t[:k - 6]}{t[k]}.{t[k + 1:]}e-05" if len(t) > k + 1
+                     else f"{t[:k - 6]}{t[k]}e-05")
 
 
-_DECIMAL = re.compile(r"0\.0000\d+")
 _TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 

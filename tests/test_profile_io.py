@@ -1,8 +1,10 @@
 """Profile parsing, sample files, and report serialization."""
 
 import dataclasses
+import io
 import json
 import math
+import operator
 import sys
 import tracemalloc
 from pathlib import Path
@@ -28,11 +30,13 @@ from spiralbounds.profile_io import (
     report_json,
     save_columns,
     write_columns,
+    write_report,
 )
 from spiralbounds.regions import build_region
 
 from arcspline import arc_spline_dataset, random_arc_spline
 from conftest import hand_made, profile_dict, sparse_dataset, write_profile
+from logspiral import LogSpiral
 
 VALID = {
     "version": 1,
@@ -190,6 +194,90 @@ def test_load_profile_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ParseError):
         load_profile(str(p))
+
+
+def _load_by_json(path):
+    """load_profile as json alone reads the file: json.loads with the
+    repeated-key hook, then parse_profile."""
+    text = Path(path).read_text()
+    try:
+        obj = json.loads(text, object_pairs_hook=profile_io._unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError("profile %s is not valid JSON: %s"
+                         % (path, exc)) from exc
+    return parse_profile(obj)
+
+
+VALID_TEXT = json.dumps(dict(VALID, curvature_overrides={"2": {"a": 0.0}}))
+
+
+@pytest.mark.parametrize("old, new", [
+    # a key named twice: at the top, in tangents, in the overrides, in an
+    # override, and in a dict among the points
+    ('"closed": false', '"closed": false, "closed": true'),
+    ('"start": 0.0', '"start": 0.0, "start": 1.0'),
+    ('{"2": {"a": 0.0}}', '{"2": {"a": 0.0}, "2": {"b": 1.0}}'),
+    ('{"a": 0.0}', '{"a": 0.0, "a": -1.0}'),
+    ("[1.0, 1.0]]", '[1.0, {"x": 1, "x": 2}]]'),
+    # whitespace before the colon, with and without a repeated key
+    ('"closed": false', '"closed" \n\t : false'),
+    ('"closed": false', '"closed"  : false, "closed"\n: true'),
+    # a quote and a colon inside a string, with and without a repeated key
+    ('"closed": false', '"closed": "no\\": really"'),
+    ('{"a": 0.0}', '{"a": "x\\":", "a": 0.0}'),
+    # integers past 64 bits, which orjson reads as floats
+    ('"version": 1', '"version": %d' % (2 ** 64 + 1)),
+    ('"version": 1', '"version": %d' % (-2 ** 63 - 1)),
+    ('"end": 1.5707963267948966', '"end": %d' % (2 ** 64 + 1)),
+    ('{"a": 0.0}', '{"a": %d}' % 10 ** 30),
+    ('"version": 1', '"version": 1e19'),
+    # literals orjson refuses: json reads them as nan and inf
+    ('"start": 0.0', '"start": NaN'),
+    ('"start": 0.0', '"start": 1e400'),
+    ('{"a": 0.0}', '{"a": -Infinity}'),
+    ("[1.0, 1.0]]", "[1.0, 1e400]]"),
+    # the points, read as json reads them
+    ("[1.0, 1.0]]", "[1.0, %d]]" % (2 ** 64 + 1)),
+    ("[1.0, 1.0]]", "[1.0, %d]]" % 10 ** 400),
+    ("[1.0, 1.0]]", "[1.0, true]]"),
+    ("[1.0, 1.0]]", "[1.0, 1.0], 7]"),
+    ('"closed": false', '"closed": false,'),
+], ids=["top", "tangents", "overrides", "override", "in-points",
+        "space", "space-twice", "quote-colon", "quote-colon-twice",
+        "version-2^64+1", "version-below-int64", "tangent-2^64+1",
+        "override-1e30", "version-1e19", "nan", "1e400", "infinity",
+        "point-1e400", "point-2^64+1", "point-10^400", "point-true",
+        "point-bare", "trailing-comma"])
+def test_load_profile_reads_as_json_does_word_for_word(tmp_path, old, new):
+    # orjson reads profiles where it reads them as json does; each text
+    # here loads to json's value or fails with json's words
+    assert old in VALID_TEXT
+    path = tmp_path / "profile.json"
+    path.write_text(VALID_TEXT.replace(old, new, 1))
+    try:
+        want = _load_by_json(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_profile(str(path))
+        assert str(got.value) == str(exc)
+    else:
+        data, overrides = load_profile(str(path))
+        assert data.points.tobytes() == want[0].points.tobytes()
+        assert (data.tau_start, data.tau_end, data.closed) == (
+            want[0].tau_start, want[0].tau_end, want[0].closed)
+        assert overrides == want[1]
+
+
+def test_load_profile_reads_every_golden_profile_as_json_does():
+    for path in sorted(GOLDEN.glob("*.json")):
+        if path.name.endswith(".expected.json"):
+            continue
+        data, overrides = load_profile(str(path))
+        want, want_overrides = _load_by_json(path)
+        assert data.points.tobytes() == want.points.tobytes()
+        assert (data.tau_start, data.tau_end) == (want.tau_start,
+                                                  want.tau_end)
+        assert overrides == want_overrides
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +599,67 @@ def test_floats_are_json_dumps_on_a_million_bit_patterns():
         assert profile_io._floats(xs) == json.dumps(xs)[1:-1].split(", ")
 
 
+# dense in [1e-5, 1e-4), which orjson writes as 0.0000ddd, and at the
+# edges of the ranges where orjson's form differs from repr's
+BAND_EDGES = [1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0),
+              np.nextafter(1e-4, 0.0), 1e-4, 3e-5, 1.5e-5, 1e-6,
+              np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, math.inf),
+              0.0, math.nan, math.inf, 5e-324]
+BAND_FLOATS = st.builds(
+    operator.mul,
+    st.one_of(st.floats(1e-5, 1e-4, exclude_max=True),
+              st.sampled_from(BAND_EDGES), st.floats()),
+    st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300)
+@given(st.lists(BAND_FLOATS, max_size=40))
+@example([1e-5, -1e-5, 9.9999e-5, -0.0, 2e-5, -3e-5, math.nan, -math.inf])
+def test_floats_are_json_dumps_in_the_band(xs):
+    want = [json.dumps(x) for x in xs]
+    assert profile_io._floats(xs) == want
+    assert profile_io._floats(np.array(xs, dtype=float)) == want
+
+
+def _curve_row(values, biarc):
+    c, alpha, beta, a, b, p, jx, jy = values
+    if not biarc:
+        return {"type": "arc", "c": c, "phi": alpha}
+    return {"type": "biarc", "c": c, "alpha": alpha, "beta": beta, "a": a,
+            "b": b, "p": p, "join": [jx, jy]}
+
+
+def _chords_row(values, kind):
+    """A row of the "chords" layout as a dict, made without the writer."""
+    index, c, mu, mx, my, xi, eta, width, estimate = values[:9]
+    return {"index": index, "half_length": c, "direction": mu,
+            "midpoint": [mx, my], "xi": xi, "eta": eta, "width": width,
+            "width_estimate": estimate,
+            "lower": _curve_row(values[9:17], kind >= 2),
+            "upper": _curve_row(values[17:], kind % 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), depth=st.integers(0, 3), data=st.data())
+def test_rows_of_mixed_kinds_are_json_dumps(n, depth, data):
+    # arc and biarc boundaries mixed at random, with values in the band,
+    # non-finite and at the edges; the arcs' skipped values too
+    kind = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                       max_size=n)))
+    index = np.array(data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                        min_size=n, max_size=n)))
+    floats = np.array(data.draw(st.lists(BAND_FLOATS, min_size=24 * n,
+                                         max_size=24 * n))).reshape(24, n)
+    rows = Rows("chords", [index, *floats], kind)
+    want = json.dumps([_chords_row([index[i].item(), *floats[:, i].tolist()],
+                                   kind[i]) for i in range(n)], indent=2)
+    want = want.replace("\n", "\n" + "  " * depth)
+    for block in (3, profile_io.BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(profile_io, "BLOCK", block)
+            assert "".join(rows.json(depth)) == want
+
+
 def test_report_json_is_json_dumps_on_a_fine_oval():
     # 4000 nodes: every width is about 1e-9, an exponent token
     t = np.linspace(0.0, 2 * math.pi, 4001)[:-1] + 0.1
@@ -579,6 +728,55 @@ def test_report_json_writes_rows_block_by_block(monkeypatch):
     monkeypatch.setattr(profile_io, "BLOCK", 3)
     assert max(len(r.get("chords", ())) for r in reports) > 3 * 3
     assert [report_json(report) for report in reports] == want
+
+
+def test_write_report_writes_report_json(monkeypatch):
+    reports = list(_golden_reports())
+    reports.append({"q": [0.5, -0.0], "rows": [], "empty": {}})
+    reports.append([])
+    for block in (3, profile_io.BLOCK):
+        monkeypatch.setattr(profile_io, "BLOCK", block)
+        for report in reports:
+            out = io.StringIO()
+            write_report(out, report)
+            assert out.getvalue() == report_json(report)
+
+
+class _Sink:
+    """A text file that keeps only the length of the largest piece
+    written to it."""
+
+    largest = 0
+
+    def write(self, text):
+        self.largest = max(self.largest, len(text))
+
+
+def _write_report_peak(chords):
+    """(traced peak, largest piece) of write_report on the narrowed report
+    of a log spiral of so many chords; the report is made untraced."""
+    sp = LogSpiral(50.0, -0.05)
+    theta = np.linspace(0.0, 6.0, chords + 1)
+    an = analyze(SplineInput(sp.point(theta), float(sp.tangent_angle(0.0)),
+                             float(sp.tangent_angle(6.0))))
+    report = region_report(an, build_region(an, "narrowed"))
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        write_report(sink, report)
+        return tracemalloc.get_traced_memory()[1], sink.largest
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_report_holds_one_block_at_a_time():
+    # a block of 1024 chord rows is about 0.6 MB of text, and the report
+    # of 10^4 chords 7.6 MB: the writer holds one block's text, tokens
+    # and list of pieces at a time, as many at 10^4 chords as at 2048
+    peak, block = _write_report_peak(10 ** 4)
+    assert block >= 0.5e6
+    assert peak <= 8 * block
+    assert peak <= 1.2 * _write_report_peak(2 * profile_io.BLOCK)[0]
 
 
 @settings(max_examples=25, deadline=None)
