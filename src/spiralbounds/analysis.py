@@ -18,8 +18,10 @@ builds the chord quantities the bounding constructions run on:
   * the half-turn admissibility test: at every node both
     c_{j-1} + c_j cos(rho_j) >= 0 and c_j + c_{j-1} cos(rho_j) >= 0,
     which keeps all those angles within [-pi/2, pi/2];
-  * a classification of the q sequence into a spiral (monotone) or a
-    piecewise-spiral with vertex nodes at its strict local extrema.
+  * a classification of the q sequence, each q_j known within e_j: a
+    spiral when one monotone sequence fits every q_j +- e_j, else a
+    piecewise spiral with vertices at the turns of the fewest monotone
+    pieces that fit, each at the first node where it can fall.
 
 Closed data wraps around: P_{N+1} = P_1, no boundary tangents, N chords.
 Every quantity is stored as a column (a numpy array indexed by chord or
@@ -40,7 +42,7 @@ from .errors import (AdjacentVerticesError, DegenerateNodeError,
                      DuplicatePointsError, InputError, MissingTangentsError)
 from .geometry import wrap_angle
 
-# Relative tolerance for "equal" discrete curvatures in classification.
+# A q interval in classification is at least Q_TIE_TOL max|q| wide.
 Q_TIE_TOL = 1e-12
 # Safety factor K of the per-node rounding bound on q (see node_data).
 Q_ERR_FACTOR = 8.0
@@ -113,9 +115,9 @@ class Classification:
     """kind: 'spiral' | 'piecewise' | 'inadmissible'.
 
     direction is set for spirals ('increasing'/'decreasing'/'constant');
-    vertices lists (node index, 'min'|'max') for piecewise data, where a
-    plateau of tied q bounded by opposite trends contributes its first
-    node as the representative vertex.
+    vertices lists (node index, 'min'|'max') for piecewise data: the turns
+    of the sequence through the intervals q_j +- e_j (see classify) with
+    the fewest monotone pieces, each at the first node where it can fall.
     """
 
     kind: str
@@ -271,70 +273,64 @@ def check_lim180(chords: Chords, nodes: Nodes) -> list[Lim180Violation]:
             for j, s in zip(node.tolist(), side.tolist())]
 
 
+def _reach(lo, hi, p, w=8) -> int:
+    """The last k such that a nondecreasing sequence through the intervals
+    [lo, hi] runs from index p to k; the window w doubles, so O(k - p)."""
+    bad = np.flatnonzero(np.maximum.accumulate(lo[p:p + w]) > hi[p:p + w])
+    if bad.size or p + w >= len(lo):
+        return p + int(bad[0]) - 1 if bad.size else len(lo) - 1
+    return _reach(lo, hi, p, 2 * w)
+
+
 def classify(nodes: Nodes, violations: list[Lim180Violation],
              *, closed: bool = False) -> Classification:
     """Spiral vs piecewise-spiral split of the q sequence.
 
-    Monotone (ties allowed) means spiral; otherwise every strict local
-    extremum becomes a vertex.  Neighbours q_j, q_{j+1} tie when they
-    differ by at most Q_TIE_TOL max|q| or by err_j + err_{j+1}, their
-    rounding bounds.  For closed data the sequence is cyclic.
-    Raises AdjacentVerticesError when two vertices have no node between
-    them, which no construction here supports.
+    Node j admits q_j +- e_j, e_j = max(err_j, Q_TIE_TOL max|q| / 2) with
+    err_j its rounding bound.  Spiral means one monotone sequence passes
+    through every interval (for cyclic, closed data a constant one).
+    Raises AdjacentVerticesError when two vertices have no node between.
     """
     if violations:
         return Classification(kind="inadmissible", direction=None,
                               vertices=(), violations=tuple(violations))
-    q = nodes.q
-    n = len(q)
-    # pair j is node j and node j + 1, like chord j; the seam pair of
-    # closed data comes last
-    m = n - (not closed)
-    tie = np.maximum(Q_TIE_TOL * max(float(np.max(np.abs(q))), 1e-300),
-                     padded(nodes.err, closed)[2:m + 2] + nodes.err[:m])
-    brk = np.abs(padded(q, closed)[2:m + 2] - q[:m]) > tie
-    # Plateaus of consecutive tied q, by their first node.
-    starts = np.concatenate([[0], np.nonzero(brk[:n - 1])[0] + 1])
-    values = q[starts]
-    if closed and len(starts) > 1 and not brk[-1]:
-        # One plateau wraps the seam; its first node in cyclic order is
-        # the start of the tail part.
-        starts = np.concatenate([[starts[-1] - n], starts[1:-1]])
-        values = values[:-1]
-
-    if len(starts) == 1:
-        return Classification(kind="spiral", direction="constant",
-                              vertices=(), violations=())
-    # trends[i] joins plateau i to plateau i + 1, like a chord joins two
-    # nodes, so `padded` finds the plateau it ends at.
-    t = len(values) - (not closed)
-    trends = np.where(padded(values, closed)[2:t + 2] > values[:t], 1, -1)
-    if np.all(trends > 0):
-        return Classification(kind="spiral", direction="increasing",
-                              vertices=(), violations=())
-    if np.all(trends < 0):
-        return Classification(kind="spiral", direction="decreasing",
+    q, n = nodes.q, len(nodes.q)
+    e = np.maximum(nodes.err, 0.5 * Q_TIE_TOL * float(np.abs(q).max()))
+    lo, hi = q - e, q + e
+    direction = ("constant" if lo.max() <= hi.min() else None if closed
+                 else "increasing" if np.all(np.maximum.accumulate(lo) <= hi)
+                 else "decreasing" if np.all(np.minimum.accumulate(hi) >= lo)
+                 else None)
+    if direction:
+        return Classification(kind="spiral", direction=direction,
                               vertices=(), violations=())
 
-    # The trends into and out of plateau i; 0 past the open ends, so the
-    # boundary plateaus of open data are never extrema.
-    around = padded(trends, closed, (0, 0))
-    before, after = around[:len(starts)], around[1:len(starts) + 1]
-    is_max = (before > 0) & (after < 0)
-    extremum = is_max | ((before < 0) & (after > 0))
-    idx = starts[extremum] % n + 1
-    order = np.argsort(idx)
-    idx = idx[order]
-    kinds = np.where(is_max[extremum][order], "max", "min")
-    vertices = tuple(zip(idx.tolist(), kinds.tolist()))
-
-    g = len(idx) - (not closed)           # gaps between vertices
-    nxt = padded(idx, closed, (0, 0))[2:g + 2]
-    close = np.nonzero((nxt - idx[:g]) % n < 2)[0]
-    if close.size:
-        k = close[0]
-        raise AdjacentVerticesError(
-            "vertices at nodes %d and %d are adjacent" % (idx[k], nxt[k]))
+    # Alternating runs, each as long as _reach allows and fresh at its
+    # vertex (set to its interval's far end), go backward along `order`
+    # from the last node, so each vertex lands on the first node it can.
+    start, rising, pos, ends = n - 1, True, 0, []
+    if closed:
+        # a node that is always a max vertex: the first of the cyclic
+        # stretch that ends at argmax(lo) with hi >= max(lo); no falling
+        # run passes argmax(lo), so the last run rises into it again
+        back = (np.argmax(lo) - np.arange(n)) % n
+        start = back[np.argmin(hi[back] >= lo.max()) - 1]
+    order = (start - np.arange(n + closed)) % n
+    bounds = {True: (lo[order], hi[order]), False: (-hi[order], -lo[order])}
+    if not closed:
+        # the longer first run; the shorter adds a vertex inside it
+        up, down = _reach(*bounds[True], 0), _reach(*bounds[False], 0)
+        rising, pos = up > down, max(up, down)
+    while pos < n - (not closed):
+        ends.append((int(order[pos]) + 1, "max" if rising else "min"))
+        rising = not rising
+        pos = _reach(*bounds[rising], pos)
+    vertices = tuple(sorted(ends))
+    idx = [j for j, _ in vertices]
+    for j, k in zip(idx, idx[1:] + idx[:closed]):
+        if (k - j) % n < 2:
+            raise AdjacentVerticesError(
+                "vertices at nodes %d and %d are adjacent" % (j, k))
     return Classification(kind="piecewise", direction=None,
                           vertices=vertices, violations=())
 

@@ -168,15 +168,14 @@ def _unique_keys(pairs):
 def load_profile(path, degrees: bool = False):
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            return parse_profile(_decode_profile(fh.read()), degrees)
+    except (OSError, UnicodeError) as exc:
         raise ParseError("cannot read profile %s: %s" % (path, exc)) from exc
-    try:
-        obj = _decode_profile(text)
     except json.JSONDecodeError as exc:
         raise ParseError("profile %s is not valid JSON: %s"
                          % (path, exc)) from exc
-    return parse_profile(obj, degrees)
+    except RecursionError:   # a value nested about 1000 deep
+        raise ParseError("profile %s nests too deeply" % path) from None
 
 
 def _decode_profile(text):
@@ -222,7 +221,7 @@ def load_samples(path) -> np.ndarray:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ParseError("cannot read samples %s: %s" % (path, exc)) from exc
     stripped = text.lstrip()
     if not stripped:
@@ -230,18 +229,22 @@ def load_samples(path) -> np.ndarray:
     if stripped[0] == "[":
         try:
             rows = _decode(text)
+            pts = _number_pairs(rows, text)
+            if pts is not None:
+                return pts
+            # [] passes both tests and is refused below as no samples
+            if not (set(map(type, rows)) <= {list}
+                    and set(map(len, rows)) <= {2}):
+                raise ParseError("sample file %s must hold [x, y] pairs"
+                                 % path)
+            _require_numbers(rows, lambda i: "sample file %s: sample %d"
+                             % (path, i))
         except json.JSONDecodeError as exc:
             raise ParseError("sample file %s is not valid JSON: %s"
                              % (path, exc)) from exc
-        pts = _number_pairs(rows, text)
-        if pts is not None:
-            return pts
-        # [] passes both tests and is refused below as no samples
-        if not (set(map(type, rows)) <= {list}
-                and set(map(len, rows)) <= {2}):
-            raise ParseError("sample file %s must hold [x, y] pairs" % path)
-        _require_numbers(rows, lambda i: "sample file %s: sample %d"
-                         % (path, i))
+        except RecursionError:   # a value nested about 1000 deep
+            raise ParseError("sample file %s nests too deeply"
+                             % path) from None
     else:
         rows = []
         for ln, line in enumerate(text.splitlines(), start=1):

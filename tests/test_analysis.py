@@ -8,6 +8,7 @@ Invariance under rigid motions, scaling, and traversal reversal pins the
 coordinate-free character of every derived quantity.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -292,10 +293,10 @@ def test_right_angle_is_admissible():
 # ---------------------------------------------------------------------------
 
 
-def _nodes(q_list):
+def _nodes(q_list, err=0.0):
     q = np.array(q_list, dtype=float)
     return Nodes(rho=np.zeros_like(q), d=np.ones_like(q), q=q,
-                 err=np.zeros_like(q))
+                 err=np.zeros_like(q) + err)
 
 
 def test_classify_monotone_is_spiral():
@@ -365,20 +366,138 @@ def test_classify_curvature_ties_use_relative_tolerance():
     assert cl.kind == "spiral" and cl.direction == "constant"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "plateaus are compared by their first q, and ties within the rounding "
-    "bounds are not transitive; the fix belongs to ROADMAP direction 3"))
 def test_classify_tie_chain_is_not_a_spiral():
     # each neighbour pair ties within err_j + err_{j+1} = 2e-6, yet node 3
     # sits 3e-6 above node 1 and 2.5e-6 above nodes 4 and 5: the data
     # rises and then falls
     q = 1.0 + np.array([0.0, 1.5e-6, 3e-6, 0.5e-6, 0.5e-6])
-    nodes = Nodes(rho=np.zeros_like(q), d=np.ones_like(q), q=q,
-                  err=np.full_like(q, 1e-6))
-    cl = classify(nodes, [])
+    cl = classify(_nodes(q, 1e-6), [])
     assert cl.kind == "piecewise"
     assert len(cl.vertices) == 1
     assert cl.vertices[0][1] == "max" and cl.vertices[0][0] in (2, 3)
+    # and read backward as the same rise and fall
+    rev = classify(_nodes(-q[::-1], 1e-6), [])
+    assert rev.kind == "piecewise" and rev.vertices[0][1] == "min"
+
+
+def _fewest_pieces(lo, hi):
+    """Brute-force reference for open data: the placements of interior
+    vertices, kinds alternating, that the fewest vertices allow.
+
+    A placement is checked node by node, carrying the values the sequence
+    can take there within [lo, hi]; a vertex takes its interval's far end
+    (hi at a max, lo at a min).  Returns (vertices, rises first) pairs.
+    """
+    n = len(lo)
+    for k in range(n - 1):
+        found = []
+        for at in itertools.combinations(range(1, n - 1), k):
+            for first in (True, False):
+                rising, a, b = first, lo[0], hi[0]
+                for j in range(1, n):
+                    a, b = ((max(a, lo[j]), hi[j]) if rising
+                            else (lo[j], min(b, hi[j])))
+                    if a > b:
+                        break
+                    if j in at:
+                        a = b = hi[j] if rising else lo[j]
+                        rising = not rising
+                else:
+                    kinds = itertools.cycle(["max", "min"] if first
+                                            else ["min", "max"])
+                    found.append((tuple((v + 1, next(kinds)) for v in at),
+                                  first))
+        if found:
+            return found
+
+
+@st.composite
+def drifting_ties(draw, min_size=3, max_size=8):
+    """q a random walk whose steps are about its bounds e, so that chains
+    of ties drift; quarters keep every comparison exact."""
+    n = draw(st.integers(min_size, max_size))
+    steps = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    e = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return 0.25 * np.cumsum(steps), 0.25 * np.array(e, dtype=float)
+
+
+def _classify(q, e, closed=False):
+    """classify's result, or the AdjacentVerticesError it raised."""
+    try:
+        return classify(_nodes(q, e), [], closed=closed)
+    except AdjacentVerticesError as exc:
+        return exc
+
+
+def _form(cl, mirrored=False):
+    """A classification as a tuple, or its error's text; mirrored swaps
+    max and min, and increasing and decreasing."""
+    if isinstance(cl, AdjacentVerticesError):
+        return str(cl)
+    flip = {"max": "min", "min": "max", "increasing": "decreasing",
+            "decreasing": "increasing"} if mirrored else {}
+    return (cl.kind, flip.get(cl.direction, cl.direction),
+            tuple((j, flip.get(k, k)) for j, k in cl.vertices))
+
+
+@settings(max_examples=400, deadline=None)
+@given(drifting_ties(min_size=6))
+def test_classify_open_has_the_fewest_pieces(qe):
+    q, e = qe
+    found = _fewest_pieces(q - e, q + e)
+    cl = _classify(q, e)
+    if not found[0][0]:
+        rises = {first for _, first in found}
+        assert cl.kind == "spiral"
+        assert cl.direction == {(True,): "increasing", (False,): "decreasing",
+                                (False, True): "constant"}[
+                                    tuple(sorted(rises))]
+        return
+    # each vertex at the first node where it can fall: of the placements,
+    # the one whose vertices, read from the last, come first
+    want = min((v for v, _ in found), key=lambda v: [j for j, _ in v][::-1])
+    if any(b - a < 2 for (a, _), (b, _) in zip(want, want[1:])):
+        assert isinstance(cl, AdjacentVerticesError)
+    else:
+        assert cl.kind == "piecewise" and cl.vertices == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(drifting_ties(max_size=12), st.booleans())
+def test_classify_mirrored_is_exact(qe, closed):
+    q, e = qe
+    assert _form(_classify(-q, e, closed)) == _form(_classify(q, e, closed),
+                                                    mirrored=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drifting_ties(max_size=12), st.booleans())
+def test_classify_reversed_keeps_kind_direction_and_vertex_count(qe, closed):
+    q, e = qe
+    cl, rev = _classify(q, e, closed), _classify(-q[::-1], e[::-1], closed)
+    # which of two near nodes a vertex names depends on the direction of
+    # travel, so the spacing rule can differ
+    assume(not isinstance(cl, Exception) and not isinstance(rev, Exception))
+    assert (rev.kind, rev.direction) == (cl.kind, cl.direction)
+    assert len(rev.vertices) == len(cl.vertices)
+    if not closed:
+        assert [k for _, k in rev.vertices] == [
+            {"max": "min", "min": "max"}[k] for _, k in cl.vertices[::-1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drifting_ties(max_size=12), st.integers(0, 11))
+def test_classify_closed_rotated_rotates_vertices(qe, r):
+    q, e = qe
+    n = len(q)
+    cl = _classify(q, e, True)
+    rot = _classify(np.roll(q, r), np.roll(e, r), True)
+    if isinstance(cl, AdjacentVerticesError):
+        assert isinstance(rot, AdjacentVerticesError)
+        return
+    assert (rot.kind, rot.direction) == (cl.kind, cl.direction)
+    assert rot.vertices == tuple(sorted(((j - 1 + r) % n + 1, k)
+                                        for j, k in cl.vertices))
 
 
 # ---------------------------------------------------------------------------

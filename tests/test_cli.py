@@ -139,6 +139,66 @@ def test_analyze_points_not_pairs_exits_3(capsys, tmp_path, points):
     assert "'points'" in err
 
 
+def _nested(depth):
+    return "[" * depth + "1" + "]" * depth
+
+
+# a value nested past the interpreter's recursion limit, in each part of
+# a profile or sample file that holds values: exit 3 naming the file, not
+# a traceback (exit 1 is a failed containment check)
+DEEP_PROFILES = {
+    "points": '{"version": 1, "points": [[0, 0], [%s, 1], [2, 0]], '
+              '"tangents": {"start": 0, "end": 0}}',
+    "tangents": '{"version": 1, "points": [[0, 0], [1, 1], [2, 0]], '
+                '"tangents": {"start": %s, "end": 0}}',
+    "curvature_overrides": '{"version": 1, "points": [[0, 0], [1, 1], '
+                           '[2, 0]], "tangents": {"start": 0, "end": 0}, '
+                           '"curvature_overrides": {"2": %s}}',
+}
+
+
+@pytest.mark.parametrize("depth", [1010, 5000])
+@pytest.mark.parametrize("part", sorted(DEEP_PROFILES))
+def test_analyze_deeply_nested_profile_exits_3(capsys, tmp_path, part,
+                                               depth):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_PROFILES[part] % _nested(depth))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: profile %s nests too deeply\n" % path
+
+
+@pytest.mark.parametrize("depth", [1010, 5000])
+def test_check_deeply_nested_sample_exits_3(capsys, tmp_path, circle_profile,
+                                            depth):
+    path = tmp_path / "deep.json"
+    path.write_text("[[%s, 1], [2, 3]]" % _nested(depth))
+    code, out, err = run(capsys, "check", circle_profile, str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: sample file %s nests too deeply\n" % path
+
+
+def test_shallow_nesting_keeps_its_error(capsys, tmp_path, circle_profile):
+    path = tmp_path / "shallow.json"
+    path.write_text("[[%s, 1], [2, 3]]" % _nested(3))
+    code, _, err = run(capsys, "check", circle_profile, str(path))
+    assert code == 3
+    assert err == ("error: sample file %s: sample 0 has a coordinate that "
+                   "is not a finite number: [[[1]]]\n" % path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_file_that_is_not_utf8_exits_3(capsys, tmp_path, circle_profile,
+                                       command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff\xfe 1 2\n")
+    argv = [str(path)] if command == "analyze" else [circle_profile,
+                                                     str(path)]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read ") and str(path) in err
+
+
 def test_analyze_steep_boundary_exits_2(capsys, tmp_path):
     # closed data so coarse that a boundary of chord 1 is not a graph
     # over the chord
