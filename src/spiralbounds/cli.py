@@ -155,15 +155,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 3
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except DataError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -58,10 +58,13 @@ affect the verdict.  Otherwise it sits in the outer wedge at a node:
 it is measured in the two chords meeting there with x clipped to the
 node's end, so its margin is -|y|, and the better chord wins.  Closed
 data has no ends, so there every such sample is measured at a node.
-The nearest node is found through runs of nodes of the same length: no
-node of a run lies nearer p than |p - c| - R, with c its middle node
-and R the largest distance of its nodes from c, so only the runs where
-that is at most the least |p - c| + R over the runs are searched.
+The nearest node is the one of least np.hypot, the first on ties, found
+by one broadcast argmin when all (sample, chord) pairs fit in CHUNK,
+else through runs of nodes of the same length: no node of a run lies
+nearer p than |p - c| - R, with c its middle node and R the largest
+distance of its nodes from c, so only the runs where that is at most
+the least |p - c| + R over the runs are searched.  Unlike a square,
+hypot keeps the scale of its inputs: the node does not depend on units.
 """
 
 from __future__ import annotations
@@ -319,7 +322,7 @@ def _node_runs(nodes, pts, rows, length):
     middle node and R_b the largest distance of its nodes from c_b, and
     none farther than |p - c_b| + R_b.  A run whose lower bound exceeds
     the least upper bound over the runs, with _RUN_SLACK for rounding,
-    holds no node that the squared distances of _squares could pick.
+    holds no node that np.hypot of the differences could pick.
     """
     start, size, mid, radius = _runs(nodes[:, 0], nodes[:, 1], length)
 
@@ -330,19 +333,6 @@ def _node_runs(nodes, pts, rows, length):
         return d - radius <= least * (1.0 + _RUN_SLACK) + _RUN_SLACK * far
 
     return _run_pairs(pts, rows, start, size, nodes[mid].T, keep)
-
-
-def _squares(pts, nodes, unit, i, k):
-    """Squared distances of samples i from nodes k, i and k broadcast.
-
-    unit, unless None, holds per sample a power of two that keeps its
-    squares finite (see check_containment); scaling by it changes neither
-    their rounding nor their order.
-    """
-    dx, dy = pts[i, 0] - nodes[k, 0], pts[i, 1] - nodes[k, 1]
-    if unit is not None:
-        dx, dy = dx * unit[i], dy * unit[i]
-    return dx ** 2 + dy ** 2
 
 
 def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
@@ -358,10 +348,12 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
                          % (tol,))
     g = region.chords
     # |x| + |y| of a sample plus the chords' largest |ox| + |oy| bounds its
-    # projections, finite below the float maximum; summed in eighths, the
+    # projections, and with 2 max c added (a node lies within sqrt(2) c of
+    # its chord's midpoint) its differences from the nodes: below the float
+    # maximum these and their np.hypot are finite; summed in eighths, the
     # test cannot overflow
     eighth = 0.125 * np.abs(pts)
-    extent = np.max(np.sum(0.125 * np.abs(g.mid), axis=1))
+    extent = np.sum(0.125 * np.abs(g.mid), axis=1).max() + 0.25 * g.c.max()
     huge = np.flatnonzero(eighth[:, 0] + eighth[:, 1] + extent
                           >= 0.125 * np.finfo(float).max)
     if huge.size:
@@ -410,14 +402,6 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
         nodes = np.column_stack([sx, sy])
         if not region.closed:
             nodes = np.vstack([nodes, (ex[-1], ey[-1])])
-        # a difference from a node is below twice the larger of |p| and
-        # the largest node coordinate; under 2**511 its square is finite,
-        # so a sample with either at 2**510 or beyond is scaled down
-        unit = None
-        extent = np.abs(nodes).max()
-        if max(np.abs(pts[todo]).max(), extent) >= 2.0 ** 510:
-            big = np.maximum(np.abs(pts).max(axis=1), extent)
-            unit = np.ldexp(1.0, np.minimum(0, 510 - np.frexp(big)[1]))
 
         def wedge(i, node):
             """Measure the samples i at their nearest nodes."""
@@ -428,17 +412,13 @@ def check_containment(region: Region, polyline, tol=None) -> ComplianceReport:
                 measure(np.repeat(i, 2),
                         np.column_stack([node - 1, node]).ravel() % m)
 
-        if not grid:
-            step = max(1, CHUNK // len(nodes))
-            for a in range(0, len(todo), step):
-                rows = todo[a:a + step]
-                d = _squares(pts, nodes, unit, rows[:, None],
-                             np.arange(len(nodes)))
-                wedge(rows, np.argmin(d, axis=1))
+        if not grid:   # len(todo) * len(nodes) <= n (m + 1) <= CHUNK + n
+            d = np.hypot(*(pts[todo, None] - nodes).T)   # (nodes, todo)
+            wedge(todo, np.argmin(d, axis=0))
         else:
             for i, k in _node_runs(nodes, pts, todo, length):
                 # argmin's rule: the nearest node, the first on ties
-                first = _best_of_runs(i, k, -_squares(pts, nodes, unit, i, k))
+                first = _best_of_runs(i, k, -np.hypot(*(pts[i] - nodes[k]).T))
                 wedge(i[first], k[first])
     assigned = chord >= 0
     chord[assigned] = g.indices[chord[assigned]]

@@ -44,7 +44,8 @@ rows where every boundary is an arc, else a "chords" kind per row.
 Profiles are read by orjson where it reads them as json does: no key
 twice and no integer past 64 bits outside the points; JSON sample files
 are read by orjson too, and checked in one pass when they hold numbers
-only.  Anything else is read by json, so every error keeps its words.
+only.  Anything else, and any text that can nest more than _DEPTH deep,
+is read by json, so every error keeps its words.
 
 Column files (spline fixtures, curvature plots) hold one "%.17g" per
 value, as np.savetxt writes them.  write_rows is the one block writer
@@ -192,7 +193,7 @@ def _decode_profile(text):
     error, json reads the text again, for its value or its error.
     """
     try:
-        obj = orjson.loads(text)
+        obj = None if _too_deep(text) else orjson.loads(text)
     except orjson.JSONDecodeError:
         obj = None
     if isinstance(obj, dict):
@@ -294,23 +295,44 @@ def _decode(text):
     any error json reads the text again, for its value or its error.
     """
     try:
-        return orjson.loads(text)
+        if not _too_deep(text):
+            return orjson.loads(text)
     except orjson.JSONDecodeError:
-        return json.loads(text)
+        pass
+    return json.loads(text)
 
 
-def fill(templates, values, kind) -> str:
-    """Row i filled into templates[kind[i]], taking its values in turn
-    from the rows' values in row order, all rows by one %."""
-    return "".join([templates[k] for k in kind]) % tuple(values)
+# orjson 3.8 nests on the C stack, and with 8 MB of it the process dies at
+# 52 000 nested objects (131 000 arrays); json raises RecursionError instead
+_DEPTH = 20000
+
+
+def _too_deep(text):
+    """Whether the JSON text can nest more than _DEPTH deep: it holds more
+    [ and { than that, and a backslash (which could escape a quote) or that
+    depth counting only the brackets after an even number of quotes."""
+    if len(text) <= _DEPTH:   # too short to hold that many
+        return False
+    b = np.frombuffer(text.encode(), np.uint8)
+    key = b | 0x20   # [ { are 0x5B 0x7B and ] } 0x5D 0x7D: one test each
+    opens = key == 0x7B
+    if np.count_nonzero(opens) <= _DEPTH:
+        return False
+    at = np.flatnonzero(opens | (key == 0x7D) | (b == 0x22))
+    step = opens[at].astype(np.intp) - (key[at] == 0x7D)
+    step[np.cumsum(b[at] == 0x22) % 2 == 1] = 0   # inside a string
+    return "\\" in text or np.cumsum(step).max() > _DEPTH
 
 
 def write_rows(fh, columns, templates, kind=None):
-    """Write fill()'s lines of the columns to fh, BLOCK rows at a time."""
+    """Write the columns to fh, BLOCK rows at a time: row i filled into
+    templates[kind[i]] (templates[0] without kind), taking its values in
+    turn from the rows' values in row order, a block by one %."""
     for lo in range(0, len(columns[0]), BLOCK):
         block = np.column_stack([col[lo:lo + BLOCK] for col in columns])
-        fh.write(fill(templates, block.ravel().tolist(),
-                      kind[lo:lo + BLOCK] if kind else [0] * len(block)))
+        rows = kind[lo:lo + BLOCK] if kind else [0] * len(block)
+        fh.write("".join([templates[k] for k in rows])
+                 % tuple(block.ravel().tolist()))
 
 
 def write_columns(fh, rows):

@@ -178,6 +178,30 @@ def test_check_deeply_nested_sample_exits_3(capsys, tmp_path, circle_profile,
     assert err == "error: sample file %s nests too deeply\n" % path
 
 
+# deeper than orjson reads, which nests on the C stack and crashed the
+# process (exit 139, SIGSEGV) on these: run in a process of its own
+@pytest.mark.parametrize("name, text", [
+    ("profile", DEEP_PROFILES["points"] % _nested(200000)),
+    ("profile", DEEP_PROFILES["curvature_overrides"]
+     % ('{"a": ' * 60000 + "1" + "}" * 60000)),
+    # brackets in a string do not hide the depth of what follows
+    ("profile", DEEP_PROFILES["curvature_overrides"]
+     % ('{"1": "%s", "3": %s}' % ("]" * 200000, _nested(200000)))),
+    ("sample file", "[[%s, 1], [2, 3]]" % _nested(200000))],
+    ids=["profile-arrays", "profile-objects", "profile-string",
+         "samples-arrays"])
+def test_very_deep_json_exits_3_in_a_process(tmp_path, circle_profile, name,
+                                             text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    args = (["analyze", str(path)] if name == "profile"
+            else ["check", circle_profile, str(path)])
+    r = subprocess.run([sys.executable, "-m", "spiralbounds", *args],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "error: %s %s nests too deeply\n" % (name, path)
+
+
 def test_shallow_nesting_keeps_its_error(capsys, tmp_path, circle_profile):
     path = tmp_path / "shallow.json"
     path.write_text("[[%s, 1], [2, 3]]" % _nested(3))

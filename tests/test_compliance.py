@@ -20,7 +20,7 @@ from spiralbounds.analysis import SplineInput, analyze
 from spiralbounds.compliance import check_containment
 from spiralbounds.errors import DataError, EmptySamplesError, InputError
 from spiralbounds.geometry import curve_eval
-from spiralbounds.profile_io import load_profile
+from spiralbounds.profile_io import load_profile, load_samples
 from spiralbounds.regions import build_region, simple_region
 from spiralbounds.splinefit import cubic_spline_fixture
 
@@ -477,7 +477,7 @@ def test_off_region_samples_test_few_chords():
     assert sum(pairs) <= 0.1 * len(probes) * m
 
 
-@pytest.mark.parametrize("big", [1e200, 1e300, -1e308])
+@pytest.mark.parametrize("big", [2.0 ** 510, 1e200, 1e300, -1e308])
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("chunk", [1 << 16, 40], ids=["broadcast", "grid"])
 def test_huge_samples_are_measured_without_overflow(big, closed, chunk):
@@ -511,6 +511,40 @@ def test_huge_samples_are_measured_without_overflow(big, closed, chunk):
     if closed:
         assert np.all(rep.chord_index[k:] > 0)
         npt.assert_allclose(rep.worst_margin, -abs(big), rtol=0.5)
+
+
+@pytest.mark.parametrize("name", ["oval-grid", "spiral-grid"])
+@pytest.mark.parametrize("chunk", [1 << 16, 1 << 20], ids=["grid", "broadcast"])
+def test_scaling_by_a_power_of_two_scales_the_report(name, chunk):
+    # the region does not depend on the unit of length: data and samples
+    # scaled by 2**k give the same chords, and x, y and both margins
+    # scaled exactly.  Both goldens have samples in no chord's span, taken
+    # to their nearest node: squared distances would pick a wrong node at
+    # 2**-560 and 2**-600 (they underflow and tie).  Scales stop below
+    # 2**511, where the width estimate squares the half-chords
+    data, _ = load_profile(str(GOLDEN / (name + ".json")))
+    samples = load_samples(str(GOLDEN / (name + ".txt")))
+    with mock.patch.object(compliance, "CHUNK", chunk):
+        region = build_region(analyze(data))
+        assert (len(samples) * len(region.chords) > chunk) == (chunk < 1 << 20)
+        want = check_containment(region, samples)
+        g = region.chords
+        spanned = compliance._spans(
+            g, g.c * (1.0 + compliance.SPAN_SLACK), samples,
+            np.arange(len(samples))[:, None], np.arange(len(g.c)))
+        assert not spanned.any(axis=1).all()
+        for k in (-600, -560, 500):
+            s = 2.0 ** k
+            scaled = build_region(analyze(SplineInput(
+                data.points * s, data.tau_start, data.tau_end,
+                closed=data.closed)))
+            got = check_containment(scaled, samples * s)
+            npt.assert_array_equal(got.chord_index, want.chord_index)
+            for a, b in ((got.x_local, want.x_local),
+                         (got.y_local, want.y_local),
+                         (got.margin_lower, want.margin_lower),
+                         (got.margin_upper, want.margin_upper)):
+                npt.assert_array_equal(a, b * s)
 
 
 @pytest.mark.parametrize("profile", ["spiral-inc", "oval"])
