@@ -28,7 +28,11 @@ each Rows made a list, and write_report writes the same text to a file
 piece by piece as it is made, so the CLI never holds a whole report.
 json's indent path costs a generator frame per value, so the long lists
 (nodes, chords, violations) are Rows: row dicts kept as columns, written
-BLOCK rows at a time without making the dicts.  A row's kind is laid out
+BLOCK rows at a time without making the dicts.  A Rows is an item of
+the report itself, nowhere deeper: json encodes the report once with
+each Rows item null, and the Rows is spliced in at that item's line,
+the only one that starts two spaces in with its key, since json writes
+a newline in a string as an escape.  A row's kind is laid out
 once by json.dumps of a row of placeholders and cut at them into the
 literal gaps around its values; a block is the gaps of its rows, by
 kind, with each column's tokens put in their places by one strided
@@ -64,7 +68,6 @@ import operator
 import re
 from collections.abc import Sequence
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -212,7 +215,7 @@ _KEY = re.compile(r'"\s*:')
 def _values(value):
     """The value and every value nested in it, depth first."""
     yield value
-    if isinstance(value, (dict, list)):
+    if isinstance(value, (dict, list, tuple)):
         for v in value.values() if isinstance(value, dict) else value:
             yield from _values(v)
 
@@ -365,10 +368,12 @@ class Rows(Sequence):
         return len(self.kind)
 
     def __getitem__(self, i):
-        i = range(len(self))[i]   # IndexError past the end
-        row = Rows(self.layout, [col[i:i + 1] for col in self.columns],
-                   self.kind[i:i + 1])
-        return json.loads("".join(row.json(0)))[0]
+        at = range(len(self))[i]   # IndexError past the end
+        at = [at] if isinstance(at, int) else list(at)
+        rows = Rows(self.layout, [col[at] for col in self.columns],
+                    self.kind[at])
+        rows = json.loads("".join(rows.json(0)))
+        return rows if isinstance(i, slice) else rows[0]
 
     def json(self, depth):
         """The text of the rows' list, depth deep, a block of BLOCK rows
@@ -505,55 +510,33 @@ def write_report(fh, report: dict):
 
 
 def _chunks(report):
-    """report_json's text in pieces: a Rows among the report's items
-    block by block, each other item whole."""
-    if not (isinstance(report, dict) and report):
-        yield _json(report, 0)
-        return
+    """report_json's text in pieces: json's text of the report, each Rows
+    written block by block at its item's line."""
     _check_keys(report)
-    sep = "{" + _newline(1)
-    for key, value in report.items():
-        head = sep + encode_basestring_ascii(key) + ": "
-        if type(value) is Rows:
-            yield head
-            yield from value.json(1)
-        else:
-            yield head + _json(value, 1)
-        sep = "," + _newline(1)
-    yield "\n}"
+    rows = ({key: value for key, value in report.items()
+             if type(value) is Rows} if isinstance(report, dict) else {})
+    text = _ENCODER.encode({**report, **dict.fromkeys(rows)} if rows
+                           else report)
+    for key, value in rows.items():
+        line = _newline(1) + _ENCODER.encode(key) + ": "
+        head, text = text.split(line + "null", 1)
+        yield head + line
+        yield from value.json(1)
+    yield text
 
 
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+# json.dumps(indent=2)'s layout; a cyclic report ends in RecursionError
+_ENCODER = json.JSONEncoder(indent=2, check_circular=False)
 
 
-def _json(value, depth):
-    """json.dumps's text of the value, nested depth deep."""
-    if type(value) is Rows:
-        return "".join(value.json(depth))
-    if isinstance(value, dict):
-        _check_keys(value)
-        items, ends = [encode_basestring_ascii(key) + ": " + _json(
-            v, depth + 1) for key, v in value.items()], "{}"
-    elif isinstance(value, (list, tuple)):
-        # exact floats: orjson takes no float subclass but numpy's
-        items, ends = (_floats(list(map(float, value)))
-                       if all(isinstance(v, float) for v in value)
-                       else [_json(v, depth + 1) for v in value]), "[]"
-    elif isinstance(value, float):
-        return _floats([float(value)])[0]
-    elif type(value) in _SCALARS:
-        return _SCALARS[type(value)](value)
-    else:   # None, bool, subclasses, and json's TypeError for the rest
-        return json.dumps(value)
-    inner = _newline(depth + 1)
-    return ("".join([ends[0], inner, ("," + inner).join(items),
-                     _newline(depth), ends[1]]) if items else ends)
-
-
-def _check_keys(obj):
-    bad = [type(k).__name__ for k in obj if not isinstance(k, str)]
-    if bad:
-        raise TypeError("report keys must be str, not %s" % bad[0])
+def _check_keys(report):
+    """Raise TypeError for a dict key that is not str, at any depth:
+    json.dumps would write 1 as "1"."""
+    for value in _values(report):
+        for key in value if isinstance(value, dict) else ():
+            if not isinstance(key, str):
+                raise TypeError("report keys must be str, not %s"
+                                % type(key).__name__)
 
 
 def _floats(col):

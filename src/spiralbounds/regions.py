@@ -237,9 +237,11 @@ def _finish(grade: str, analysis: Analysis, widths, members, arc) -> Region:
     chords = analysis.chords
     m = len(chords)
     q = analysis.nodes.q
-    # small-angle width estimate c^2 |q_start - q_end| / 2
-    estimates = 0.5 * chords.c ** 2 * np.abs(
-        q[:m] - padded(q, chords.closed)[2:m + 2])
+    # small-angle width estimate c^2 |q_start - q_end| / 2; c is scaled by
+    # 2^-k, exactly, so that c^2 neither overflows nor underflows
+    k = np.frexp(chords.c.max())[1]
+    estimates = np.ldexp(0.5 * np.ldexp(chords.c, -k) ** 2 * np.abs(
+        q[:m] - padded(q, chords.closed)[2:m + 2]), 2 * k)
     return Region(grade, chords.closed, RegionChords(
         np.arange(1, m + 1), chords.c, chords.mu, chords.mid, widths,
         estimates, members, arc))

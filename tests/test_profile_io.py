@@ -558,6 +558,43 @@ def test_report_json_is_json_dumps(tree):
     assert report_json(tree) == _dumps(tree)
 
 
+def _node_rows(n, scale=1.0):
+    """A nodes Rows of n rows: 1-based indices and three float columns."""
+    values = scale * np.linspace(-1.5, 2.5, n)
+    return Rows("nodes", [np.arange(1, n + 1), values, 1e-5 * values,
+                          np.full(n, math.nan)])
+
+
+ROWS = st.builds(_node_rows, st.integers(0, 3), st.floats(-1e300, 1e300))
+# the report's items: Rows among values of any kind, null among them
+ITEMS = st.lists(st.tuples(KEYS, st.one_of(ROWS, st.none(), TREES)),
+                 unique_by=operator.itemgetter(0), max_size=6).map(dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ITEMS)
+@example({"a": _node_rows(0), "b": _node_rows(3), "%s": {"a": None}})
+@example({"0": [1.5, {'q"': -0.0}], "\u00e9\u2028": None,
+          'q"': _node_rows(2, 3e16)})
+@example({'q"': _node_rows(0), "\u00e9\u2028": _node_rows(1), "": None})
+def test_report_json_writes_each_rows_in_its_place(report):
+    # empty Rows, and Rows first, last, side by side, beside null and
+    # under keys json escapes
+    want = _dumps(_plain(report))
+    assert report_json(report) == want
+    out = io.StringIO()
+    write_report(out, report)
+    assert out.getvalue() == want
+
+
+@pytest.mark.parametrize("report", [{"a": {"b": _node_rows(2)}},
+                                    {"a": [_node_rows(0)]}, [_node_rows(1)]])
+def test_report_json_takes_rows_only_as_report_items(report):
+    # region_report and compliance_report_dict put Rows nowhere else
+    with pytest.raises(TypeError, match="^Object of type Rows is not JSON"):
+        report_json(report)
+
+
 def test_report_json_raises_json_type_error():
     bad = {"a": [1.0, {2, 3}]}
     with pytest.raises(TypeError) as want:
@@ -571,6 +608,15 @@ def test_report_json_rejects_key_that_is_not_str(key):
     # every report names its fields by str; json.dumps would write 1 as "1"
     with pytest.raises(TypeError, match=r"\bnot %s$" % type(key).__name__):
         report_json({"rows": [{"a": 0.0}, {key: 0.0}]})
+
+
+@pytest.mark.parametrize("report", [[[1, ({1: 0.0},)]],
+                                    {"a": _node_rows(1),
+                                     "b": [{"c": [[{None: 0.0}]]}]}])
+def test_report_json_rejects_key_that_is_not_str_in_nested_lists(report):
+    with pytest.raises(TypeError,
+                       match="^report keys must be str, not (int|NoneType)$"):
+        report_json(report)
 
 
 FLOAT_EDGES = [1e-5, 9.99e-5, 1e-4, 1e15, 1e16, 5e-324, sys.float_info.max]
@@ -896,3 +942,14 @@ def test_rows_index_like_a_list():
     assert type(rows[0]["width"]) is float
     with pytest.raises(IndexError):
         rows[len(plain)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.slices(24))
+@example(slice(1, 3))
+@example(slice(5, 2))
+@example(slice(-100, 100, 3))
+def test_rows_slice_like_a_list(at):
+    report = region_report(*next(_golden_regions()))
+    for rows in (report["chords"], report["nodes"], _node_rows(0)):
+        assert rows[at] == list(rows)[at]

@@ -101,6 +101,27 @@ def test_width_estimate_tracks_width():
             assert 0.2 < ch.width_estimate / ch.width < 5.0
 
 
+@pytest.mark.parametrize("k", [520, -560])
+def test_width_estimate_does_not_depend_on_the_unit_of_length(k):
+    # c^2 alone overflows at 2^520 and is 0 at 2^-560; the estimates scale
+    # by 2^k, as the widths do, with no numpy warning
+    t = np.linspace(0.3, 2.1, 9)
+    arc = SplineInput(np.column_stack([np.cos(t), np.sin(t)]),
+                      t[0] + math.pi / 2, t[-1] + math.pi / 2)
+    spiral = load_profile(str(GOLDEN / "spiral-inc.json"))[0]
+    for data in (arc, spiral):
+        region = build_region(analyze(data))
+        with np.errstate(all="raise"):
+            scaled = build_region(analyze(dataclasses.replace(
+                data, points=2.0 ** k * data.points)))
+        assert region.grade == scaled.grade
+        npt.assert_array_equal(scaled.chords.width,
+                               2.0 ** k * region.chords.width)
+        npt.assert_array_equal(scaled.chords.estimate,
+                               2.0 ** k * region.chords.estimate)
+    assert np.any(region.chords.estimate > 0.0)
+
+
 def test_simple_region_contains_generating_spiral():
     for seed in range(31, 35):
         an, arc = spiral_analysis(seed)
